@@ -16,20 +16,24 @@ the holdings the announcer could still have. The checks are:
 * CA5: the same constancy, with number m_X, for the receiver's candidate
   b-sets induced by the avoiding lines.
 
-``check_axioms`` decides all five by exhaustive quantification and reports
-witnesses for failures; ``is_good`` is the CA1-CA3 fast path used by the
-enumeration sweeps.
+One kernel decides them. CA1 is decided over the C(k, 2) line pairs, not the
+C(v, b) b-sets: it fails iff two lines leave b or more cards outside their
+union (the clash rule, also the enumeration's pruning rule). One sweep over
+the c-sets yields each one's avoiding lines with their intersection and union
+for CA2-CA5. ``check_axioms`` runs the kernel to completion with witnesses;
+``is_good`` is its early-exit reading for CA1-CA3.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .guard import require_work
-from .model import Announcement, CardSet, Parameters, card_set, format_card_set, from_mask, to_mask
+from .model import Announcement, CardSet, Parameters, card_set, check_fit, format_card_set, from_mask, to_mask
 
 
 class InferenceError(LookupError):
@@ -177,46 +181,71 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
-    avoid = lines_avoiding(ann, xs)
-    inside = set(xs)
-    counts = {card: 0 for card in range(params.v)}
-    for line in avoid:
-        for card in line:
-            counts[card] += 1
-    for card in inside:
-        counts[card] = 0
-    return counts
+    counts = Counter(card for line in lines_avoiding(ann, xs) for card in line)
+    return {card: counts[card] for card in range(params.v)}
 
 
-def _validate(ann: Announcement, params: Parameters) -> None:
-    for line in ann.lines:
-        if len(line) != params.a:
-            raise ValueError(f"line {line} does not have {params.a} cards")
-        if line[-1] >= params.v:
-            raise ValueError(f"card {line[-1]} out of range for deck size {params.v}")
+def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> list[int]:
+    """Validate the lines, charge the guard for the kernel's work, return the line masks."""
+    check_fit(ann, params.a, params.v)
+    k = len(ann.lines)
+    require_work(comb(k, 2) + comb(params.v, params.c) * k, max_work, "axiom check")
+    return [to_mask(line) for line in ann.lines]
+
+
+def _clashes(masks: list[int], v: int, b: int) -> Iterator[int]:
+    """CA1 clash rule: some b-set avoids two lines iff b or more cards lie outside their union.
+
+    Yields those outside cards, as a mask, for every clashing pair of lines.
+    Each mask holds b >= 1 cards, so ``any`` tells whether some pair clashes.
+    """
+    omega = (1 << v) - 1
+    return (omega & ~(m1 | m2) for m1, m2 in combinations(masks, 2) if v - (m1 | m2).bit_count() >= b)
+
+
+def _c_sets(masks: list[int], v: int, c: int) -> Iterator[tuple[CardSet, int, list[int], int, int]]:
+    """Each c-set with its outside cards, avoiding line masks, and their intersection and union.
+
+    An empty avoiding family has an empty intersection (nothing can be
+    inferred, so CA2 holds vacuously) and an empty union (so CA3 fails).
+    """
+    omega = (1 << v) - 1
+    for xs in combinations(range(v), c):
+        xm = to_mask(xs)
+        avoid = [m for m in masks if m & xm == 0]
+        common = avoid[0] if avoid else 0
+        union = 0
+        for m in avoid:
+            common &= m
+            union |= m
+        yield xs, omega & ~xm, avoid, common, union
 
 
 def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> AxiomReport:
-    """Decide CA1-CA5 by exhaustive quantification over all b-sets and c-sets.
+    """Decide CA1-CA5 exhaustively: CA1 over line pairs, CA2-CA5 over all c-sets.
 
     Failure witnesses are deterministic: CA1-CA3 report the lexicographically
     first violating set, CA4/CA5 record every c-set without a constant count
     (first one doubling as the primary witness) together with the constants
     found elsewhere.
     """
-    _validate(ann, params)
-    v = params.v
-    require_work(comb(v, params.b) + comb(v, params.c), max_work, "axiom check")
-    masks = [to_mask(line) for line in ann.lines]
-    omega = (1 << v) - 1
+    masks = _prepare(ann, params, max_work)
+    v, b = params.v, params.b
 
     ca1 = AxiomVerdict(True)
-    for xs in combinations(range(v), params.b):
-        xm = to_mask(xs)
-        hits = [line for line, m in zip(ann.lines, masks) if m & xm == 0]
-        if len(hits) > 1:
-            ca1 = AxiomVerdict(False, AmbiguityWitness(xs, tuple(hits)))
-            break
+    frees = list(_clashes(masks, v, b))
+    if frees:
+        # Every b-subset of a clashing pair's free cards is avoided by both
+        # lines, so the first violating b-set is the least one inside some
+        # free mask: b times, take the smallest card a free mask holds and
+        # keep only the masks holding it.
+        xm = 0
+        for _ in range(b):
+            low = min(free & -free for free in frees)
+            frees = [free ^ low for free in frees if free & low]
+            xm |= low
+        hits = tuple(line for line, m in zip(ann.lines, masks) if m & xm == 0)
+        ca1 = AxiomVerdict(False, AmbiguityWitness(from_mask(xm), hits))
 
     ca2 = AxiomVerdict(True)
     ca3 = AxiomVerdict(True)
@@ -224,22 +253,9 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     m_constants: dict[CardSet, int] = {}
     n_violations: list[UnevenCountWitness] = []
     m_violations: list[UnevenCountWitness] = []
-    for xs in combinations(range(v), params.c):
-        xm = to_mask(xs)
-        avoid = [m for m in masks if m & xm == 0]
-        rest = omega & ~xm
-        if avoid:
-            common = avoid[0]
-            union = 0
-            for m in avoid:
-                common &= m
-                union |= m
-            # With no avoiding lines nothing can be inferred, so CA2 holds
-            # vacuously there; the union test below still fails for CA3.
-            if common and ca2.passed:
-                ca2 = AxiomVerdict(False, CommonCardWitness(xs, from_mask(common)))
-        else:
-            union = 0
+    for xs, rest, avoid, common, union in _c_sets(masks, v, params.c):
+        if common and ca2.passed:
+            ca2 = AxiomVerdict(False, CommonCardWitness(xs, from_mask(common)))
         if union != rest and ca3.passed:
             ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, from_mask(rest & ~union)))
         outside = from_mask(rest)
@@ -273,35 +289,12 @@ def _record(
 
 
 def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> bool:
-    """True iff CA1, CA2 and CA3 all hold. Early-exit twin of check_axioms."""
-    _validate(ann, params)
+    """True iff CA1, CA2 and CA3 all hold: the early-exit reading of check_axioms."""
+    masks = _prepare(ann, params, max_work)
     v = params.v
-    require_work(comb(v, params.b) + comb(v, params.c), max_work, "axiom check")
-    masks = [to_mask(line) for line in ann.lines]
-    omega = (1 << v) - 1
-
-    for xs in combinations(range(v), params.b):
-        xm = to_mask(xs)
-        seen = 0
-        for m in masks:
-            if m & xm == 0:
-                seen += 1
-                if seen > 1:
-                    return False
-
-    for xs in combinations(range(v), params.c):
-        xm = to_mask(xs)
-        avoid = [m for m in masks if m & xm == 0]
-        if not avoid:
-            return False  # nothing covers the outside cards
-        common = avoid[0]
-        union = 0
-        for m in avoid:
-            common &= m
-            union |= m
-        if common or union != omega & ~xm:
-            return False
-    return True
+    return not any(_clashes(masks, v, params.b)) and all(
+        not common and union == rest for _, rest, _, common, union in _c_sets(masks, v, params.c)
+    )
 
 
 def axiom_report_json(report: AxiomReport) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .model import Announcement, CardSet, to_mask
+from .model import Announcement, CardSet, check_fit, to_mask
 
 
 @dataclass(frozen=True)
@@ -70,45 +70,45 @@ def covalency_over(lines: Iterable[CardSet], points: Iterable[int], t: int) -> i
     return _scan([to_mask(line) for line in line_list], pts, t)[0]
 
 
-def covalency(ann: Announcement, v: int, t: int) -> int | None:
-    """Covalency of the announcement at tuple size t over the full deck."""
-    _check_points(ann, v)
+def _deck_scan(ann: Announcement, v: int, t: int):
+    check_fit(ann, ann.block_size, v)
     if not 0 <= t <= ann.block_size:
         raise ValueError(f"tuple size {t} out of range for block size {ann.block_size}")
-    return _scan([to_mask(line) for line in ann.lines], range(v), t)[0]
+    return _scan([to_mask(line) for line in ann.lines], range(v), t)
+
+
+def covalency(ann: Announcement, v: int, t: int) -> int | None:
+    """Covalency of the announcement at tuple size t over the full deck."""
+    return _deck_scan(ann, v, t)[0]
 
 
 def covalency_mismatch(ann: Announcement, v: int, t: int) -> CovalencyMismatch | None:
     """The first uneven pair of t-subsets, or None when the count is constant."""
-    _check_points(ann, v)
-    if not 0 <= t <= ann.block_size:
-        raise ValueError(f"tuple size {t} out of range for block size {ann.block_size}")
-    return _scan([to_mask(line) for line in ann.lines], range(v), t)[1]
+    return _deck_scan(ann, v, t)[1]
 
 
 def design_strength(ann: Announcement, v: int) -> int:
-    """Largest t with constant covalency.
-
-    Constancy at t implies constancy at t-1 for equally sized blocks, so the
-    scan stops at the first tuple size without a constant count.
-    """
-    _check_points(ann, v)
-    masks = [to_mask(line) for line in ann.lines]
-    strength = 0
-    for t in range(1, ann.block_size + 1):
-        if _scan(masks, range(v), t)[0] is None:
-            break
-        strength = t
-    return strength
+    """Largest t with constant covalency."""
+    return design_profile(ann, v).strength
 
 
 def design_profile(ann: Announcement, v: int) -> DesignProfile:
-    """Covalency table for every tuple size from 0 to the block size."""
-    _check_points(ann, v)
+    """Covalency table for every tuple size from 0 to the block size.
+
+    Constancy at t implies constancy at t-1 for equally sized blocks, so the
+    scan stops at the first tuple size without a constant count and every
+    larger size reads None.
+    """
+    check_fit(ann, ann.block_size, v)
     masks = [to_mask(line) for line in ann.lines]
-    table = tuple(_scan(masks, range(v), t)[0] for t in range(ann.block_size + 1))
-    strength = max(t for t, value in enumerate(table) if value is not None)
-    return DesignProfile(v, ann.block_size, table, strength)
+    table = []
+    for t in range(ann.block_size + 1):
+        value = _scan(masks, range(v), t)[0]
+        if value is None:
+            break
+        table.append(value)
+    padded = tuple(table) + (None,) * (ann.block_size + 1 - len(table))
+    return DesignProfile(v, ann.block_size, padded, len(table) - 1)
 
 
 def binary_design(n: int) -> Announcement:
@@ -139,8 +139,3 @@ def profile_json(profile: DesignProfile) -> dict:
         "strength": profile.strength,
     }
 
-
-def _check_points(ann: Announcement, v: int) -> None:
-    top = max(line[-1] for line in ann.lines)
-    if top >= v:
-        raise ValueError(f"card {top} out of range for deck size {v}")

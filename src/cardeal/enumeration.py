@@ -1,10 +1,10 @@
 """Exhaustive generation and classification of good announcements.
 
 The generator walks all k-line supersets of a fixed hand, pruning branches
-as soon as two chosen lines could be avoided by one b-set (which already
-sinks CA1), and keeps exactly the candidates that pass the full CA1-CA3
-check. No isomorph rejection, no shortcuts: at desk scale the naive sweep is
-the ground truth everything else is tested against.
+as soon as two chosen lines clash under the axiom kernel's CA1 rule (some
+b-set avoids both), and keeps exactly the candidates that pass the full
+CA1-CA3 check. No isomorph rejection, no shortcuts: at desk scale the naive
+sweep is the ground truth everything else is tested against.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .axioms import is_good
+from .axioms import _clashes, is_good
 from .guard import require_work
 from .model import Announcement, CardSet, Parameters, card_set, to_mask
 
@@ -45,12 +45,11 @@ def enumerate_good_announcements(
 def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:
     v, b = params.v, params.b
     hand_mask = to_mask(hand)
-    # Two lines can be avoided simultaneously iff at least b cards lie
-    # outside their union; such a pair already violates CA1.
+    # A line that clashes with the hand or with a chosen line already sinks CA1.
     pool = []
     for line in combinations(range(v), params.a):
         m = to_mask(line)
-        if line != hand and v - (m | hand_mask).bit_count() < b:
+        if line != hand and not any(_clashes([m, hand_mask], v, b)):
             pool.append((line, m))
 
     found: list[Announcement] = []
@@ -64,7 +63,7 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
         limit = len(pool) - (k - 2 - len(chosen))
         for i in range(start, limit):
             line, m = pool[i]
-            if all(v - (m | pm).bit_count() < b for pm in chosen_masks):
+            if not any(_clashes([m, *chosen_masks], v, b)):
                 extend(i + 1, chosen + [line], chosen_masks + [m])
 
     extend(0, [], [])

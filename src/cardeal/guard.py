@@ -18,7 +18,10 @@ def resolve_max_work(value: int | None = None) -> int:
         return value
     env = os.environ.get(ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_MAX_WORK
 
 

@@ -49,12 +49,13 @@ class Parameters:
 
 def card_set(cards: Iterable[int], v: int | None = None) -> CardSet:
     """Sort a collection of cards, rejecting duplicates and out-of-range labels."""
-    out = tuple(sorted(cards))
+    out = tuple(cards)
     for card in out:
         if not isinstance(card, int) or isinstance(card, bool) or card < 0:
             raise ValueError(f"card {card!r} is not a nonnegative integer")
         if v is not None and card >= v:
             raise ValueError(f"card {card} out of range for deck size {v}")
+    out = tuple(sorted(out))
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate card in {out}")
     return out
@@ -125,6 +126,15 @@ class Announcement:
 
     def __contains__(self, line: object) -> bool:
         return line in self.lines
+
+
+def check_fit(ann: Announcement, size: int, v: int) -> None:
+    """Reject an announcement unless every line has ``size`` cards, all below v."""
+    for line in ann.lines:
+        if len(line) != size:
+            raise ValueError(f"line {line} does not have {size} cards")
+        if line[-1] >= v:
+            raise ValueError(f"card {line[-1]} out of range for deck size {v}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def _json_lines(text: str, params: Parameters) -> list[CardSet]:
         raise AnnouncementParseError(f"invalid JSON announcement: {exc}") from None
     if isinstance(data, dict):
         declared = data.get("params")
-        if declared is not None and tuple(declared) != (params.a, params.b, params.c):
+        if declared is not None and declared != [params.a, params.b, params.c]:
             raise AnnouncementParseError(
                 f"JSON declares params {declared}, expected {[params.a, params.b, params.c]}"
             )
@@ -258,22 +268,15 @@ def _canonical(lines: list[CardSet], params: Parameters) -> Announcement:
 
 def format_announcement(ann: Announcement, params: Parameters) -> str:
     """Canonical compact text; round-trips through parse_announcement."""
-    _check_against(ann, params)
+    check_fit(ann, params.a, params.v)
     return " ".join(format_card_set(line, params.v) for line in ann.lines)
 
 
 def announcement_json(ann: Announcement, params: Parameters) -> dict:
     """JSON-ready form {"params": [a, b, c], "lines": [[...], ...]}."""
-    _check_against(ann, params)
+    check_fit(ann, params.a, params.v)
     return {
         "params": [params.a, params.b, params.c],
         "lines": [list(line) for line in ann.lines],
     }
 
-
-def _check_against(ann: Announcement, params: Parameters) -> None:
-    for line in ann.lines:
-        if len(line) != params.a:
-            raise ValueError(f"line {line} does not have {params.a} cards")
-        if line[-1] >= params.v:
-            raise ValueError(f"card {line[-1]} out of range for deck size {params.v}")

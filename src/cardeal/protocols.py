@@ -123,6 +123,8 @@ def sample_many(proto: Protocol, hand: Iterable[int], seed, n: int) -> list[Anno
     probabilities, so a single integer draw selects an announcement without
     any floating-point rounding.
     """
+    if n < 0:
+        raise ValueError(f"draw count must be nonnegative, got {n}")
     hand = card_set(hand, proto.params.v)
     if hand not in proto.table:
         raise KeyError(f"unknown hand {hand}")

@@ -10,6 +10,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from cardeal import (
     Announcement,
@@ -306,3 +307,13 @@ def test_criterion_9_open_claim_both_parameterisations():
         # recorded empirical outcome: both parameterisations satisfy CA1-CA4
         assert results[(8, 7, 1)] == (True, True, True, True)
         assert results[(8, 6, 2)] == (True, True, True, True)
+
+
+def test_binary_n5_under_both_parameterisations():
+    with criterion("binary n=5 under (16,15,1) and (16,14,2)"):
+        ann = binary_design(5)
+        for params, n_x in ((Parameters(16, 15, 1), 16), (Parameters(16, 14, 2), 8)):
+            report = check_axioms(ann, params)
+            assert report.all_passed
+            assert len(report.ca4.constants) == comb(32, params.c)
+            assert set(report.ca4.constants.values()) == {n_x}

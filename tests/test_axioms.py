@@ -18,6 +18,7 @@ from cardeal import (
     lines_avoiding,
 )
 from cardeal.axioms import axiom_report_json
+from cardeal.guard import resolve_max_work
 
 
 def test_lines_avoiding_five_hand(five_hand):
@@ -137,6 +138,22 @@ def test_work_guard(five_hand, p331, monkeypatch):
     with pytest.raises(WorkLimitExceeded):
         check_axioms(five_hand, p331)
     assert check_axioms(five_hand, p331, max_work=10**6).good
+
+
+def test_work_estimate_is_pairs_plus_c_set_sweep(five_hand, p331):
+    # C(5, 2) line pairs for CA1, then 7 c-sets against 5 lines: 10 + 35 = 45
+    with pytest.raises(WorkLimitExceeded):
+        check_axioms(five_hand, p331, max_work=44)
+    with pytest.raises(WorkLimitExceeded):
+        is_good(five_hand, p331, max_work=44)
+    assert check_axioms(five_hand, p331, max_work=45).good
+    assert is_good(five_hand, p331, max_work=45)
+
+
+def test_bad_max_work_variable_is_named(monkeypatch):
+    monkeypatch.setenv("CARDEAL_MAX_WORK", "abc")
+    with pytest.raises(ValueError, match="CARDEAL_MAX_WORK.*'abc'"):
+        resolve_max_work()
 
 
 lines331 = st.sampled_from(list(combinations(range(7), 3)))

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cardeal
 from cardeal.cli import main
 
 
@@ -76,6 +81,38 @@ def test_verify_parse_error_exit_2(capsys):
     assert "duplicate line" in err
 
 
+def run_process(*argv, env=None):
+    """Run the CLI in a fresh interpreter, where an uncaught exception prints a traceback."""
+    src = str(Path(cardeal.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "cardeal.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['[[0,1,"2"]]', "[[0,1,null]]", '{"params": 3, "lines": [[0,1,2]]}'],
+)
+def test_verify_malformed_json_exit_2(text):
+    proc = run_process("verify", "--params", "3,3,1", "--announcement", text)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_bad_max_work_variable_exit_2():
+    proc = run_process(
+        "verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246",
+        env={"CARDEAL_MAX_WORK": "abc"},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "CARDEAL_MAX_WORK" in proc.stderr and "abc" in proc.stderr
+
+
 def test_verify_reads_stdin_and_file(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("012 034 056 135 246"))
     code, _, _ = run(capsys, "verify", "--params", "3,3,1", "--stdin", "--axioms", "ca1")
@@ -141,6 +178,13 @@ def test_sample_is_seed_stable(capsys):
     rows = first.strip().splitlines()
     assert len(rows) == 4
     assert all("012" in row.split() for row in rows)
+
+
+def test_sample_negative_count_exit_2():
+    proc = run_process("sample", "--protocol", "fact1", "--hand", "012", "--n", "-1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_sample_fact2_needs_point(capsys):

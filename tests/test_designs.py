@@ -123,6 +123,9 @@ def test_constant_covalency_is_downward_closed(ann):
     assert profile.strength == constant[-1]
     assert design_strength(ann, 7) == profile.strength
     assert profile.covalencies[0] == len(ann)
+    # the profile stops at the first uneven size; scanning each size anyway
+    # confirms that every later size is uneven too
+    assert profile.covalencies == tuple(covalency(ann, 7, t) for t in range(4))
 
 
 @settings(deadline=None)

@@ -101,6 +101,9 @@ def test_parse_canonicalises_order(p331):
         "012 789",  # card out of range
         "",
         '{"params": [3, 3, 2], "lines": [[0, 1, 2]]}',  # conflicting params
+        '{"params": 3, "lines": [[0, 1, 2]]}',  # params not a list
+        '[[0, 1, "2"]]',  # card not an integer
+        "[[0, 1, null]]",
     ],
 )
 def test_parse_rejects_bad_input(text, p331):
