@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .guard import require_work
 from .model import Announcement, CardSet, Parameters, card_set, check_fit, format_card_set, from_mask, to_mask
@@ -144,7 +144,7 @@ class AxiomReport:
 def lines_avoiding(ann: Announcement, x: Iterable[int]) -> list[CardSet]:
     """The lines disjoint from x, in canonical order."""
     xm = to_mask(x)
-    return [line for line in ann.lines if to_mask(line) & xm == 0]
+    return [line for line, m in zip(ann.lines, ann.masks) if m & xm == 0]
 
 
 def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[CardSet]:
@@ -156,8 +156,8 @@ def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[Ca
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
-    rest = ((1 << params.v) - 1) & ~to_mask(xs)
-    candidates = {rest & ~to_mask(line) for line in lines_avoiding(ann, xs)}
+    xm = to_mask(xs)
+    candidates = {((1 << params.v) - 1) & ~(xm | m) for m in ann.masks if m & xm == 0}
     return sorted(from_mask(mask) for mask in candidates)
 
 
@@ -185,15 +185,15 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
     return {card: counts[card] for card in range(params.v)}
 
 
-def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> list[int]:
+def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tuple[int, ...]:
     """Validate the lines, charge the guard for the kernel's work, return the line masks."""
     check_fit(ann, params.a, params.v)
     k = len(ann.lines)
     require_work(comb(k, 2) + comb(params.v, params.c) * k, max_work, "axiom check")
-    return [to_mask(line) for line in ann.lines]
+    return ann.masks
 
 
-def _clashes(masks: list[int], v: int, b: int) -> Iterator[int]:
+def _clashes(masks: Sequence[int], v: int, b: int) -> Iterator[int]:
     """CA1 clash rule: some b-set avoids two lines iff b or more cards lie outside their union.
 
     Yields those outside cards, as a mask, for every clashing pair of lines.
@@ -203,7 +203,7 @@ def _clashes(masks: list[int], v: int, b: int) -> Iterator[int]:
     return (omega & ~(m1 | m2) for m1, m2 in combinations(masks, 2) if v - (m1 | m2).bit_count() >= b)
 
 
-def _c_sets(masks: list[int], v: int, c: int) -> Iterator[tuple[CardSet, int, list[int], int, int]]:
+def _c_sets(masks: Sequence[int], v: int, c: int) -> Iterator[tuple[CardSet, int, list[int], int, int]]:
     """Each c-set with its outside cards, avoiding line masks, and their intersection and union.
 
     An empty avoiding family has an empty intersection (nothing can be
@@ -290,7 +290,11 @@ def _record(
 
 def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> bool:
     """True iff CA1, CA2 and CA3 all hold: the early-exit reading of check_axioms."""
-    masks = _prepare(ann, params, max_work)
+    return _good(_prepare(ann, params, max_work), params)
+
+
+def _good(masks: Sequence[int], params: Parameters) -> bool:
+    """``is_good`` on line masks, with no fit check or guard: enumeration's leaf test."""
     v = params.v
     return not any(_clashes(masks, v, params.b)) and all(
         not common and union == rest for _, rest, _, common, union in _c_sets(masks, v, params.c)

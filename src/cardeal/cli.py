@@ -28,13 +28,14 @@ from .model import (
     parse_announcement,
     parse_card_set,
 )
-from .protocols import build_protocol, sample_many
+from .protocols import PROTOCOL_KINDS, build_protocol, sample_many
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 AXIOM_NAMES = ("ca1", "ca2", "ca3", "ca4", "ca5")
+PROTOCOL_NAMES = tuple(kind.replace("_", "-") for kind in PROTOCOL_KINDS)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="also report the design profile (covalencies and strength)")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_construct = sub.add_parser("construct", parents=[common], help="build a known announcement family")
+    p_construct = sub.add_parser("construct", help="build a known announcement family")
     p_construct.add_argument("family", choices=("binary",))
     p_construct.add_argument("--bits", type=int, required=True, help="bit count n >= 3")
     p_construct.add_argument("--format", choices=("text", "json"), default="text")
@@ -94,8 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_sample = sub.add_parser("sample", parents=[common], help="draw announcements from a protocol")
-    p_sample.add_argument("--protocol", required=True,
-                          choices=("uniform60", "fact1", "fact2-conditional", "fact2-literal"))
+    p_sample.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
     p_sample.add_argument("--hand", required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--n", type=int, default=1)
@@ -103,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=_cmd_sample)
 
     p_analyze = sub.add_parser("analyze", parents=[common], help="exact posterior analysis of a protocol")
-    p_analyze.add_argument("--protocol", required=True,
-                           choices=("uniform60", "fact1", "fact2-conditional", "fact2-literal"))
+    p_analyze.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
     p_analyze.add_argument("--point", type=int, default=None)
     p_analyze.add_argument("--announcement", default=None,
                            help="report per-line posteriors for this announcement only")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .guard import require_work
 from .model import Announcement, CardSet, check_fit, to_mask
 
 
@@ -74,7 +75,7 @@ def _deck_scan(ann: Announcement, v: int, t: int):
     check_fit(ann, ann.block_size, v)
     if not 0 <= t <= ann.block_size:
         raise ValueError(f"tuple size {t} out of range for block size {ann.block_size}")
-    return _scan([to_mask(line) for line in ann.lines], range(v), t)
+    return _scan(ann.masks, range(v), t)
 
 
 def covalency(ann: Announcement, v: int, t: int) -> int | None:
@@ -100,10 +101,9 @@ def design_profile(ann: Announcement, v: int) -> DesignProfile:
     larger size reads None.
     """
     check_fit(ann, ann.block_size, v)
-    masks = [to_mask(line) for line in ann.lines]
     table = []
     for t in range(ann.block_size + 1):
-        value = _scan(masks, range(v), t)[0]
+        value = _scan(ann.masks, range(v), t)[0]
         if value is None:
             break
         table.append(value)
@@ -122,6 +122,7 @@ def binary_design(n: int) -> Announcement:
     if n < 3:
         raise ValueError(f"need at least 3 bits, got {n}")
     size = 1 << n
+    require_work(2 * (size - 1) * size, None, "binary construction")
     lines = []
     for y in range(1, size):
         zero_side = tuple(x for x in range(size) if (x & y).bit_count() % 2 == 0)

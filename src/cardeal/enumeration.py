@@ -3,8 +3,9 @@
 The generator walks all k-line supersets of a fixed hand, pruning branches
 as soon as two chosen lines clash under the axiom kernel's CA1 rule (some
 b-set avoids both), and keeps exactly the candidates that pass the full
-CA1-CA3 check. No isomorph rejection, no shortcuts: at desk scale the naive
-sweep is the ground truth everything else is tested against.
+CA1-CA3 check on their line masks; only survivors are built as announcements.
+No isomorph rejection, no shortcuts: at desk scale the naive sweep is the
+ground truth everything else is tested against.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .axioms import _clashes, is_good
+from .axioms import _clashes, _good
 from .guard import require_work
-from .model import Announcement, CardSet, Parameters, card_set, to_mask
+from .model import Announcement, CardSet, Parameters, card_set, from_mask, to_mask
 
 
 def enumerate_good_announcements(
@@ -49,25 +50,20 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
     pool = []
     for line in combinations(range(v), params.a):
         m = to_mask(line)
-        if line != hand and not any(_clashes([m, hand_mask], v, b)):
-            pool.append((line, m))
+        if m != hand_mask and not any(_clashes([m, hand_mask], v, b)):
+            pool.append(m)
 
-    found: list[Announcement] = []
-
-    def extend(start: int, chosen: list[CardSet], chosen_masks: list[int]) -> None:
-        if len(chosen) == k - 1:
-            ann = Announcement.of([hand, *chosen])
-            if is_good(ann, params):
-                found.append(ann)
+    def extend(start: int, chosen: list[int]) -> Iterator[Announcement]:
+        if len(chosen) == k:
+            if _good(chosen, params):
+                yield Announcement(tuple(sorted(map(from_mask, chosen))))
             return
-        limit = len(pool) - (k - 2 - len(chosen))
+        limit = len(pool) - (k - 1 - len(chosen))
         for i in range(start, limit):
-            line, m = pool[i]
-            if not any(_clashes([m, *chosen_masks], v, b)):
-                extend(i + 1, chosen + [line], chosen_masks + [m])
+            if not any(_clashes([pool[i], *chosen], v, b)):
+                yield from extend(i + 1, chosen + [pool[i]])
 
-    extend(0, [], [])
-    return tuple(sorted(found, key=lambda ann: ann.lines))
+    return tuple(sorted(extend(0, [hand_mask]), key=lambda ann: ann.lines))
 
 
 def triple_point(ann: Announcement) -> int | None:

@@ -3,7 +3,8 @@
 A deck of ``v`` cards is the set ``{0, ..., v-1}``. Card sets (hands, lines)
 are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
-as dictionary keys.
+as dictionary keys. The ``Announcement`` constructor alone enforces the
+announcement invariant and builds the line masks, once, for every kernel.
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
@@ -18,7 +19,7 @@ identity on canonical announcements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -98,21 +99,41 @@ def from_mask(mask: int) -> CardSet:
 
 @dataclass(frozen=True)
 class Announcement:
-    """One or more distinct, equally sized lines in canonical order."""
+    """One or more distinct, equally sized lines in canonical order.
+
+    The constructor rejects anything else with ValueError and builds
+    ``masks``, each line's ``to_mask``; equality and hashing use ``lines``.
+    """
 
     lines: tuple[CardSet, ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lines = self.lines
+        if not isinstance(lines, tuple) or not lines:
+            raise ValueError("an announcement needs a nonempty tuple of lines")
+        size = len(lines[0])
+        masks = []
+        prev = None
+        for line in lines:
+            if not isinstance(line, tuple) or len(line) != size:
+                raise ValueError(f"line {line!r} is not a tuple of {size} cards")
+            mask = 0
+            last = -1
+            for card in line:
+                if not isinstance(card, int) or card <= last:
+                    raise ValueError(f"line {line} is not sorted distinct nonnegative integers")
+                mask |= 1 << card
+                last = card
+            if prev is not None and line <= prev:
+                raise ValueError(f"line {line} after {prev}: lines must be distinct and sorted")
+            masks.append(mask)
+            prev = line
+        object.__setattr__(self, "masks", tuple(masks))
 
     @classmethod
     def of(cls, lines: Iterable[Iterable[int]]) -> "Announcement":
-        canon = tuple(sorted(card_set(line) for line in lines))
-        if not canon:
-            raise ValueError("an announcement needs at least one line")
-        if len(set(canon)) != len(canon):
-            raise ValueError("duplicate line in announcement")
-        sizes = {len(line) for line in canon}
-        if len(sizes) > 1:
-            raise ValueError(f"mixed line sizes {sorted(sizes)} in announcement")
-        return cls(canon)
+        return cls(tuple(sorted(card_set(line) for line in lines)))
 
     @property
     def block_size(self) -> int:
@@ -130,11 +151,10 @@ class Announcement:
 
 def check_fit(ann: Announcement, size: int, v: int) -> None:
     """Reject an announcement unless every line has ``size`` cards, all below v."""
-    for line in ann.lines:
-        if len(line) != size:
-            raise ValueError(f"line {line} does not have {size} cards")
-        if line[-1] >= v:
-            raise ValueError(f"card {line[-1]} out of range for deck size {v}")
+    if ann.block_size != size:
+        raise ValueError(f"lines have {ann.block_size} cards, expected {size}")
+    if max(ann.masks) >> v:
+        raise ValueError(f"card {max(ann.masks).bit_length() - 1} out of range for deck size {v}")
 
 
 @dataclass(frozen=True)

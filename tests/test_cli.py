@@ -136,6 +136,13 @@ def test_construct_binary_text_and_json(capsys):
     assert len(data["lines"]) == 14
 
 
+def test_construct_guard_exit_2():
+    proc = run_process("construct", "binary", "--bits", "3", env={"CARDEAL_MAX_WORK": "111"})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "binary construction" in proc.stderr
+
+
 def test_construct_pipes_into_verify(capsys, monkeypatch):
     code, constructed, _ = run(capsys, "construct", "binary", "--bits", "3")
     assert code == 0

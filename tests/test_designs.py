@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from cardeal import (
     Announcement,
     Parameters,
+    WorkLimitExceeded,
     binary_design,
     check_axioms,
     covalency,
@@ -66,6 +67,15 @@ def test_binary_design_structure():
 def test_binary_design_rejects_small_n():
     with pytest.raises(ValueError):
         binary_design(2)
+
+
+def test_binary_design_is_guarded(monkeypatch):
+    # n = 3 costs 14 lines times 8 points.
+    monkeypatch.setenv("CARDEAL_MAX_WORK", "111")
+    with pytest.raises(WorkLimitExceeded):
+        binary_design(3)
+    monkeypatch.setenv("CARDEAL_MAX_WORK", "112")
+    assert len(binary_design(3)) == 14
 
 
 def test_binary3_matches_known_lines(binary3, p431):

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from cardeal import (
     special_point_announcements,
     triple_point,
 )
+from cardeal.enumeration import _good_containing
 
 # The twelve five-line announcements containing 012 whose most frequent card
 # is 0, and the six containing 135 with most frequent card 0.
@@ -110,11 +112,41 @@ def test_enumeration_guard(p331):
         enumerate_good_announcements(p331, (0, 1, 2), 5, max_work=100)
 
 
+def test_enumeration_leaves_obey_the_callers_limit(p331, monkeypatch):
+    # The limit is charged once, for the whole candidate space; a per-leaf
+    # axiom check must not re-read the environment and refuse on its own.
+    _good_containing.cache_clear()
+    monkeypatch.setenv("CARDEAL_MAX_WORK", "40")
+    assert len(enumerate_good_announcements(p331, (0, 1, 2), 5, max_work=10**6)) == 60
+    with pytest.raises(WorkLimitExceeded):
+        enumerate_good_announcements(p331, (0, 1, 2), 5)
+
+
+@pytest.mark.parametrize(
+    "params, hand",
+    [
+        (Parameters(3, 3, 1), (0, 1, 2)),
+        (Parameters(3, 2, 2), (0, 1, 2)),
+        (Parameters(4, 2, 1), (0, 1, 2, 3)),
+    ],
+)
+def test_enumeration_matches_brute_force(params, hand):
+    # Test-only oracle: every k-superset of the hand through the public
+    # constructor and guarded axiom check, no pruning.
+    others = [line for line in combinations(range(params.v), params.a) if line != hand]
+    for k in range(2, 6):
+        brute = []
+        for rest in combinations(others, k - 1):
+            ann = Announcement.of([hand, *rest])
+            if is_good(ann, params):
+                brute.append(ann)
+        brute.sort(key=lambda ann: ann.lines)
+        assert enumerate_good_announcements(params, hand, k) == brute
+
+
 def test_ca_filtered_count_equals_structural_count(p331):
     # five-line collections of pairwise low-overlap lines containing the hand,
     # with the 3+2+2+2+2+2+2 occurrence shape, counted without any CA checks
-    from itertools import combinations
-
     hand = (0, 1, 2)
     lines = list(combinations(range(7), 3))
     pool = [l for l in lines if l != hand]

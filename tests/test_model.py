@@ -17,7 +17,7 @@ from cardeal import (
     make_deal,
     parse_announcement,
 )
-from cardeal.model import announcement_json, format_card_set, parse_card_set
+from cardeal.model import announcement_json, format_card_set, parse_card_set, to_mask
 
 
 def test_parameters_derive_deck_size():
@@ -135,6 +135,8 @@ announcements331 = st.sets(lines331, min_size=1, max_size=8).map(Announcement.of
 @given(announcements331)
 def test_parse_format_round_trip(ann):
     params = Parameters(3, 3, 1)
+    assert ann.masks == tuple(to_mask(line) for line in ann.lines)
+    assert Announcement(ann.lines) == ann
     assert parse_announcement(format_announcement(ann, params), params) == ann
     assert parse_announcement(json.dumps(announcement_json(ann, params)), params) == ann
 
@@ -153,6 +155,20 @@ def test_announcement_constructor_invariants():
         Announcement.of([(0, 1, 2), (0, 1, 2)])
     with pytest.raises(ValueError):
         Announcement.of([(0, 1, 2), (0, 1, 2, 3)])
+    for lines in [
+        (),
+        ((0, 1, 3), (0, 1, 2)),  # lines out of canonical order
+        ((0, 1, 2), (0, 1, 2)),  # duplicate line
+        ((0, 2, 1),),  # cards out of order
+        ((0, 0, 1),),  # duplicate card
+        ((0, 1, 2), (0, 1, 2, 3)),  # mixed sizes
+        ((-1, 0, 1),),
+        ((0, 1, "2"),),
+        ([0, 1, 2],),  # a line must be a tuple
+        [(0, 1, 2)],  # so must the lines
+    ]:
+        with pytest.raises(ValueError):
+            Announcement(lines)
 
 
 def test_make_deal_fills_in_third_hand(p331):
