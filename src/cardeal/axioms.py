@@ -193,14 +193,18 @@ def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tup
     return ann.masks
 
 
-def _clashes(masks: Sequence[int], v: int, b: int) -> Iterator[int]:
-    """CA1 clash rule: some b-set avoids two lines iff b or more cards lie outside their union.
+def _clash(m1: int, m2: int, v: int, b: int) -> bool:
+    """CA1 clash rule: some b-set avoids two lines iff b or more cards lie outside their union."""
+    return v - (m1 | m2).bit_count() >= b
 
-    Yields those outside cards, as a mask, for every clashing pair of lines.
+
+def _clashes(masks: Sequence[int], v: int, b: int) -> Iterator[int]:
+    """The cards outside both lines, as a mask, for every clashing pair of lines.
+
     Each mask holds b >= 1 cards, so ``any`` tells whether some pair clashes.
     """
     omega = (1 << v) - 1
-    return (omega & ~(m1 | m2) for m1, m2 in combinations(masks, 2) if v - (m1 | m2).bit_count() >= b)
+    return (omega & ~(m1 | m2) for m1, m2 in combinations(masks, 2) if _clash(m1, m2, v, b))
 
 
 def _c_sets(masks: Sequence[int], v: int, c: int) -> Iterator[tuple[CardSet, int, list[int], int, int]]:

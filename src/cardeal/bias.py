@@ -10,7 +10,10 @@ announcer's actual hand:
     table[L](announcement) * [L disjoint from observer] * weight(L)
 
 where weight is the class-level reweighting for the literal fact2 reading
-and 1 otherwise. All probabilities stay exact rationals end to end.
+and 1 otherwise. The protocol's ``likelihoods`` index holds exactly these
+products per announcement, built once per protocol, so a posterior is one
+column lookup plus a mask test per line. All probabilities stay exact
+rationals end to end.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .model import (
     enumerate_ksets,
     format_announcement,
     format_card_set,
+    to_mask,
 )
 from .protocols import Protocol, _fraction_json
 
@@ -88,14 +92,12 @@ def posterior_lines(
     obs = card_set(observer, params.v)
     if len(obs) not in (0, params.c):
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
-    obs_cards = set(obs)
-    weights: list[Fraction] = []
-    for line in ann.lines:
-        if obs_cards & set(line):
-            weights.append(Fraction(0))
-            continue
-        dist = dict(proto.table.get(line, ()))
-        weights.append(dist.get(ann, Fraction(0)) * proto.hand_weight(line))
+    obs_mask = to_mask(obs)
+    column = proto.likelihoods.get(ann, {})
+    weights = [
+        Fraction(0) if mask & obs_mask else column.get(line, Fraction(0))
+        for line, mask in zip(ann.lines, ann.masks)
+    ]
     total = sum(weights, Fraction(0))
     if total == 0:
         raise ValueError(
@@ -107,13 +109,18 @@ def posterior_lines(
     return PosteriorTable(ann, obs, posteriors)
 
 
-def bias_report(proto: Protocol) -> BiasReport:
-    """Aggregate posteriors over every announcement the protocol can produce."""
+def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
+    """Aggregate posteriors over every announcement the protocol can produce.
+
+    ``max_work`` bounds the enumeration of the reference hand's announcements.
+    """
     params = proto.params
-    anns = proto.support()
     max_deviation = Fraction(0)
     triple_in_hand: dict[Announcement, Fraction] = {}
-    for ann in anns:
+    # Unconditional chance that the produced announcement's most frequent
+    # card is actually held; the uniform hand prior cancels out of the ratio.
+    in_mass = Fraction(0)
+    for ann in proto.support():
         table = posterior_lines(proto, ann)
         uniform = Fraction(1, len(ann.lines))
         max_deviation = max(
@@ -124,22 +131,14 @@ def bias_report(proto: Protocol) -> BiasReport:
             triple_in_hand[ann] = sum(
                 (p for line, p in table.posteriors if top in line), Fraction(0)
             )
-
-    # Unconditional chance that the produced announcement's most frequent
-    # card is actually held; the uniform hand prior cancels out of the ratio.
-    in_mass = Fraction(0)
-    all_mass = Fraction(0)
-    for hand, dist in proto.table.items():
-        weight = proto.hand_weight(hand)
-        all_mass += weight
-        for ann, p in dist:
-            top = triple_point(ann)
-            if top is not None and top in hand:
-                in_mass += weight * p
+            in_mass += sum(
+                (w for hand, w in proto.likelihoods[ann].items() if top in hand), Fraction(0)
+            )
+    all_mass = sum((proto.hand_weight(hand) for hand in proto.table), Fraction(0))
     class_balance = in_mass / all_mass
 
     reference_hand = enumerate_ksets(params.v, params.a)[0]
-    reference_anns = enumerate_good_announcements(params, reference_hand, 5)
+    reference_anns = enumerate_good_announcements(params, reference_hand, 5, max_work=max_work)
     inside, _ = classify_by_triple(reference_anns, reference_hand)
     references = {
         "point_in_hand_prior": prior_point_in_hand(params),

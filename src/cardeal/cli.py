@@ -247,7 +247,7 @@ def _cmd_analyze(args) -> int:
                 print(f"  {format_card_set(line, params.v)}: {p}")
         return EXIT_OK
 
-    report = bias_report(proto)
+    report = bias_report(proto, max_work=args.max_work)
     if args.format == "json":
         print(json.dumps(bias_report_json(report, params), indent=2))
     else:

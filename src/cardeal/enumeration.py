@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .axioms import _clashes, _good
+from .axioms import _clash, _good
 from .guard import require_work
 from .model import Announcement, CardSet, Parameters, card_set, from_mask, to_mask
 
@@ -47,23 +47,27 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
     v, b = params.v, params.b
     hand_mask = to_mask(hand)
     # A line that clashes with the hand or with a chosen line already sinks CA1.
+    # The pool is cleared against the hand, so a new line is tested only
+    # against the chosen lines besides the hand.
     pool = []
     for line in combinations(range(v), params.a):
         m = to_mask(line)
-        if m != hand_mask and not any(_clashes([m, hand_mask], v, b)):
+        if m != hand_mask and not _clash(m, hand_mask, v, b):
             pool.append(m)
 
     def extend(start: int, chosen: list[int]) -> Iterator[Announcement]:
-        if len(chosen) == k:
-            if _good(chosen, params):
-                yield Announcement(tuple(sorted(map(from_mask, chosen))))
+        if len(chosen) == k - 1:
+            masks = [hand_mask, *chosen]
+            if _good(masks, params):
+                yield Announcement(tuple(sorted(map(from_mask, masks))))
             return
-        limit = len(pool) - (k - 1 - len(chosen))
+        limit = len(pool) - (k - 2 - len(chosen))
         for i in range(start, limit):
-            if not any(_clashes([pool[i], *chosen], v, b)):
-                yield from extend(i + 1, chosen + [pool[i]])
+            m = pool[i]
+            if not any(_clash(m, other, v, b) for other in chosen):
+                yield from extend(i + 1, chosen + [m])
 
-    return tuple(sorted(extend(0, [hand_mask]), key=lambda ann: ann.lines))
+    return tuple(sorted(extend(0, []), key=lambda ann: ann.lines))
 
 
 def triple_point(ann: Announcement) -> int | None:

@@ -27,8 +27,11 @@ Four builders are provided for the (3,3,1) deal:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Iterable
 
@@ -51,6 +54,13 @@ PROTOCOL_KINDS = ("uniform60", "fact1", "fact2_conditional", "fact2_literal")
 
 @dataclass(frozen=True)
 class Protocol:
+    """A named protocol: each hand's announcement distribution plus class metadata.
+
+    ``likelihoods`` indexes the table by announcement. It is derived at first
+    use and cached on the instance, so a table must not be mutated after
+    construction: to change one, build a new ``Protocol`` from a copied dict.
+    """
+
     kind: str
     params: Parameters
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]]
@@ -63,10 +73,24 @@ class Protocol:
             return Fraction(1)
         return self.class_weights[self.point in hand]
 
+    @cached_property
+    def likelihoods(self) -> dict[Announcement, dict[CardSet, Fraction]]:
+        """Per producible announcement, each producing hand's probability times its weight.
+
+        Repeated entries for one hand and announcement are summed, as sampling
+        counts them.
+        """
+        index: dict[Announcement, dict[CardSet, Fraction]] = {}
+        for hand, dist in self.table.items():
+            weight = self.hand_weight(hand)
+            for ann, p in dist:
+                column = index.setdefault(ann, {})
+                column[hand] = column.get(hand, 0) + p * weight
+        return index
+
     def support(self) -> list[Announcement]:
         """Every announcement some hand can produce, canonically ordered."""
-        seen = {ann for dist in self.table.values() for ann, _ in dist}
-        return sorted(seen, key=lambda ann: ann.lines)
+        return sorted(self.likelihoods, key=lambda ann: ann.lines)
 
 
 def build_protocol(
@@ -129,28 +153,21 @@ def sample_many(proto: Protocol, hand: Iterable[int], seed, n: int) -> list[Anno
     if hand not in proto.table:
         raise KeyError(f"unknown hand {hand}")
     dist = proto.table[hand]
+    if any(p < 0 for _, p in dist):
+        raise ValueError(f"distribution for {hand} has a negative probability")
     denom = lcm(*(p.denominator for _, p in dist))
-    cumulative = []
-    running = 0
-    for ann, p in dist:
-        running += int(p * denom)
-        cumulative.append((running, ann))
-    if running != denom:
-        raise ValueError(f"distribution for {hand} sums to {Fraction(running, denom)}")
+    # thresholds[i] is the mass of the first i entries; a ticket selects the
+    # first entry whose upper threshold exceeds it
+    thresholds = list(accumulate((int(p * denom) for _, p in dist), initial=0))
+    if thresholds[-1] != denom:
+        raise ValueError(f"distribution for {hand} sums to {Fraction(thresholds[-1], denom)}")
     rng = random.Random(seed)
-    draws = []
-    for _ in range(n):
-        ticket = rng.randrange(denom)
-        for threshold, ann in cumulative:
-            if ticket < threshold:
-                draws.append(ann)
-                break
-    return draws
+    return [dist[bisect_right(thresholds, rng.randrange(denom)) - 1][0] for _ in range(n)]
 
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    kind: str  # coverage | normalization | positivity | truthfulness | safety
+    kind: str  # coverage | normalization | positivity | duplicate | truthfulness | safety
     hand: CardSet | None
     message: str
 
@@ -162,7 +179,7 @@ class ValidationReport:
 
 
 def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> ValidationReport:
-    """Confirm coverage, exact normalization, truthfulness and CA1-CA3 safety."""
+    """Confirm coverage, exact normalization, no repeated entry, truthfulness and CA1-CA3 safety."""
     issues: list[ValidationIssue] = []
     params = proto.params
     for hand in enumerate_ksets(params.v, params.a):
@@ -175,11 +192,17 @@ def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> Valida
             issues.append(
                 ValidationIssue("normalization", hand, f"probabilities sum to {total}, not 1")
             )
+        listed: set[Announcement] = set()
         for ann, p in dist:
             if p <= 0:
                 issues.append(
                     ValidationIssue("positivity", hand, f"probability {p} is not positive")
                 )
+            if ann in listed:
+                issues.append(
+                    ValidationIssue("duplicate", hand, f"announcement {ann.lines} is listed again")
+                )
+            listed.add(ann)
             if hand not in ann.lines:
                 issues.append(
                     ValidationIssue(

@@ -15,11 +15,16 @@ from cardeal import (
     Parameters,
     bias_report,
     build_protocol,
+    card_set,
     parse_announcement,
     posterior_lines,
     prior_point_in_hand,
+    protocol_from_json,
+    protocol_json,
+    validate_protocol,
 )
-from cardeal.bias import bias_report_json, posterior_json
+from cardeal.bias import PosteriorTable, bias_report_json, posterior_json
+from cardeal.protocols import Protocol
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +61,90 @@ def deal_space_posterior(proto, ann, observer):
     total = sum(joint.values(), Fraction(0))
     assert total > 0
     return {line: weight / total for line, weight in joint.items()}
+
+
+def table_posterior_lines(proto, ann, observer=()):
+    """Oracle: the table-scanning posterior, one distribution dict per line."""
+    params = proto.params
+    obs = card_set(observer, params.v)
+    if len(obs) not in (0, params.c):
+        raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
+    obs_cards = set(obs)
+    weights = []
+    for line in ann.lines:
+        if obs_cards & set(line):
+            weights.append(Fraction(0))
+            continue
+        dist = dict(proto.table.get(line, ()))
+        weights.append(dist.get(ann, Fraction(0)) * proto.hand_weight(line))
+    total = sum(weights, Fraction(0))
+    if total == 0:
+        raise ValueError(
+            "announcement is not produced by any hand consistent with the observer"
+        )
+    posteriors = tuple(
+        (line, weight / total) for line, weight in zip(ann.lines, weights)
+    )
+    return PosteriorTable(ann, obs, posteriors)
+
+
+def outcome(posterior, proto, ann, observer):
+    """The posterior table, or the ValueError message it raised."""
+    try:
+        return posterior(proto, ann, observer)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+OBSERVERS = [()] + [(y,) for y in range(7)]
+
+
+def test_posteriors_match_table_oracle(protocols):
+    # every support announcement, every observer, before and after a JSON
+    # round trip; the oracle runs once per protocol
+    for name, proto in protocols.items():
+        restored = protocol_from_json(protocol_json(proto))
+        support = proto.support()
+        assert restored.support() == support
+        for ann in support:
+            for observer in OBSERVERS:
+                expected = outcome(table_posterior_lines, proto, ann, observer)
+                assert outcome(posterior_lines, proto, ann, observer) == expected, (name, ann)
+                assert outcome(posterior_lines, restored, ann, observer) == expected, (name, ann)
+        assert bias_report(restored) == bias_report(proto), name
+        assert proto == restored and "likelihoods" in vars(proto)
+
+
+def test_posterior_errors_match_table_oracle(protocols, p331):
+    not_good = parse_announcement("012 013 024 034 056", p331)
+    triple_one = parse_announcement("012 035 134 156 246", p331)
+    cases = [(protocols["uniform60"], not_good, ()), (protocols["fact2_conditional"], triple_one, ())]
+    # a one-hand protocol: the observer holding card 0 blocks its only producer
+    five = parse_announcement("012 034 056 135 246", p331)
+    lone = Protocol("uniform60", p331, {(0, 1, 2): ((five, Fraction(1)),)})
+    cases += [(lone, five, (0,)), (lone, five, (1,))]
+    for proto, ann, observer in cases:
+        with pytest.raises(ValueError) as exc:
+            posterior_lines(proto, ann, observer)
+        with pytest.raises(ValueError) as oracle_exc:
+            table_posterior_lines(proto, ann, observer)
+        assert str(exc.value) == str(oracle_exc.value)
+    assert dict(posterior_lines(lone, five, (3,)).posteriors)[(0, 1, 2)] == 1
+
+
+def test_duplicate_entries_are_reported_and_summed(protocols, p331):
+    proto = protocols["uniform60"]
+    hand = (0, 1, 2)
+    (ann, p), *rest = proto.table[hand]
+    table = dict(proto.table)
+    table[hand] = ((ann, p / 2), (ann, p / 2), *rest)
+    split = Protocol(proto.kind, p331, table)
+    assert {issue.kind for issue in validate_protocol(split).issues} == {"duplicate"}
+    assert split.likelihoods == proto.likelihoods
+    for observer in OBSERVERS:
+        assert posterior_lines(split, ann, observer) == posterior_lines(proto, ann, observer)
+    assert posterior_lines(split, ann).probability(hand) == Fraction(1, 5)
+    assert bias_report(split) == bias_report(proto)
 
 
 def test_uniform60_posterior_is_flat(protocols, p331):

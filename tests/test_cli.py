@@ -113,6 +113,16 @@ def test_bad_max_work_variable_exit_2():
     assert "CARDEAL_MAX_WORK" in proc.stderr and "abc" in proc.stderr
 
 
+def test_analyze_obeys_callers_limit():
+    proc = run_process(
+        "analyze", "--protocol", "uniform60", "--max-work", "1000000",
+        env={"CARDEAL_MAX_WORK": "40"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "class balance before observing: 3/5" in proc.stdout
+
+
 def test_verify_reads_stdin_and_file(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("012 034 056 135 246"))
     code, _, _ = run(capsys, "verify", "--params", "3,3,1", "--stdin", "--axioms", "ca1")

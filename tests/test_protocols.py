@@ -1,5 +1,7 @@
+import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -149,6 +151,41 @@ def test_sampling_covers_the_support(uniform60):
     draws = sample_many(uniform60, (0, 1, 2), 5, 3000)
     support = {ann for ann, _ in uniform60.table[(0, 1, 2)]}
     assert set(draws) == support
+
+
+def linear_scan_sample_many(proto, hand, seed, n):
+    """Oracle: exact integer thresholds scanned in table order."""
+    dist = proto.table[hand]
+    denom = lcm(*(p.denominator for _, p in dist))
+    cumulative = []
+    running = 0
+    for ann, p in dist:
+        running += int(p * denom)
+        cumulative.append((running, ann))
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        ticket = rng.randrange(denom)
+        draws.append(next(ann for threshold, ann in cumulative if ticket < threshold))
+    return draws
+
+
+def test_sampling_matches_linear_scan_oracle(fact1, p331_module):
+    fact2 = build_protocol("fact2_literal", p331_module, 0)
+    for proto in (fact1, fact2):
+        for i, hand in enumerate(enumerate_ksets(7, 3)):
+            for seed in (i, 1000 + i):
+                expected = linear_scan_sample_many(proto, hand, seed, 200)
+                assert sample_many(proto, hand, seed, 200) == expected, (proto.kind, hand, seed)
+
+
+def test_sampling_rejects_negative_probability(uniform60, p331_module):
+    hand = (0, 1, 2)
+    (a1, p), (a2, _), *rest = uniform60.table[hand]
+    table = dict(uniform60.table)
+    table[hand] = ((a1, -p), (a2, 3 * p), *rest)
+    with pytest.raises(ValueError, match="negative"):
+        sample_many(Protocol("uniform60", p331_module, table), hand, 0, 10)
 
 
 def test_sampling_rejects_unknown_hand(uniform60):
