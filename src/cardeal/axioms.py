@@ -18,10 +18,13 @@ the holdings the announcer could still have. The checks are:
 
 One kernel decides them. CA1 is decided over the C(k, 2) line pairs, not the
 C(v, b) b-sets: it fails iff two lines leave b or more cards outside their
-union (the clash rule, also the enumeration's pruning rule). One sweep over
-the c-sets yields each one's avoiding lines with their intersection and union
-for CA2-CA5. ``check_axioms`` runs the kernel to completion with witnesses;
-``is_good`` is its early-exit reading for CA1-CA3.
+union (the clash rule ``_clash``, also the enumeration's pruning rule). One
+sweep over the c-sets yields each one's avoiding lines with their
+intersection and union for CA2-CA5. ``check_axioms`` runs the kernel to
+completion with witnesses. ``_covers`` is the early-exit reading of CA2-CA3
+over precomputed c-set masks; ``_good`` (the body of ``is_good``) is "no
+clashing pair and ``_covers``". Enumeration clears CA1 during its search and
+calls ``_covers`` alone at each leaf, so both share one CA2-CA3 decision.
 """
 
 from __future__ import annotations
@@ -194,17 +197,49 @@ def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tup
 
 
 def _clash(m1: int, m2: int, v: int, b: int) -> bool:
-    """CA1 clash rule: some b-set avoids two lines iff b or more cards lie outside their union."""
+    """CA1 clash rule: some b-set avoids two lines iff b or more cards lie outside their union.
+
+    ``_clashes`` applies the same test inline as the popcount of the free
+    mask, which equals ``v - popcount(m1 | m2)`` for lines inside the deck.
+    """
     return v - (m1 | m2).bit_count() >= b
 
 
 def _clashes(masks: Sequence[int], v: int, b: int) -> Iterator[int]:
     """The cards outside both lines, as a mask, for every clashing pair of lines.
 
-    Each mask holds b >= 1 cards, so ``any`` tells whether some pair clashes.
+    A pair clashes iff its free mask holds b or more cards: the ``_clash``
+    rule, computed once per pair as that mask's popcount. Each mask holds
+    b >= 1 cards, so ``any`` tells whether some pair clashes.
     """
     omega = (1 << v) - 1
-    return (omega & ~(m1 | m2) for m1, m2 in combinations(masks, 2) if _clash(m1, m2, v, b))
+    return (free for m1, m2 in combinations(masks, 2) if (free := omega & ~(m1 | m2)).bit_count() >= b)
+
+
+def _c_set_masks(v: int, c: int) -> Iterator[tuple[int, int]]:
+    """Each c-set's mask paired with the mask of the cards outside it."""
+    omega = (1 << v) - 1
+    for xs in combinations(range(v), c):
+        xm = to_mask(xs)
+        yield xm, omega & ~xm
+
+
+def _covers(masks: Sequence[int], c_set_masks: Iterable[tuple[int, int]]) -> bool:
+    """CA2 and CA3 on line masks: every c-set's avoiding lines share no card and cover the rest.
+
+    Exits at the first failing c-set. The running intersection starts from
+    the outside cards, which every avoiding line lies within; with no
+    avoiding line it stays nonempty, but CA3 fails there anyway.
+    """
+    for xm, rest in c_set_masks:
+        common, union = rest, 0
+        for m in masks:
+            if not m & xm:
+                common &= m
+                union |= m
+        if common or union != rest:
+            return False
+    return True
 
 
 def _c_sets(masks: Sequence[int], v: int, c: int) -> Iterator[tuple[CardSet, int, list[int], int, int]]:
@@ -298,11 +333,9 @@ def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = Non
 
 
 def _good(masks: Sequence[int], params: Parameters) -> bool:
-    """``is_good`` on line masks, with no fit check or guard: enumeration's leaf test."""
+    """``is_good`` on line masks, with no fit check or guard: no clashing pair, then ``_covers``."""
     v = params.v
-    return not any(_clashes(masks, v, params.b)) and all(
-        not common and union == rest for _, rest, _, common, union in _c_sets(masks, v, params.c)
-    )
+    return not any(_clashes(masks, v, params.b)) and _covers(masks, _c_set_masks(v, params.c))
 
 
 def axiom_report_json(report: AxiomReport) -> dict:

@@ -143,11 +143,12 @@ def _cmd_verify(args) -> int:
         requested.append(name)
     ann = _read_announcement(args, params)
     report = check_axioms(ann, params, max_work=args.max_work)
+    profile = design_profile(ann, params.v, max_work=args.max_work) if args.profile else None
 
     if args.format == "json":
         payload = axiom_report_json(report)
-        if args.profile:
-            payload["profile"] = profile_json(design_profile(ann, params.v))
+        if profile is not None:
+            payload["profile"] = profile_json(profile)
         print(json.dumps(payload, indent=2))
     else:
         v = params.v
@@ -182,8 +183,7 @@ def _cmd_verify(args) -> int:
                 counts = " ".join(f"{card}:{count}" for card, count in w.counts)
                 others = " ".join(format_card_set(viol.x, v) for viol in verdict.violations)
                 print(f"{name}: FAIL  X={format_card_set(w.x, v)} counts {counts}; violating c-sets: {others}")
-        if args.profile:
-            profile = design_profile(ann, params.v)
+        if profile is not None:
             table = " ".join(
                 f"t={t}:{'-' if value is None else value}"
                 for t, value in enumerate(profile.covalencies)

@@ -4,13 +4,15 @@ A collection of equally sized lines on v points is a t-design when every
 t-subset of the points lies in the same number of lines; that number is the
 covalency. Covalency is decided here by exhaustive iteration over all
 C(v, t) t-subsets with early exit on the first mismatch, which at desk scale
-is both feasible and the most trustworthy oracle.
+is both feasible and the most trustworthy oracle. Each tuple size's scan is
+charged C(v, t) * k (subsets times lines) to the work guard before it starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .guard import require_work
@@ -41,7 +43,8 @@ class DesignProfile:
     strength: int
 
 
-def _scan(line_masks: Sequence[int], points: Sequence[int], t: int):
+def _scan(line_masks: Sequence[int], points: Sequence[int], t: int, max_work: int | None):
+    require_work(comb(len(points), t) * len(line_masks), max_work, "covalency scan")
     expected = None
     reference = None
     for subset in combinations(points, t):
@@ -56,7 +59,13 @@ def _scan(line_masks: Sequence[int], points: Sequence[int], t: int):
     return expected, None
 
 
-def covalency_over(lines: Iterable[CardSet], points: Iterable[int], t: int) -> int | None:
+def covalency_over(
+    lines: Iterable[CardSet],
+    points: Iterable[int],
+    t: int,
+    *,
+    max_work: int | None = None,
+) -> int | None:
     """Constant cover count of t-subsets of ``points`` by ``lines``, else None.
 
     The point set is explicit so that residual collections (lines avoiding a
@@ -68,42 +77,44 @@ def covalency_over(lines: Iterable[CardSet], points: Iterable[int], t: int) -> i
         raise ValueError(f"tuple size must be nonnegative, got {t}")
     if line_list and t > len(line_list[0]):
         raise ValueError(f"tuple size {t} exceeds block size {len(line_list[0])}")
-    return _scan([to_mask(line) for line in line_list], pts, t)[0]
+    return _scan([to_mask(line) for line in line_list], pts, t, max_work)[0]
 
 
-def _deck_scan(ann: Announcement, v: int, t: int):
+def _deck_scan(ann: Announcement, v: int, t: int, max_work: int | None):
     check_fit(ann, ann.block_size, v)
     if not 0 <= t <= ann.block_size:
         raise ValueError(f"tuple size {t} out of range for block size {ann.block_size}")
-    return _scan(ann.masks, range(v), t)
+    return _scan(ann.masks, range(v), t, max_work)
 
 
-def covalency(ann: Announcement, v: int, t: int) -> int | None:
+def covalency(ann: Announcement, v: int, t: int, *, max_work: int | None = None) -> int | None:
     """Covalency of the announcement at tuple size t over the full deck."""
-    return _deck_scan(ann, v, t)[0]
+    return _deck_scan(ann, v, t, max_work)[0]
 
 
-def covalency_mismatch(ann: Announcement, v: int, t: int) -> CovalencyMismatch | None:
+def covalency_mismatch(
+    ann: Announcement, v: int, t: int, *, max_work: int | None = None
+) -> CovalencyMismatch | None:
     """The first uneven pair of t-subsets, or None when the count is constant."""
-    return _deck_scan(ann, v, t)[1]
+    return _deck_scan(ann, v, t, max_work)[1]
 
 
-def design_strength(ann: Announcement, v: int) -> int:
+def design_strength(ann: Announcement, v: int, *, max_work: int | None = None) -> int:
     """Largest t with constant covalency."""
-    return design_profile(ann, v).strength
+    return design_profile(ann, v, max_work=max_work).strength
 
 
-def design_profile(ann: Announcement, v: int) -> DesignProfile:
+def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) -> DesignProfile:
     """Covalency table for every tuple size from 0 to the block size.
 
     Constancy at t implies constancy at t-1 for equally sized blocks, so the
     scan stops at the first tuple size without a constant count and every
-    larger size reads None.
+    larger size reads None, uncharged by the work guard.
     """
     check_fit(ann, ann.block_size, v)
     table = []
     for t in range(ann.block_size + 1):
-        value = _scan(ann.masks, range(v), t)[0]
+        value = _scan(ann.masks, range(v), t, max_work)[0]
         if value is None:
             break
         table.append(value)

@@ -1,11 +1,14 @@
 """Exhaustive generation and classification of good announcements.
 
-The generator walks all k-line supersets of a fixed hand, pruning branches
-as soon as two chosen lines clash under the axiom kernel's CA1 rule (some
-b-set avoids both), and keeps exactly the candidates that pass the full
-CA1-CA3 check on their line masks; only survivors are built as announcements.
-No isomorph rejection, no shortcuts: at desk scale the naive sweep is the
-ground truth everything else is tested against.
+The generator lists every k-line superset of a fixed hand whose lines
+pairwise pass the axiom kernel's CA1 clash rule (no b-set avoids two of
+them): the hand plus a (k-1)-clique of the compatibility graph on the pool
+of lines that do not clash with the hand. Each pool line's compatible later
+lines form one bitset, built once per call, and the search intersects
+candidate sets with it. CA1 therefore holds at every leaf, which tests only
+CA2-CA3 on its line masks; only survivors are built as announcements. No
+isomorph rejection: at desk scale the exhaustive search is the ground truth
+everything else is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .axioms import _clash, _good
+from .axioms import _c_set_masks, _clash, _covers
 from .guard import require_work
 from .model import Announcement, CardSet, Parameters, card_set, from_mask, to_mask
 
@@ -46,28 +49,31 @@ def enumerate_good_announcements(
 def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:
     v, b = params.v, params.b
     hand_mask = to_mask(hand)
-    # A line that clashes with the hand or with a chosen line already sinks CA1.
-    # The pool is cleared against the hand, so a new line is tested only
-    # against the chosen lines besides the hand.
-    pool = []
-    for line in combinations(range(v), params.a):
-        m = to_mask(line)
-        if m != hand_mask and not _clash(m, hand_mask, v, b):
-            pool.append(m)
+    pool = [
+        m for m in map(to_mask, combinations(range(v), params.a))
+        if m != hand_mask and not _clash(m, hand_mask, v, b)
+    ]
+    # adj[i]: bit j is set iff pool line j comes after line i and does not clash with it.
+    adj = [
+        sum(1 << j for j in range(i + 1, len(pool)) if not _clash(m, pool[j], v, b))
+        for i, m in enumerate(pool)
+    ]
+    c_set_masks = tuple(_c_set_masks(v, params.c))
 
-    def extend(start: int, chosen: list[int]) -> Iterator[Announcement]:
-        if len(chosen) == k - 1:
-            masks = [hand_mask, *chosen]
-            if _good(masks, params):
-                yield Announcement(tuple(sorted(map(from_mask, masks))))
+    def extend(candidates: int, chosen: list[int]) -> Iterator[Announcement]:
+        """The good announcements that extend ``chosen`` by lines from ``candidates``."""
+        need = k - len(chosen)
+        if need == 0:
+            if _covers(chosen, c_set_masks):
+                yield Announcement(tuple(sorted(map(from_mask, chosen))))
             return
-        limit = len(pool) - (k - 2 - len(chosen))
-        for i in range(start, limit):
-            m = pool[i]
-            if not any(_clash(m, other, v, b) for other in chosen):
-                yield from extend(i + 1, chosen + [m])
+        while candidates.bit_count() >= need:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            yield from extend(candidates & adj[i], [*chosen, pool[i]])
 
-    return tuple(sorted(extend(0, []), key=lambda ann: ann.lines))
+    return tuple(sorted(extend((1 << len(pool)) - 1, [hand_mask]), key=lambda ann: ann.lines))
 
 
 def triple_point(ann: Announcement) -> int | None:

@@ -146,6 +146,19 @@ def test_construct_binary_text_and_json(capsys):
     assert len(data["lines"]) == 14
 
 
+def test_verify_profile_guard_exit_2():
+    # The axiom check (21 + 7 * 7 = 70 steps) fits; the profile's t = 2 scan
+    # (C(7, 2) * 7 = 147 steps) does not, and nothing is printed before it.
+    proc = run_process(
+        "verify", "--params", "3,3,1", "--announcement", "012 034 056 135 146 236 245",
+        "--profile", "--max-work", "100",
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "covalency scan" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_construct_guard_exit_2():
     proc = run_process("construct", "binary", "--bits", "3", env={"CARDEAL_MAX_WORK": "111"})
     assert proc.returncode == 2

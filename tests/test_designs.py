@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,27 @@ def test_covalency_mismatch_is_a_real_mismatch(five_hand):
     assert counts[mismatch.subset] == mismatch.count
     assert counts[mismatch.reference] == mismatch.reference_count
     assert mismatch.count != mismatch.reference_count
+
+
+def test_covalency_scans_are_guarded(five_hand, seven_hand):
+    # Each scanned tuple size t is charged C(v, t) * k before it starts.
+    estimate = comb(7, 2) * 7
+    scans = [
+        lambda limit: covalency(seven_hand, 7, 2, max_work=limit),
+        lambda limit: covalency_mismatch(seven_hand, 7, 2, max_work=limit),
+        lambda limit: covalency_over(seven_hand.lines, range(7), 2, max_work=limit),
+    ]
+    for scan in scans:
+        with pytest.raises(WorkLimitExceeded):
+            scan(estimate - 1)
+    assert [scan(estimate) for scan in scans] == [1, None, 1]
+    # The profile stops at the first uneven t and is never charged beyond it:
+    # t = 3 for the seven lines, t = 1 for the five.
+    for ann, estimate, expected in [(seven_hand, comb(7, 3) * 7, 2), (five_hand, comb(7, 1) * 5, 0)]:
+        with pytest.raises(WorkLimitExceeded):
+            design_profile(ann, 7, max_work=estimate - 1)
+        assert design_profile(ann, 7, max_work=estimate).strength == expected
+        assert design_strength(ann, 7, max_work=estimate) == expected
 
 
 def test_covalency_rejects_oversized_tuples(five_hand):

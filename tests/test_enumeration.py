@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -122,12 +123,23 @@ def test_enumeration_leaves_obey_the_callers_limit(p331, monkeypatch):
         enumerate_good_announcements(p331, (0, 1, 2), 5)
 
 
+@pytest.mark.parametrize("hand", [(0, 1, 2, 3), (0, 1, 4, 5), (4, 5, 6, 7)])
+def test_no_good_five_line_announcement_at_431(hand):
+    assert enumerate_good_announcements(Parameters(4, 3, 1), hand, 5) == []
+
+
+# The oracle visits C(others, k - 1) candidates per k; sizes above this many
+# are skipped, which leaves k = 2..4 for the 69 other lines of the (4,3,1) deal.
+BRUTE_FORCE_CANDIDATES = 10**5
+
+
 @pytest.mark.parametrize(
     "params, hand",
     [
         (Parameters(3, 3, 1), (0, 1, 2)),
         (Parameters(3, 2, 2), (0, 1, 2)),
         (Parameters(4, 2, 1), (0, 1, 2, 3)),
+        (Parameters(4, 3, 1), (0, 1, 2, 3)),
     ],
 )
 def test_enumeration_matches_brute_force(params, hand):
@@ -135,6 +147,8 @@ def test_enumeration_matches_brute_force(params, hand):
     # constructor and guarded axiom check, no pruning.
     others = [line for line in combinations(range(params.v), params.a) if line != hand]
     for k in range(2, 6):
+        if comb(len(others), k - 1) > BRUTE_FORCE_CANDIDATES:
+            continue
         brute = []
         for rest in combinations(others, k - 1):
             ann = Announcement.of([hand, *rest])
