@@ -18,13 +18,14 @@ the holdings the announcer could still have. The checks are:
 
 One kernel decides them. CA1 is decided over the C(k, 2) line pairs, not the
 C(v, b) b-sets: it fails iff two lines leave b or more cards outside their
-union (the clash rule ``_clash``, also the enumeration's pruning rule). One
-sweep over the c-sets yields each one's avoiding lines with their
-intersection and union for CA2-CA5. ``check_axioms`` runs the kernel to
-completion with witnesses. ``_covers`` is the early-exit reading of CA2-CA3
-over precomputed c-set masks; ``_good`` (the body of ``is_good``) is "no
-clashing pair and ``_covers``". Enumeration clears CA1 during its search and
-calls ``_covers`` alone at each leaf, so both share one CA2-CA3 decision.
+union (the clash rule of ``_clashes``; ``_clash`` makes the same test on one
+pair for the enumeration's pruning). One sweep over the c-sets yields each
+one's avoiding lines with their intersection and union for CA2-CA5.
+``check_axioms`` runs the kernel to completion with witnesses. ``_covers`` is
+the early-exit reading of CA2-CA3 over precomputed c-set masks; ``_good``
+(the body of ``is_good``) is "no clashing pair and ``_covers``". Enumeration
+clears CA1 during its search and calls ``_covers`` alone at each leaf, so
+both share one CA2-CA3 decision.
 """
 
 from __future__ import annotations
@@ -197,41 +198,38 @@ def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tup
 
 
 def _clash(m1: int, m2: int, v: int, b: int) -> bool:
-    """CA1 clash rule: some b-set avoids two lines iff b or more cards lie outside their union.
-
-    ``_clashes`` applies the same test inline as the popcount of the free
-    mask, which equals ``v - popcount(m1 | m2)`` for lines inside the deck.
-    """
-    return v - (m1 | m2).bit_count() >= b
+    """Whether two lines clash under CA1: the test ``_clashes`` makes, for one pair."""
+    return (((1 << v) - 1) & ~(m1 | m2)).bit_count() >= b
 
 
 def _clashes(masks: Sequence[int], v: int, b: int) -> Iterator[int]:
     """The cards outside both lines, as a mask, for every clashing pair of lines.
 
-    A pair clashes iff its free mask holds b or more cards: the ``_clash``
-    rule, computed once per pair as that mask's popcount. Each mask holds
-    b >= 1 cards, so ``any`` tells whether some pair clashes.
+    The CA1 clash rule: some b-set avoids both lines of a pair iff their
+    free mask holds b or more cards. ``_clash`` makes the same test on one
+    pair without a generator. Each yielded mask holds b >= 1 cards, so
+    ``any`` tells whether some pair clashes.
     """
     omega = (1 << v) - 1
     return (free for m1, m2 in combinations(masks, 2) if (free := omega & ~(m1 | m2)).bit_count() >= b)
 
 
-def _c_set_masks(v: int, c: int) -> Iterator[tuple[int, int]]:
-    """Each c-set's mask paired with the mask of the cards outside it."""
+def _c_set_masks(v: int, c: int) -> Iterator[tuple[CardSet, int, int]]:
+    """Each c-set with its mask and the mask of the cards outside it."""
     omega = (1 << v) - 1
     for xs in combinations(range(v), c):
         xm = to_mask(xs)
-        yield xm, omega & ~xm
+        yield xs, xm, omega & ~xm
 
 
-def _covers(masks: Sequence[int], c_set_masks: Iterable[tuple[int, int]]) -> bool:
+def _covers(masks: Sequence[int], c_set_masks: Iterable[tuple[CardSet, int, int]]) -> bool:
     """CA2 and CA3 on line masks: every c-set's avoiding lines share no card and cover the rest.
 
     Exits at the first failing c-set. The running intersection starts from
     the outside cards, which every avoiding line lies within; with no
     avoiding line it stays nonempty, but CA3 fails there anyway.
     """
-    for xm, rest in c_set_masks:
+    for _, xm, rest in c_set_masks:
         common, union = rest, 0
         for m in masks:
             if not m & xm:
@@ -248,16 +246,14 @@ def _c_sets(masks: Sequence[int], v: int, c: int) -> Iterator[tuple[CardSet, int
     An empty avoiding family has an empty intersection (nothing can be
     inferred, so CA2 holds vacuously) and an empty union (so CA3 fails).
     """
-    omega = (1 << v) - 1
-    for xs in combinations(range(v), c):
-        xm = to_mask(xs)
+    for xs, xm, rest in _c_set_masks(v, c):
         avoid = [m for m in masks if m & xm == 0]
         common = avoid[0] if avoid else 0
         union = 0
         for m in avoid:
             common &= m
             union |= m
-        yield xs, omega & ~xm, avoid, common, union
+        yield xs, rest, avoid, common, union
 
 
 def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> AxiomReport:

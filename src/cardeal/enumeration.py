@@ -3,11 +3,12 @@
 The generator lists every k-line superset of a fixed hand whose lines
 pairwise pass the axiom kernel's CA1 clash rule (no b-set avoids two of
 them): the hand plus a (k-1)-clique of the compatibility graph on the pool
-of lines that do not clash with the hand. Each pool line's compatible later
-lines form one bitset, built once per call, and the search intersects
-candidate sets with it. CA1 therefore holds at every leaf, which tests only
-CA2-CA3 on its line masks; only survivors are built as announcements. No
-isomorph rejection: at desk scale the exhaustive search is the ground truth
+of lines that do not clash with the hand. The search intersects candidate
+sets with each chosen line's bitset of compatible later lines, built the
+first time a branch needs a line after it, so k = 1 and k = 2 test no pair
+of pool lines. CA1 therefore holds at every leaf, which tests only CA2-CA3
+on its line masks; only survivors are built as announcements. No isomorph
+rejection: at desk scale the exhaustive search is the ground truth
 everything else is tested against.
 """
 
@@ -53,12 +54,16 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
         m for m in map(to_mask, combinations(range(v), params.a))
         if m != hand_mask and not _clash(m, hand_mask, v, b)
     ]
-    # adj[i]: bit j is set iff pool line j comes after line i and does not clash with it.
-    adj = [
-        sum(1 << j for j in range(i + 1, len(pool)) if not _clash(m, pool[j], v, b))
-        for i, m in enumerate(pool)
-    ]
+    rows: dict[int, int] = {}
     c_set_masks = tuple(_c_set_masks(v, params.c))
+
+    def compatible_after(i: int) -> int:
+        """Bit j set iff pool line j comes after line i and does not clash with it; built on first use."""
+        if i not in rows:
+            m = pool[i]
+            bits = "".join("0" if _clash(m, pool[j], v, b) else "1" for j in range(len(pool) - 1, i, -1))
+            rows[i] = int(bits or "0", 2) << (i + 1)
+        return rows[i]
 
     def extend(candidates: int, chosen: list[int]) -> Iterator[Announcement]:
         """The good announcements that extend ``chosen`` by lines from ``candidates``."""
@@ -67,11 +72,14 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
             if _covers(chosen, c_set_masks):
                 yield Announcement(tuple(sorted(map(from_mask, chosen))))
             return
-        while candidates.bit_count() >= need:
-            low = candidates & -candidates
-            candidates ^= low
-            i = low.bit_length() - 1
-            yield from extend(candidates & adj[i], [*chosen, pool[i]])
+        # Picks run in ascending order and a clique grows only by later lines, so
+        # the last need - 1 candidates cannot start a branch.
+        bits = bin(candidates)[:1:-1]
+        i = -1
+        for _ in range(bits.count("1") - need + 1):
+            i = bits.index("1", i + 1)
+            # A branch that needs no further line takes no candidates, so it builds no row.
+            yield from extend(candidates & compatible_after(i) if need > 1 else 0, [*chosen, pool[i]])
 
     return tuple(sorted(extend((1 << len(pool)) - 1, [hand_mask]), key=lambda ann: ann.lines))
 

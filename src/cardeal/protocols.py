@@ -78,17 +78,14 @@ class Protocol:
         """Per producible announcement, each producing hand's probability times its weight.
 
         Repeated entries for one hand and announcement are summed, as sampling
-        counts them. An entry of weight 1 that is not repeated is stored as the
-        table's own ``Fraction``; only weighting and summing make new ones.
+        counts them.
         """
         index: dict[Announcement, dict[CardSet, Fraction]] = {}
         for hand, dist in self.table.items():
             weight = self.hand_weight(hand)
             for ann, p in dist:
-                if weight != 1:
-                    p *= weight
                 column = index.setdefault(ann, {})
-                column[hand] = column[hand] + p if hand in column else p
+                column[hand] = column.get(hand, 0) + p * weight
         return index
 
     def support(self) -> list[Announcement]:

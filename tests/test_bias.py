@@ -132,39 +132,13 @@ def test_posterior_errors_match_table_oracle(protocols, p331):
     assert dict(posterior_lines(lone, five, (3,)).posteriors)[(0, 1, 2)] == 1
 
 
-def split_first_entry(proto, hand):
-    """``proto`` with the hand's first entry listed twice at half the probability."""
+def test_duplicate_entries_are_reported_and_summed(protocols, p331):
+    proto = protocols["uniform60"]
+    hand = (0, 1, 2)
     (ann, p), *rest = proto.table[hand]
     table = dict(proto.table)
     table[hand] = ((ann, p / 2), (ann, p / 2), *rest)
-    return Protocol(proto.kind, proto.params, table)
-
-
-def summed_likelihoods(proto):
-    """Test-only rebuild of ``Protocol.likelihoods``: one fresh Fraction per table entry."""
-    index = {}
-    for hand, dist in proto.table.items():
-        weight = proto.hand_weight(hand)
-        for ann, p in dist:
-            column = index.setdefault(ann, {})
-            column[hand] = column.get(hand, 0) + p * weight
-    return index
-
-
-def test_likelihoods_match_summed_rebuild(protocols):
-    split = split_first_entry(protocols["uniform60"], (0, 1, 2))
-    for proto in [*protocols.values(), split]:
-        assert proto.likelihoods == summed_likelihoods(proto)
-    # Unweighted, unrepeated entries share the table's Fractions.
-    uniform = protocols["uniform60"]
-    assert all(uniform.likelihoods[ann][hand] is p for hand, dist in uniform.table.items() for ann, p in dist)
-
-
-def test_duplicate_entries_are_reported_and_summed(protocols):
-    proto = protocols["uniform60"]
-    hand = (0, 1, 2)
-    ann = proto.table[hand][0][0]
-    split = split_first_entry(proto, hand)
+    split = Protocol(proto.kind, p331, table)
     assert {issue.kind for issue in validate_protocol(split).issues} == {"duplicate"}
     assert split.likelihoods == proto.likelihoods
     for observer in OBSERVERS:

@@ -15,6 +15,7 @@ from cardeal import (
     special_point_announcements,
     triple_point,
 )
+from cardeal.axioms import _clash
 from cardeal.enumeration import _good_containing
 
 # The twelve five-line announcements containing 012 whose most frequent card
@@ -126,6 +127,28 @@ def test_enumeration_leaves_obey_the_callers_limit(p331, monkeypatch):
 @pytest.mark.parametrize("hand", [(0, 1, 2, 3), (0, 1, 4, 5), (4, 5, 6, 7)])
 def test_no_good_five_line_announcement_at_431(hand):
     assert enumerate_good_announcements(Parameters(4, 3, 1), hand, 5) == []
+
+
+def test_pool_pairs_are_tested_only_for_lines_the_search_extends(monkeypatch):
+    # (6,5,1): 923 lines besides the hand. One- and two-line announcements
+    # need no compatibility row, so they cost only the pool filter's 923
+    # clash tests; three lines cost at most one test per pool pair on top.
+    calls = 0
+
+    def counting_clash(*args):
+        nonlocal calls
+        calls += 1
+        return _clash(*args)
+
+    monkeypatch.setattr("cardeal.enumeration._clash", counting_clash)
+    params, hand = Parameters(6, 5, 1), tuple(range(6))
+    lines = comb(12, 6)
+    for k, limit in [(1, lines - 1), (2, lines - 1), (3, lines - 1 + comb(lines - 1, 2))]:
+        _good_containing.cache_clear()
+        calls = 0
+        enumerate_good_announcements(params, hand, k, max_work=comb(lines, k))
+        assert calls <= limit, (k, calls)
+    _good_containing.cache_clear()
 
 
 # The oracle visits C(others, k - 1) candidates per k; sizes above this many
