@@ -19,20 +19,23 @@ the holdings the announcer could still have. The checks are:
 One kernel decides them. CA1 is decided over the C(k, 2) line pairs, not the
 C(v, b) b-sets: it fails iff two lines leave b or more cards outside their
 union (the clash rule of ``_clashes``; ``_clash`` makes the same test on one
-pair for the enumeration's pruning). One sweep over the c-sets yields each
-one's avoiding lines with their intersection and union for CA2-CA5.
-``check_axioms`` runs the kernel to completion with witnesses. ``_covers`` is
-the early-exit reading of CA2-CA3 over precomputed c-set masks; ``_good``
-(the body of ``is_good``) is "no clashing pair and ``_covers``". Enumeration
-clears CA1 during its search and calls ``_covers`` alone at each leaf, so
-both share one CA2-CA3 decision.
+pair for the enumeration's pruning). For CA2-CA5, ``check_axioms`` counts
+once, for every c-set X, how many avoiding lines hold each card outside X:
+CA2 fails where some count equals the number of avoiding lines, CA3 where
+some count is 0, CA4 where the counts differ. The lines are distinct and lie
+outside X, so a card with count n lies in exactly |avoid| - n candidate
+b-sets; CA5 is read off the same counts, m_X = |avoid_X| - n_X, and fails at
+exactly the c-sets where CA4 does. ``_covers`` is the early-exit reading of
+CA2-CA3 over precomputed c-set masks. ``is_good`` is "no clashing pair and
+``_covers``"; enumeration clears CA1 during its search and calls ``_covers``
+alone at each leaf, so both share one CA2-CA3 decision.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -240,22 +243,6 @@ def _covers(masks: Sequence[int], c_set_masks: Iterable[tuple[CardSet, int, int]
     return True
 
 
-def _c_sets(masks: Sequence[int], v: int, c: int) -> Iterator[tuple[CardSet, int, list[int], int, int]]:
-    """Each c-set with its outside cards, avoiding line masks, and their intersection and union.
-
-    An empty avoiding family has an empty intersection (nothing can be
-    inferred, so CA2 holds vacuously) and an empty union (so CA3 fails).
-    """
-    for xs, xm, rest in _c_set_masks(v, c):
-        avoid = [m for m in masks if m & xm == 0]
-        common = avoid[0] if avoid else 0
-        union = 0
-        for m in avoid:
-            common &= m
-            union |= m
-        yield xs, rest, avoid, common, union
-
-
 def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> AxiomReport:
     """Decide CA1-CA5 exhaustively: CA1 over line pairs, CA2-CA5 over all c-sets.
 
@@ -288,17 +275,17 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     m_constants: dict[CardSet, int] = {}
     n_violations: list[UnevenCountWitness] = []
     m_violations: list[UnevenCountWitness] = []
-    for xs, rest, avoid, common, union in _c_sets(masks, v, params.c):
-        if common and ca2.passed:
-            ca2 = AxiomVerdict(False, CommonCardWitness(xs, from_mask(common)))
-        if union != rest and ca3.passed:
-            ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, from_mask(rest & ~union)))
-        outside = from_mask(rest)
-        line_counts = tuple((y, sum(1 for m in avoid if m >> y & 1)) for y in outside)
-        _record(xs, line_counts, n_constants, n_violations)
-        bsets = {rest & ~m for m in avoid}
-        bob_counts = tuple((y, sum(1 for m in bsets if m >> y & 1)) for y in outside)
-        _record(xs, bob_counts, m_constants, m_violations)
+    for xs, xm, rest in _c_set_masks(v, params.c):
+        # One count per outside card decides CA2-CA5; CA5 reads |avoid| - n.
+        avoid = [line for line, m in zip(ann.lines, masks) if not m & xm]
+        seen = Counter(chain.from_iterable(avoid))
+        counts = tuple((y, seen[y]) for y in from_mask(rest))
+        if ca2.passed and avoid and (common := tuple(y for y, n in counts if n == len(avoid))):
+            ca2 = AxiomVerdict(False, CommonCardWitness(xs, common))
+        if ca3.passed and (missing := tuple(y for y, n in counts if n == 0)):
+            ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, missing))
+        _record(xs, counts, n_constants, n_violations)
+        _record(xs, tuple((y, len(avoid) - n) for y, n in counts), m_constants, m_violations)
 
     return AxiomReport(
         params=params,
@@ -325,11 +312,7 @@ def _record(
 
 def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> bool:
     """True iff CA1, CA2 and CA3 all hold: the early-exit reading of check_axioms."""
-    return _good(_prepare(ann, params, max_work), params)
-
-
-def _good(masks: Sequence[int], params: Parameters) -> bool:
-    """``is_good`` on line masks, with no fit check or guard: no clashing pair, then ``_covers``."""
+    masks = _prepare(ann, params, max_work)
     v = params.v
     return not any(_clashes(masks, v, params.b)) and _covers(masks, _c_set_masks(v, params.c))
 

@@ -10,6 +10,13 @@ of pool lines. CA1 therefore holds at every leaf, which tests only CA2-CA3
 on its line masks; only survivors are built as announcements. No isomorph
 rejection: at desk scale the exhaustive search is the ground truth
 everything else is tested against.
+
+The work guard charges the search, not the raw candidate space. A line
+clashes with the hand iff it shares a - c or more cards with it, so the pool
+holds the n = sum over i < a - c of C(a, i)·C(b + c, a - i) lines sharing i
+cards, known before any work. A search makes C(v, a) - 1 clash tests to
+filter the pool, at most C(n, 2) to build rows (only when k >= 3) and
+visits at most C(n, k - 1) leaves.
 """
 
 from __future__ import annotations
@@ -34,15 +41,18 @@ def enumerate_good_announcements(
 ) -> list[Announcement]:
     """All k-line announcements containing ``hand`` that satisfy CA1-CA3.
 
-    Canonically ordered and duplicate-free. Refuses instances whose raw
-    candidate space C(C(v, a), k) exceeds the work limit.
+    Canonically ordered and duplicate-free. Refuses instances whose search
+    (see the module docstring) would exceed the work limit.
     """
     hand = card_set(hand, params.v)
     if len(hand) != params.a:
         raise ValueError(f"hand {hand} is not an {params.a}-set")
     if k < 1:
         raise ValueError(f"line count must be positive, got {k}")
-    require_work(comb(comb(params.v, params.a), k), max_work, "announcement enumeration")
+    a, v = params.a, params.v
+    n = sum(comb(a, i) * comb(v - a, a - i) for i in range(a - params.c))
+    work = comb(v, a) - 1 + (comb(n, 2) if k >= 3 else 0) + comb(n, k - 1)
+    require_work(work, max_work, "announcement enumeration")
     return list(_good_containing(params, hand, k))
 
 

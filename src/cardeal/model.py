@@ -256,6 +256,8 @@ def _json_lines(text: str, params: Parameters) -> list[CardSet]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AnnouncementParseError(f"invalid JSON announcement: {exc}") from None
+    except RecursionError:
+        raise AnnouncementParseError("invalid JSON announcement: nested too deeply") from None
     if isinstance(data, dict):
         declared = data.get("params")
         if declared is not None and declared != [params.a, params.b, params.c]:

@@ -94,7 +94,7 @@ def run_process(*argv, env=None):
 
 @pytest.mark.parametrize(
     "text",
-    ['[[0,1,"2"]]', "[[0,1,null]]", '{"params": 3, "lines": [[0,1,2]]}'],
+    ['[[0,1,"2"]]', "[[0,1,null]]", '{"params": 3, "lines": [[0,1,2]]}', "[" * 5000],
 )
 def test_verify_malformed_json_exit_2(text):
     proc = run_process("verify", "--params", "3,3,1", "--announcement", text)

@@ -124,6 +124,16 @@ def test_enumeration_leaves_obey_the_callers_limit(p331, monkeypatch):
         enumerate_good_announcements(p331, (0, 1, 2), 5)
 
 
+def test_enumeration_guard_charges_the_pool(monkeypatch):
+    # (4,3,1): 69 filter tests, C(53,2) row tests and C(53,6) leaves for the
+    # 53-line pool, about 2.3e7 steps, where C(C(8,4),7) is 1.2e9. (4,4,1)'s
+    # 105-line pool needs C(105,6), about 1.6e9, and stays refused.
+    monkeypatch.delenv("CARDEAL_MAX_WORK", raising=False)
+    assert len(enumerate_good_announcements(Parameters(4, 3, 1), (0, 1, 2, 3), 7)) == 8064
+    with pytest.raises(WorkLimitExceeded):
+        enumerate_good_announcements(Parameters(4, 4, 1), (0, 1, 2, 3), 7)
+
+
 @pytest.mark.parametrize("hand", [(0, 1, 2, 3), (0, 1, 4, 5), (4, 5, 6, 7)])
 def test_no_good_five_line_announcement_at_431(hand):
     assert enumerate_good_announcements(Parameters(4, 3, 1), hand, 5) == []

@@ -1,10 +1,11 @@
 """Differential test of the axiom kernel against the brute-force quantifiers.
 
-The oracle below decides CA1 the direct way, by sweeping every b-set, and
-keeps the standalone CA1-CA3 loop that ``is_good`` once was. The kernel
-decides CA1 over line pairs and shares one c-set sweep between
-``check_axioms`` and ``is_good``; the two must agree on every verdict and
-produce equal witnesses, not merely equivalent ones.
+The oracle below decides CA1 the direct way, by sweeping every b-set, counts
+CA5 over the receiver's candidate b-sets themselves, and keeps the
+standalone CA1-CA3 loop that ``is_good`` once was. The kernel decides CA1
+over line pairs and reads CA2-CA5 off one per-card count per c-set; the two
+must agree on every verdict and produce equal witnesses, not merely
+equivalent ones.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from test_acceptance import _theorem_corpus
 
 from cardeal import Announcement, Parameters, check_axioms, is_good
+from cardeal.designs import binary_design
 from cardeal.axioms import (
     AmbiguityWitness,
     AxiomReport,
@@ -124,6 +126,21 @@ def test_kernel_matches_oracle_on_theorem_corpus():
 @pytest.mark.parametrize("abc", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
 def test_kernel_matches_oracle_on_random_announcements(abc):
     _assert_kernel_matches_oracle(_random_corpus(sum(abc) * 1000 + abc[0], Parameters(*abc), 1500))
+
+
+def test_kernel_matches_oracle_on_binary_designs():
+    # Full reports, CA4/CA5 constants and witnesses included, at c = 1, 2, 3
+    # on structured designs. Each design passes CA1; adding a copy of its
+    # first line with the last card moved to the least card outside it makes
+    # a pair sharing a - 1 cards, which clashes for every c >= 1, so both
+    # sides of CA1 are exercised.
+    corpus = []
+    for n, abc in [(4, (8, 7, 1)), (4, (8, 6, 2)), (4, (8, 5, 3)), (3, (4, 3, 1))]:
+        params, design = Parameters(*abc), binary_design(n)
+        first = design.lines[0]
+        moved = first[:-1] + (min(set(range(params.v)) - set(first)),)
+        corpus += [(params, design), (params, Announcement.of([*design.lines, moved]))]
+    _assert_kernel_matches_oracle(corpus)
 
 
 def test_ca1_witness_is_first_b_set_with_every_avoiding_line(p331):
