@@ -18,17 +18,19 @@ the holdings the announcer could still have. The checks are:
 
 One kernel decides them. CA1 is decided over the C(k, 2) line pairs, not the
 C(v, b) b-sets: it fails iff two lines leave b or more cards outside their
-union (the clash rule of ``_clashes``; ``_clash`` makes the same test on one
-pair for the enumeration's pruning). For CA2-CA5, ``check_axioms`` counts
-once, for every c-set X, how many avoiding lines hold each card outside X:
-CA2 fails where some count equals the number of avoiding lines, CA3 where
-some count is 0, CA4 where the counts differ. The lines are distinct and lie
-outside X, so a card with count n lies in exactly |avoid| - n candidate
-b-sets; CA5 is read off the same counts, m_X = |avoid_X| - n_X, and fails at
-exactly the c-sets where CA4 does. ``_covers`` is the early-exit reading of
-CA2-CA3 over precomputed c-set masks. ``is_good`` is "no clashing pair and
-``_covers``"; enumeration clears CA1 during its search and calls ``_covers``
-alone at each leaf, so both share one CA2-CA3 decision.
+union. ``_clash``, the one statement of that rule, returns such a pair's free
+mask; ``check_axioms``, ``is_good`` and enumeration all call it. The CA1
+witness is the least b-prefix (b smallest cards) of a clashing free mask.
+For CA2-CA5, ``check_axioms`` counts once, for every c-set X, how many
+avoiding lines hold each card outside X: CA2 fails where some count equals
+the number of avoiding lines, CA3 where some count is 0, CA4 where the
+counts differ. The lines are distinct and lie outside X, so a card with
+count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off the
+same counts, m_X = |avoid_X| - n_X, and fails at exactly the c-sets where
+CA4 does. ``_covers`` is the early-exit reading of CA2-CA3 over
+precomputed c-set masks. ``is_good`` is "no clashing pair and ``_covers``";
+enumeration clears CA1 during its search and calls ``_covers`` alone at each
+leaf, so both share one CA2-CA3 decision.
 """
 
 from __future__ import annotations
@@ -200,21 +202,16 @@ def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tup
     return ann.masks
 
 
-def _clash(m1: int, m2: int, v: int, b: int) -> bool:
-    """Whether two lines clash under CA1: the test ``_clashes`` makes, for one pair."""
-    return (((1 << v) - 1) & ~(m1 | m2)).bit_count() >= b
+def _clash(m1: int, m2: int, v: int, b: int) -> int:
+    """The CA1 clash rule for two lines: their free mask if they clash, else 0.
 
-
-def _clashes(masks: Sequence[int], v: int, b: int) -> Iterator[int]:
-    """The cards outside both lines, as a mask, for every clashing pair of lines.
-
-    The CA1 clash rule: some b-set avoids both lines of a pair iff their
-    free mask holds b or more cards. ``_clash`` makes the same test on one
-    pair without a generator. Each yielded mask holds b >= 1 cards, so
-    ``any`` tells whether some pair clashes.
+    Some b-set avoids both lines iff the cards outside both (the free mask)
+    number b or more; those b-sets are exactly the free mask's b-subsets. A
+    clashing free mask holds b >= 1 cards, so the result is truthy exactly
+    when the pair clashes.
     """
-    omega = (1 << v) - 1
-    return (free for m1, m2 in combinations(masks, 2) if (free := omega & ~(m1 | m2)).bit_count() >= b)
+    free = ((1 << v) - 1) & ~(m1 | m2)
+    return free if free.bit_count() >= b else 0
 
 
 def _c_set_masks(v: int, c: int) -> Iterator[tuple[CardSet, int, int]]:
@@ -255,19 +252,14 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     v, b = params.v, params.b
 
     ca1 = AxiomVerdict(True)
-    frees = list(_clashes(masks, v, b))
+    frees = [free for m1, m2 in combinations(masks, 2) if (free := _clash(m1, m2, v, b))]
     if frees:
-        # Every b-subset of a clashing pair's free cards is avoided by both
-        # lines, so the first violating b-set is the least one inside some
-        # free mask: b times, take the smallest card a free mask holds and
-        # keep only the masks holding it.
-        xm = 0
-        for _ in range(b):
-            low = min(free & -free for free in frees)
-            frees = [free ^ low for free in frees if free & low]
-            xm |= low
+        # The violating b-sets are the b-subsets of the clashing free masks,
+        # and a set's least b-subset is its b smallest cards.
+        x = min(from_mask(free)[:b] for free in frees)
+        xm = to_mask(x)
         hits = tuple(line for line, m in zip(ann.lines, masks) if m & xm == 0)
-        ca1 = AxiomVerdict(False, AmbiguityWitness(from_mask(xm), hits))
+        ca1 = AxiomVerdict(False, AmbiguityWitness(x, hits))
 
     ca2 = AxiomVerdict(True)
     ca3 = AxiomVerdict(True)
@@ -313,8 +305,8 @@ def _record(
 def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> bool:
     """True iff CA1, CA2 and CA3 all hold: the early-exit reading of check_axioms."""
     masks = _prepare(ann, params, max_work)
-    v = params.v
-    return not any(_clashes(masks, v, params.b)) and _covers(masks, _c_set_masks(v, params.c))
+    clash = any(_clash(m1, m2, params.v, params.b) for m1, m2 in combinations(masks, 2))
+    return not clash and _covers(masks, _c_set_masks(params.v, params.c))
 
 
 def axiom_report_json(report: AxiomReport) -> dict:

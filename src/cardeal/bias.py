@@ -94,10 +94,11 @@ def posterior_lines(
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
     obs_mask = to_mask(obs)
     column = proto.likelihoods.get(ann, {})
+    # An announcement no hand produces is refused before its masks are built.
     weights = [
         Fraction(0) if mask & obs_mask else column.get(line, Fraction(0))
         for line, mask in zip(ann.lines, ann.masks)
-    ]
+    ] if column else []
     total = sum(weights, Fraction(0))
     if total == 0:
         raise ValueError(

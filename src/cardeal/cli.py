@@ -17,7 +17,7 @@ from typing import Sequence
 from .axioms import axiom_report_json, check_axioms
 from .bias import bias_report, bias_report_json, posterior_json, posterior_lines
 from .designs import binary_design, design_profile, profile_json
-from .enumeration import enumerate_good_announcements, special_point_announcements
+from .enumeration import enumerate_good_announcements, triple_point
 from .guard import WorkLimitExceeded
 from .model import (
     Announcement,
@@ -208,10 +208,12 @@ def _cmd_construct(args) -> int:
 def _cmd_enumerate(args) -> int:
     params = _parse_params(args.params)
     hand = parse_card_set(args.hand, params.v)
-    if args.special_point is not None:
-        anns = special_point_announcements(params, hand, args.special_point, max_work=args.max_work)
-    else:
-        anns = enumerate_good_announcements(params, hand, args.size, max_work=args.max_work)
+    p = args.special_point
+    if p is not None and not 0 <= p < params.v:
+        raise ValueError(f"point {p} out of range for deck size {params.v}")
+    anns = enumerate_good_announcements(params, hand, args.size, max_work=args.max_work)
+    if p is not None:
+        anns = [ann for ann in anns if triple_point(ann) == p]
     if args.count:
         print(len(anns))
     else:

@@ -4,7 +4,7 @@ A deck of ``v`` cards is the set ``{0, ..., v-1}``. Card sets (hands, lines)
 are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
 as dictionary keys. The ``Announcement`` constructor alone enforces the
-announcement invariant and builds the line masks, once, for every kernel.
+announcement invariant; the line masks are built once, at first use.
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
@@ -19,7 +19,8 @@ identity on canonical announcements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -101,35 +102,34 @@ def from_mask(mask: int) -> CardSet:
 class Announcement:
     """One or more distinct, equally sized lines in canonical order.
 
-    The constructor rejects anything else with ValueError and builds
-    ``masks``, each line's ``to_mask``; equality and hashing use ``lines``.
+    The constructor rejects anything else with ValueError; equality and
+    hashing use ``lines``. ``masks`` (each line's ``to_mask``) is built at
+    first use, so ``check_fit`` refuses an absurd card label before any mask.
     """
 
     lines: tuple[CardSet, ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lines = self.lines
         if not isinstance(lines, tuple) or not lines:
             raise ValueError("an announcement needs a nonempty tuple of lines")
         size = len(lines[0])
-        masks = []
         prev = None
         for line in lines:
             if not isinstance(line, tuple) or len(line) != size:
                 raise ValueError(f"line {line!r} is not a tuple of {size} cards")
-            mask = 0
             last = -1
             for card in line:
                 if not isinstance(card, int) or card <= last:
                     raise ValueError(f"line {line} is not sorted distinct nonnegative integers")
-                mask |= 1 << card
                 last = card
             if prev is not None and line <= prev:
                 raise ValueError(f"line {line} after {prev}: lines must be distinct and sorted")
-            masks.append(mask)
             prev = line
-        object.__setattr__(self, "masks", tuple(masks))
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(to_mask(line) for line in self.lines)
 
     @classmethod
     def of(cls, lines: Iterable[Iterable[int]]) -> "Announcement":
@@ -153,8 +153,8 @@ def check_fit(ann: Announcement, size: int, v: int) -> None:
     """Reject an announcement unless every line has ``size`` cards, all below v."""
     if ann.block_size != size:
         raise ValueError(f"lines have {ann.block_size} cards, expected {size}")
-    if max(ann.masks) >> v:
-        raise ValueError(f"card {max(ann.masks).bit_length() - 1} out of range for deck size {v}")
+    if (top := max(line[-1] for line in ann.lines)) >= v:
+        raise ValueError(f"card {top} out of range for deck size {v}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def make_deal(
 ) -> Deal:
     """Build a deal, filling in the third hand when omitted.
 
-    The three hands must be pairwise disjoint, have sizes (a, b, c) and
-    together cover the whole deck.
+    The three hands must be pairwise disjoint cards of the deck with sizes
+    (a, b, c), so together they cover it.
     """
     a_set = card_set(alice, params.v)
     b_set = card_set(bob, params.v)
@@ -189,8 +189,6 @@ def make_deal(
         raise ValueError(f"hand sizes {sizes} do not match {params}")
     if to_mask(a_set) & to_mask(b_set) or (to_mask(a_set) | to_mask(b_set)) & to_mask(c_set):
         raise ValueError("hands overlap")
-    if to_mask(a_set) | to_mask(b_set) | to_mask(c_set) != (1 << params.v) - 1:
-        raise ValueError("hands do not cover the deck")
     return Deal(a_set, b_set, c_set)
 
 

@@ -190,6 +190,21 @@ def test_enumerate_count_and_listing(capsys):
     assert all("135" in row.split() for row in rows)
 
 
+@pytest.mark.parametrize(
+    "params, hand, size, total",
+    [("3,3,1", "012", "6", "36"), ("4,2,1", "0123", "7", None)],
+)
+def test_enumerate_special_point_honours_size_and_params(capsys, params, hand, size, total):
+    # None of the 36 six-line (3,3,1) announcements through 012 has a unique
+    # most-frequent card, so no triple point can be 0.
+    argv = ["enumerate", "--params", params, "--hand", hand, "--size", size, "--count"]
+    if total is not None:
+        assert run(capsys, *argv)[:2] == (0, total + "\n")
+    assert run(capsys, *argv, "--special-point", "0")[:2] == (0, "0\n")
+    code, _, err = run(capsys, *argv, "--special-point", "7")
+    assert code == 2 and "out of range" in err
+
+
 def test_enumerate_guard_exit_2(capsys):
     code, _, err = run(
         capsys,

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -10,12 +11,16 @@ from cardeal import (
     Announcement,
     AnnouncementParseError,
     Parameters,
+    build_protocol,
     card_set,
+    check_axioms,
     complement_set,
     enumerate_ksets,
     format_announcement,
+    is_good,
     make_deal,
     parse_announcement,
+    posterior_lines,
 )
 from cardeal.model import announcement_json, format_card_set, parse_card_set, to_mask
 
@@ -169,6 +174,35 @@ def test_announcement_constructor_invariants():
     ]:
         with pytest.raises(ValueError):
             Announcement(lines)
+
+
+# A card label this large needs a 12.5 MB mask; anything reading one would show.
+ABSURD_LINE = (0, 1, 10**8)
+
+
+@pytest.fixture(scope="module")
+def uniform60():
+    proto = build_protocol("uniform60", Parameters(3, 3, 1))
+    proto.likelihoods  # build the index outside the traced call
+    return proto
+
+
+@pytest.mark.parametrize("call", ["check_axioms", "is_good", "format_announcement", "posterior_lines"])
+def test_absurd_card_label_is_refused_before_any_mask(call, p331, uniform60):
+    calls = {
+        "check_axioms": lambda ann: check_axioms(ann, p331),
+        "is_good": lambda ann: is_good(ann, p331),
+        "format_announcement": lambda ann: format_announcement(ann, p331),
+        "posterior_lines": lambda ann: posterior_lines(uniform60, ann),
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            calls[call](Announcement.of([ABSURD_LINE]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_make_deal_fills_in_third_hand(p331):
