@@ -17,7 +17,7 @@ from cardeal import (
     enumerate_good_announcements,
     enumerate_ksets,
     format_card_set,
-    special_point_announcements,
+    triple_point,
 )
 
 
@@ -27,10 +27,12 @@ def main() -> None:
 
     print("hand   good  triple-in-hand  triple-outside")
     totals = Counter()
+    per_point = {}
     for hand in enumerate_ksets(params.v, params.a):
         anns = enumerate_good_announcements(params, hand, 5)
         inside, outside = classify_by_triple(anns, hand)
         totals[(len(anns), len(inside), len(outside))] += 1
+        per_point[hand] = Counter(map(triple_point, anns))
         print(f"{format_card_set(hand, params.v):>4}  {len(anns):>5}  {len(inside):>14}  {len(outside):>14}")
     print(f"count profiles seen: {dict(totals)}")
 
@@ -38,8 +40,8 @@ def main() -> None:
     print("announcements per hand once the triple point p is fixed in advance")
     header = "hand  " + "  ".join(f"p={p}" for p in range(params.v))
     print(header)
-    for hand in enumerate_ksets(params.v, params.a):
-        row = [len(special_point_announcements(params, hand, p)) for p in range(params.v)]
+    for hand, points in per_point.items():
+        row = [points[p] for p in range(params.v)]
         print(f"{format_card_set(hand, params.v):>4}  " + "  ".join(f"{n:>3}" for n in row))
 
     print()

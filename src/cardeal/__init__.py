@@ -30,7 +30,6 @@ from .designs import (
 from .enumeration import (
     classify_by_triple,
     enumerate_good_announcements,
-    special_point_announcements,
     triple_point,
 )
 from .guard import WorkLimitExceeded
@@ -107,7 +106,6 @@ __all__ = [
     "protocol_json",
     "sample",
     "sample_many",
-    "special_point_announcements",
     "triple_point",
     "validate_protocol",
 ]

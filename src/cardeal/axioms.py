@@ -152,8 +152,8 @@ class AxiomReport:
 
 def lines_avoiding(ann: Announcement, x: Iterable[int]) -> list[CardSet]:
     """The lines disjoint from x, in canonical order."""
-    xm = to_mask(x)
-    return [line for line, m in zip(ann.lines, ann.masks) if m & xm == 0]
+    xs = set(card_set(x))
+    return [line for line in ann.lines if xs.isdisjoint(line)]
 
 
 def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[CardSet]:
@@ -162,11 +162,12 @@ def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[Ca
     One candidate per avoiding line: the rest of the deck once x and that
     line are removed. Duplicates are dropped and the result is sorted.
     """
+    masks = check_fit(ann, params.a, params.v)
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
     xm = to_mask(xs)
-    candidates = {((1 << params.v) - 1) & ~(xm | m) for m in ann.masks if m & xm == 0}
+    candidates = {((1 << params.v) - 1) & ~(xm | m) for m in masks if m & xm == 0}
     return sorted(from_mask(mask) for mask in candidates)
 
 
@@ -187,6 +188,7 @@ def bob_infer(ann: Announcement, bob_hand: Iterable[int]) -> CardSet:
 
 def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -> dict[int, int]:
     """Occurrences of every deck card among the lines avoiding x; cards of x map to 0."""
+    check_fit(ann, params.a, params.v)
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
@@ -196,10 +198,10 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
 
 def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tuple[int, ...]:
     """Validate the lines, charge the guard for the kernel's work, return the line masks."""
-    check_fit(ann, params.a, params.v)
-    k = len(ann.lines)
+    masks = check_fit(ann, params.a, params.v)
+    k = len(masks)
     require_work(comb(k, 2) + comb(params.v, params.c) * k, max_work, "axiom check")
-    return ann.masks
+    return masks
 
 
 def _clash(m1: int, m2: int, v: int, b: int) -> int:
@@ -257,9 +259,7 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
         # The violating b-sets are the b-subsets of the clashing free masks,
         # and a set's least b-subset is its b smallest cards.
         x = min(from_mask(free)[:b] for free in frees)
-        xm = to_mask(x)
-        hits = tuple(line for line, m in zip(ann.lines, masks) if m & xm == 0)
-        ca1 = AxiomVerdict(False, AmbiguityWitness(x, hits))
+        ca1 = AxiomVerdict(False, AmbiguityWitness(x, tuple(lines_avoiding(ann, x))))
 
     ca2 = AxiomVerdict(True)
     ca3 = AxiomVerdict(True)

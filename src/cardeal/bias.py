@@ -12,7 +12,7 @@ announcer's actual hand:
 where weight is the class-level reweighting for the literal fact2 reading
 and 1 otherwise. The protocol's ``likelihoods`` index holds exactly these
 products per announcement, built once per protocol, so a posterior is one
-column lookup plus a mask test per line. All probabilities stay exact
+column lookup plus a disjointness test per line. All probabilities stay exact
 rationals end to end.
 """
 
@@ -31,7 +31,6 @@ from .model import (
     enumerate_ksets,
     format_announcement,
     format_card_set,
-    to_mask,
 )
 from .protocols import Protocol, _fraction_json
 
@@ -92,13 +91,12 @@ def posterior_lines(
     obs = card_set(observer, params.v)
     if len(obs) not in (0, params.c):
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
-    obs_mask = to_mask(obs)
+    seen = set(obs)
     column = proto.likelihoods.get(ann, {})
-    # An announcement no hand produces is refused before its masks are built.
     weights = [
-        Fraction(0) if mask & obs_mask else column.get(line, Fraction(0))
-        for line, mask in zip(ann.lines, ann.masks)
-    ] if column else []
+        column.get(line, Fraction(0)) if seen.isdisjoint(line) else Fraction(0)
+        for line in ann.lines
+    ]
     total = sum(weights, Fraction(0))
     if total == 0:
         raise ValueError(

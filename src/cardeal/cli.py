@@ -18,7 +18,7 @@ from .axioms import axiom_report_json, check_axioms
 from .bias import bias_report, bias_report_json, posterior_json, posterior_lines
 from .designs import binary_design, design_profile, profile_json
 from .enumeration import enumerate_good_announcements, triple_point
-from .guard import WorkLimitExceeded
+from .guard import WorkLimitExceeded, require_work
 from .model import (
     Announcement,
     Parameters,
@@ -224,6 +224,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sample(args) -> int:
     params = Parameters(3, 3, 1)
+    require_work(args.n, args.max_work, "sampling")
     proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     hand = parse_card_set(args.hand, params.v)
     for ann in sample_many(proto, hand, args.seed, args.n):

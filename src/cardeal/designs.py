@@ -81,10 +81,10 @@ def covalency_over(
 
 
 def _deck_scan(ann: Announcement, v: int, t: int, max_work: int | None):
-    check_fit(ann, ann.block_size, v)
+    masks = check_fit(ann, ann.block_size, v)
     if not 0 <= t <= ann.block_size:
         raise ValueError(f"tuple size {t} out of range for block size {ann.block_size}")
-    return _scan(ann.masks, range(v), t, max_work)
+    return _scan(masks, range(v), t, max_work)
 
 
 def covalency(ann: Announcement, v: int, t: int, *, max_work: int | None = None) -> int | None:
@@ -111,10 +111,10 @@ def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) ->
     scan stops at the first tuple size without a constant count and every
     larger size reads None, uncharged by the work guard.
     """
-    check_fit(ann, ann.block_size, v)
+    masks = check_fit(ann, ann.block_size, v)
     table = []
     for t in range(ann.block_size + 1):
-        value = _scan(ann.masks, range(v), t, max_work)[0]
+        value = _scan(masks, range(v), t, max_work)[0]
         if value is None:
             break
         table.append(value)

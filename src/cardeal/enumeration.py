@@ -122,19 +122,3 @@ def classify_by_triple(
             raise ValueError(f"announcement {ann.lines} has no unique most-frequent card")
         (inside if top in hand else outside).append(ann)
     return inside, outside
-
-
-def special_point_announcements(
-    params: Parameters,
-    hand: Iterable[int],
-    p: int,
-    *,
-    max_work: int | None = None,
-) -> list[Announcement]:
-    """Five-line good announcements containing ``hand`` whose triple point is p."""
-    if (params.a, params.b, params.c) != (3, 3, 1):
-        raise ValueError(f"five-line census is specific to the (3,3,1) deal, got {params}")
-    if not 0 <= p < params.v:
-        raise ValueError(f"point {p} out of range for deck size {params.v}")
-    candidates = enumerate_good_announcements(params, hand, 5, max_work=max_work)
-    return [ann for ann in candidates if triple_point(ann) == p]

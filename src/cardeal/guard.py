@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from math import log10
 
 DEFAULT_MAX_WORK = 10**8
 ENV_VAR = "CARDEAL_MAX_WORK"
@@ -25,10 +26,15 @@ def resolve_max_work(value: int | None = None) -> int:
     return DEFAULT_MAX_WORK
 
 
+def _readable(n: int) -> str:
+    """n in decimal, or as a power of ten once it is too long to read (or to print)."""
+    return str(n) if n < 10**12 else f"10^{log10(n):.1f}"
+
+
 def require_work(estimate: int, max_work: int | None, what: str) -> None:
     limit = resolve_max_work(max_work)
     if estimate > limit:
         raise WorkLimitExceeded(
-            f"{what} needs about {estimate} steps, above the limit of {limit}; "
+            f"{what} needs about {_readable(estimate)} steps, above the limit of {_readable(limit)}; "
             f"raise --max-work or {ENV_VAR} to run it anyway"
         )

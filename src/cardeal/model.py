@@ -4,7 +4,8 @@ A deck of ``v`` cards is the set ``{0, ..., v-1}``. Card sets (hands, lines)
 are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
 as dictionary keys. The ``Announcement`` constructor alone enforces the
-announcement invariant; the line masks are built once, at first use.
+announcement invariant, and ``check_fit`` alone turns its lines into masks,
+after the range check, so an absurd card label never reaches a mask.
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -103,8 +103,7 @@ class Announcement:
     """One or more distinct, equally sized lines in canonical order.
 
     The constructor rejects anything else with ValueError; equality and
-    hashing use ``lines``. ``masks`` (each line's ``to_mask``) is built at
-    first use, so ``check_fit`` refuses an absurd card label before any mask.
+    hashing use ``lines``. Line masks come from ``check_fit``.
     """
 
     lines: tuple[CardSet, ...]
@@ -127,10 +126,6 @@ class Announcement:
                 raise ValueError(f"line {line} after {prev}: lines must be distinct and sorted")
             prev = line
 
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(to_mask(line) for line in self.lines)
-
     @classmethod
     def of(cls, lines: Iterable[Iterable[int]]) -> "Announcement":
         return cls(tuple(sorted(card_set(line) for line in lines)))
@@ -149,12 +144,17 @@ class Announcement:
         return line in self.lines
 
 
-def check_fit(ann: Announcement, size: int, v: int) -> None:
-    """Reject an announcement unless every line has ``size`` cards, all below v."""
+def check_fit(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
+    """The line masks, once every line is known to have ``size`` cards, all below v.
+
+    The only builder of an announcement's masks: the checks read ``lines``
+    alone, so an absurd card label is refused before any mask is allocated.
+    """
     if ann.block_size != size:
         raise ValueError(f"lines have {ann.block_size} cards, expected {size}")
     if (top := max(line[-1] for line in ann.lines)) >= v:
         raise ValueError(f"card {top} out of range for deck size {v}")
+    return tuple(map(to_mask, ann.lines))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from cardeal import (
     parse_announcement,
     posterior_lines,
     sample_many,
-    special_point_announcements,
     triple_point,
 )
 
@@ -172,15 +171,15 @@ def test_criterion_5_enumeration_counts():
             assert len(anns) == 60
             inside, outside = classify_by_triple(anns, hand)
             assert (len(inside), len(outside)) == (36, 24)
+            points = Counter(map(triple_point, anns))
             for p in range(7):
-                expected = 12 if p in hand else 6
-                assert len(special_point_announcements(P331, hand, p)) == expected
-        twelve = special_point_announcements(P331, (0, 1, 2), 0)
+                assert points[p] == (12 if p in hand else 6)
+        twelve = [ann for ann in enumerate_good_announcements(P331, (0, 1, 2), 5) if triple_point(ann) == 0]
         assert twelve == sorted(
             (parse_announcement(t, P331) for t in TWELVE_FOR_012_POINT_0),
             key=lambda ann: ann.lines,
         )
-        six = special_point_announcements(P331, (1, 3, 5), 0)
+        six = [ann for ann in enumerate_good_announcements(P331, (1, 3, 5), 5) if triple_point(ann) == 0]
         assert six == sorted(
             (parse_announcement(t, P331) for t in SIX_FOR_135_POINT_0),
             key=lambda ann: ann.lines,

@@ -166,6 +166,15 @@ def test_construct_guard_exit_2():
     assert "binary construction" in proc.stderr
 
 
+def test_construct_guard_message_survives_a_huge_estimate():
+    # 2(2^n-1)·2^n has about 12,000 digits at n = 20000, past Python's
+    # 4,300-digit limit for printing an integer.
+    proc = run_process("construct", "binary", "--bits", "20000")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "above the limit" in proc.stderr
+
+
 def test_construct_pipes_into_verify(capsys, monkeypatch):
     code, constructed, _ = run(capsys, "construct", "binary", "--bits", "3")
     assert code == 0
@@ -229,6 +238,17 @@ def test_sample_negative_count_exit_2():
     proc = run_process("sample", "--protocol", "fact1", "--hand", "012", "--n", "-1")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_sample_guard_charges_the_draws():
+    # Building uniform60 is estimated at 7,580 steps, under the limit; the 20,000 draws are not.
+    proc = run_process(
+        "sample", "--protocol", "uniform60", "--hand", "012", "--n", "20000", "--max-work", "10000"
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "sampling" in proc.stderr
     assert proc.stdout == ""
 
 

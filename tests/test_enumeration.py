@@ -12,7 +12,6 @@ from cardeal import (
     enumerate_good_announcements,
     is_good,
     parse_announcement,
-    special_point_announcements,
     triple_point,
 )
 from cardeal.axioms import _clash
@@ -89,24 +88,24 @@ def test_classification_rejects_missing_hand_or_triple(p331, five_hand, seven_ha
         classify_by_triple([seven_hand], (0, 1, 2))
 
 
+def _with_point(params, hand, p):
+    """The five-line good announcements containing ``hand`` whose triple point is p."""
+    return [ann for ann in enumerate_good_announcements(params, hand, 5) if triple_point(ann) == p]
+
+
 def test_special_point_golden_lists(p331):
-    twelve = special_point_announcements(p331, (0, 1, 2), 0)
+    twelve = _with_point(p331, (0, 1, 2), 0)
     assert twelve == _parse_block(TWELVE_FOR_012_POINT_0, p331)
-    six = special_point_announcements(p331, (1, 3, 5), 0)
+    six = _with_point(p331, (1, 3, 5), 0)
     assert six == _parse_block(SIX_FOR_135_POINT_0, p331)
-    assert len(special_point_announcements(p331, (1, 3, 5), 1)) == 12
+    assert len(_with_point(p331, (1, 3, 5), 1)) == 12
 
 
 def test_special_point_counts_depend_only_on_membership(p331):
     hand = (0, 2, 5)
     for p in range(7):
         expected = 12 if p in hand else 6
-        assert len(special_point_announcements(p331, hand, p)) == expected
-
-
-def test_special_point_rejects_other_parameters():
-    with pytest.raises(ValueError):
-        special_point_announcements(Parameters(4, 3, 1), (0, 1, 2, 3), 0)
+        assert len(_with_point(p331, hand, p)) == expected
 
 
 def test_enumeration_guard(p331):

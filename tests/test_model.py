@@ -11,18 +11,22 @@ from cardeal import (
     Announcement,
     AnnouncementParseError,
     Parameters,
+    bob_infer,
+    bob_sets,
     build_protocol,
     card_set,
+    cathy_card_counts,
     check_axioms,
     complement_set,
     enumerate_ksets,
     format_announcement,
     is_good,
+    lines_avoiding,
     make_deal,
     parse_announcement,
     posterior_lines,
 )
-from cardeal.model import announcement_json, format_card_set, parse_card_set, to_mask
+from cardeal.model import announcement_json, check_fit, format_card_set, parse_card_set, to_mask
 
 
 def test_parameters_derive_deck_size():
@@ -140,7 +144,7 @@ announcements331 = st.sets(lines331, min_size=1, max_size=8).map(Announcement.of
 @given(announcements331)
 def test_parse_format_round_trip(ann):
     params = Parameters(3, 3, 1)
-    assert ann.masks == tuple(to_mask(line) for line in ann.lines)
+    assert check_fit(ann, 3, 7) == tuple(to_mask(line) for line in ann.lines)
     assert Announcement(ann.lines) == ann
     assert parse_announcement(format_announcement(ann, params), params) == ann
     assert parse_announcement(json.dumps(announcement_json(ann, params)), params) == ann
@@ -187,22 +191,54 @@ def uniform60():
     return proto
 
 
-@pytest.mark.parametrize("call", ["check_axioms", "is_good", "format_announcement", "posterior_lines"])
+def _traced(call):
+    """``call()``'s result and the peak traced allocation while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["check_axioms", "is_good", "format_announcement", "posterior_lines", "bob_sets", "cathy_card_counts"],
+)
 def test_absurd_card_label_is_refused_before_any_mask(call, p331, uniform60):
     calls = {
         "check_axioms": lambda ann: check_axioms(ann, p331),
         "is_good": lambda ann: is_good(ann, p331),
         "format_announcement": lambda ann: format_announcement(ann, p331),
         "posterior_lines": lambda ann: posterior_lines(uniform60, ann),
+        "bob_sets": lambda ann: bob_sets(ann, (3,), p331),
+        "cathy_card_counts": lambda ann: cathy_card_counts(ann, (3,), p331),
     }
-    tracemalloc.start()
-    try:
+    ann = Announcement.of([ABSURD_LINE])
+
+    def refused():
         with pytest.raises(ValueError):
-            calls[call](Announcement.of([ABSURD_LINE]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+            calls[call](ann)
+
+    assert _traced(refused)[1] < 1 << 20
+
+
+@pytest.mark.parametrize("call", ["lines_avoiding", "bob_infer"])
+def test_avoiding_an_absurd_card_label_builds_no_mask(call):
+    # Neither takes parameters, so nothing refuses the line; it is read as cards.
+    calls = {
+        "lines_avoiding": (lambda ann: lines_avoiding(ann, (3,)), [ABSURD_LINE]),
+        "bob_infer": (lambda ann: bob_infer(ann, (3, 4, 5)), ABSURD_LINE),
+    }
+    ann = Announcement.of([ABSURD_LINE])
+    fn, expected = calls[call]
+    result, peak = _traced(lambda: fn(ann))
     assert peak < 1 << 20
+    assert result == expected
+
+
+def test_lines_avoiding_refuses_a_negative_card():
+    with pytest.raises(ValueError):
+        lines_avoiding(Announcement.of([(0, 1, 2)]), (-1,))
 
 
 def test_make_deal_fills_in_third_hand(p331):
