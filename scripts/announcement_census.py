@@ -12,7 +12,8 @@ import time
 from collections import Counter
 
 from cardeal import (
-    Parameters,
+    PAPER_LINES,
+    PAPER_PARAMS,
     classify_by_triple,
     enumerate_good_announcements,
     enumerate_ksets,
@@ -22,14 +23,14 @@ from cardeal import (
 
 
 def main() -> None:
-    params = Parameters(3, 3, 1)
+    params = PAPER_PARAMS
     start = time.time()
 
     print("hand   good  triple-in-hand  triple-outside")
     totals = Counter()
     per_point = {}
     for hand in enumerate_ksets(params.v, params.a):
-        anns = enumerate_good_announcements(params, hand, 5)
+        anns = enumerate_good_announcements(params, hand, PAPER_LINES)
         inside, outside = classify_by_triple(anns, hand)
         totals[(len(anns), len(inside), len(outside))] += 1
         per_point[hand] = Counter(map(triple_point, anns))

@@ -11,7 +11,7 @@ and 3/7 (the prior) under the conditional public-point reading.
 from collections import Counter
 
 from cardeal import (
-    Parameters,
+    PAPER_PARAMS,
     bias_report,
     build_protocol,
     format_announcement,
@@ -25,7 +25,7 @@ DRAWS = 20_000
 
 
 def main() -> None:
-    params = Parameters(3, 3, 1)
+    params = PAPER_PARAMS
     hand = (0, 1, 2)
     cases = [
         ("uniform60", None),

@@ -49,6 +49,8 @@ from .model import (
     parse_card_set,
 )
 from .protocols import (
+    PAPER_LINES,
+    PAPER_PARAMS,
     PROTOCOL_KINDS,
     Protocol,
     build_protocol,
@@ -72,6 +74,8 @@ __all__ = [
     "DesignProfile",
     "InferenceError",
     "NoLineError",
+    "PAPER_LINES",
+    "PAPER_PARAMS",
     "PROTOCOL_KINDS",
     "Parameters",
     "PosteriorTable",

@@ -188,11 +188,12 @@ def bob_infer(ann: Announcement, bob_hand: Iterable[int]) -> CardSet:
 
 def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -> dict[int, int]:
     """Occurrences of every deck card among the lines avoiding x; cards of x map to 0."""
-    check_fit(ann, params.a, params.v)
+    masks = check_fit(ann, params.a, params.v)
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
-    counts = Counter(card for line in lines_avoiding(ann, xs) for card in line)
+    xm = to_mask(xs)
+    counts = Counter(chain.from_iterable(line for line, m in zip(ann.lines, masks) if not m & xm))
     return {card: counts[card] for card in range(params.v)}
 
 

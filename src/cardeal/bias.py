@@ -23,16 +23,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
-from .model import (
-    Announcement,
-    CardSet,
-    Parameters,
-    card_set,
-    enumerate_ksets,
-    format_announcement,
-    format_card_set,
-)
-from .protocols import Protocol, _fraction_json
+from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
+from .protocols import PAPER_LINES, Protocol, _fraction_json
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,10 @@ class BiasReport:
 
 
 def prior_point_in_hand(params: Parameters, point: int = 0) -> Fraction:
-    """Chance that a fixed card lies in the announcer's hand, by exact counting."""
+    """Chance that a fixed card lies in the announcer's hand: a of the v cards are dealt to it."""
     if not 0 <= point < params.v:
         raise ValueError(f"point {point} out of range for deck size {params.v}")
-    hands = enumerate_ksets(params.v, params.a)
-    return Fraction(sum(1 for hand in hands if point in hand), len(hands))
+    return Fraction(params.a, params.v)
 
 
 def posterior_lines(
@@ -136,8 +127,8 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
     all_mass = sum((proto.hand_weight(hand) for hand in proto.table), Fraction(0))
     class_balance = in_mass / all_mass
 
-    reference_hand = enumerate_ksets(params.v, params.a)[0]
-    reference_anns = enumerate_good_announcements(params, reference_hand, 5, max_work=max_work)
+    reference_hand = tuple(range(params.a))
+    reference_anns = enumerate_good_announcements(params, reference_hand, PAPER_LINES, max_work=max_work)
     inside, _ = classify_by_triple(reference_anns, reference_hand)
     references = {
         "point_in_hand_prior": prior_point_in_hand(params),

@@ -28,7 +28,7 @@ from .model import (
     parse_announcement,
     parse_card_set,
 )
-from .protocols import PROTOCOL_KINDS, build_protocol, sample_many
+from .protocols import PAPER_PARAMS, PROTOCOL_KINDS, build_protocol, sample_many
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -223,7 +223,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    params = Parameters(3, 3, 1)
+    params = PAPER_PARAMS
     require_work(args.n, args.max_work, "sampling")
     proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     hand = parse_card_set(args.hand, params.v)
@@ -233,7 +233,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    params = Parameters(3, 3, 1)
+    params = PAPER_PARAMS
     proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     if args.observer is not None and args.announcement is None:
         raise ValueError("--observer needs --announcement")

@@ -4,8 +4,9 @@ A deck of ``v`` cards is the set ``{0, ..., v-1}``. Card sets (hands, lines)
 are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
 as dictionary keys. The ``Announcement`` constructor alone enforces the
-announcement invariant, and ``check_fit`` alone turns its lines into masks,
-after the range check, so an absurd card label never reaches a mask.
+announcement invariant. ``check_lines`` checks an announcement's line size
+and card range; ``check_fit`` alone turns its lines into masks, after those
+checks, so an absurd card label never reaches a mask.
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
@@ -41,7 +42,7 @@ class Parameters:
 
     def __post_init__(self) -> None:
         for name, count in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:
                 raise ValueError(f"{name} must be a positive integer, got {count!r}")
 
     @property
@@ -53,7 +54,7 @@ def card_set(cards: Iterable[int], v: int | None = None) -> CardSet:
     """Sort a collection of cards, rejecting duplicates and out-of-range labels."""
     out = tuple(cards)
     for card in out:
-        if not isinstance(card, int) or isinstance(card, bool) or card < 0:
+        if type(card) is not int or card < 0:
             raise ValueError(f"card {card!r} is not a nonnegative integer")
         if v is not None and card >= v:
             raise ValueError(f"card {card} out of range for deck size {v}")
@@ -119,7 +120,7 @@ class Announcement:
                 raise ValueError(f"line {line!r} is not a tuple of {size} cards")
             last = -1
             for card in line:
-                if not isinstance(card, int) or card <= last:
+                if type(card) is not int or card <= last:
                     raise ValueError(f"line {line} is not sorted distinct nonnegative integers")
                 last = card
             if prev is not None and line <= prev:
@@ -144,16 +145,17 @@ class Announcement:
         return line in self.lines
 
 
-def check_fit(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
-    """The line masks, once every line is known to have ``size`` cards, all below v.
-
-    The only builder of an announcement's masks: the checks read ``lines``
-    alone, so an absurd card label is refused before any mask is allocated.
-    """
+def check_lines(ann: Announcement, size: int, v: int) -> None:
+    """Refuse lines without ``size`` cards, or with a card of v or more; reads ``lines`` alone."""
     if ann.block_size != size:
         raise ValueError(f"lines have {ann.block_size} cards, expected {size}")
     if (top := max(line[-1] for line in ann.lines)) >= v:
         raise ValueError(f"card {top} out of range for deck size {v}")
+
+
+def check_fit(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
+    """The line masks, built only once ``check_lines`` passes: the one builder of masks."""
+    check_lines(ann, size, v)
     return tuple(map(to_mask, ann.lines))
 
 
@@ -288,13 +290,13 @@ def _canonical(lines: list[CardSet], params: Parameters) -> Announcement:
 
 def format_announcement(ann: Announcement, params: Parameters) -> str:
     """Canonical compact text; round-trips through parse_announcement."""
-    check_fit(ann, params.a, params.v)
+    check_lines(ann, params.a, params.v)
     return " ".join(format_card_set(line, params.v) for line in ann.lines)
 
 
 def announcement_json(ann: Announcement, params: Parameters) -> dict:
     """JSON-ready form {"params": [a, b, c], "lines": [[...], ...]}."""
-    check_fit(ann, params.a, params.v)
+    check_lines(ann, params.a, params.v)
     return {
         "params": [params.a, params.b, params.c],
         "lines": [list(line) for line in ann.lines],

@@ -3,20 +3,21 @@
 A protocol maps every possible hand of the announcer to a finite probability
 distribution over good announcements containing that hand. Probabilities are
 exact rationals and the tables are fully materialised (35 hands at the
-(3,3,1) deal), which keeps every protocol auditable and makes exact
+paper's deal), which keeps every protocol auditable and makes exact
 posterior analysis possible. Randomness only enters at sampling time through
 a seedable generator.
 
-Four builders are provided for the (3,3,1) deal:
+Four kinds are built for the paper's deal, ``PAPER_PARAMS`` = (3,3,1) with
+``PAPER_LINES`` = 5 lines, by one rule: each kind names classes among the
+hand's good announcements, and every class gets equal mass, spread uniformly.
 
-* ``uniform60``: each hand picks uniformly among the 60 good five-line
-  announcements containing it. Biased: a card occurring thrice is then more
-  likely to be actually held.
-* ``fact1``: pick one announcement whose most frequent card is an actual
-  card, pick one where it is not, then flip a fair coin between the two.
+* ``uniform60``: one class, all 60 of them. Biased: a card occurring thrice
+  is then more likely to be actually held.
+* ``fact1``: two classes, those whose most frequent card is an actual card
+  (36) and those where it is not (24).
 * ``fact2_conditional(p)``: with the triple point p fixed publicly ahead of
-  time, pick uniformly among the five-line announcements containing the hand
-  whose triple point is p (12 of them when p is actually held, 6 otherwise).
+  time, one class, those whose triple point is p (12 of them when p is
+  actually held, 6 otherwise).
 * ``fact2_literal(p)``: same per-hand table, but the two hand classes are
   additionally reweighted 4/7 (p held) to 3/7 (p not held). A fixed hand
   determines its class, so the reweighting cannot be realised inside any
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import comb, lcm
 from typing import Iterable
 
 from .axioms import is_good
 from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
+from .guard import require_work
 from .model import (
     Announcement,
     CardSet,
@@ -49,6 +51,8 @@ from .model import (
     parse_card_set,
 )
 
+PAPER_PARAMS = Parameters(3, 3, 1)
+PAPER_LINES = 5
 PROTOCOL_KINDS = ("uniform60", "fact1", "fact2_conditional", "fact2_literal")
 
 
@@ -100,12 +104,12 @@ def build_protocol(
     *,
     max_work: int | None = None,
 ) -> Protocol:
-    """Materialise one of the named protocols for the (3,3,1) deal."""
+    """Materialise one of the named protocols for the paper's deal."""
     kind = kind.replace("-", "_")
     if kind not in PROTOCOL_KINDS:
         raise ValueError(f"unknown protocol kind {kind!r}, expected one of {PROTOCOL_KINDS}")
-    if (params.a, params.b, params.c) != (3, 3, 1):
-        raise ValueError(f"protocol tables are defined for the (3,3,1) deal, got {params}")
+    if params != PAPER_PARAMS:
+        raise ValueError(f"protocol tables are defined for {PAPER_PARAMS} only, got {params}")
     if kind.startswith("fact2"):
         if point is None or not 0 <= point < params.v:
             raise ValueError(f"fact2 protocols need a public point below {params.v}, got {point}")
@@ -114,20 +118,15 @@ def build_protocol(
 
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
     for hand in enumerate_ksets(params.v, params.a):
-        anns = enumerate_good_announcements(params, hand, 5, max_work=max_work)
+        anns = enumerate_good_announcements(params, hand, PAPER_LINES, max_work=max_work)
         if kind == "uniform60":
-            share = Fraction(1, len(anns))
-            entries = [(ann, share) for ann in anns]
+            classes = [anns]
         elif kind == "fact1":
-            inside, outside = classify_by_triple(anns, hand)
-            p_in = Fraction(1, 2) / len(inside)
-            p_out = Fraction(1, 2) / len(outside)
-            entries = [(ann, p_in if triple_point(ann) in hand else p_out) for ann in anns]
+            classes = classify_by_triple(anns, hand)
         else:
-            chosen = [ann for ann in anns if triple_point(ann) == point]
-            share = Fraction(1, len(chosen))
-            entries = [(ann, share) for ann in chosen]
-        table[hand] = tuple(entries)
+            classes = [[ann for ann in anns if triple_point(ann) == point]]
+        share = {ann: Fraction(1, len(classes) * len(cls)) for cls in classes for ann in cls}
+        table[hand] = tuple((ann, share[ann]) for ann in anns if ann in share)
 
     weights = None
     if kind == "fact2_literal":
@@ -182,10 +181,11 @@ def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> Valida
     """Confirm coverage, exact normalization, no repeated entry, truthfulness and CA1-CA3 safety."""
     issues: list[ValidationIssue] = []
     params = proto.params
+    require_work(comb(params.v, params.a), max_work, "protocol coverage check")
     for hand in enumerate_ksets(params.v, params.a):
         if hand not in proto.table:
             issues.append(ValidationIssue("coverage", hand, f"hand {hand} has no distribution"))
-    safety_cache: dict[Announcement, bool] = {}
+    good = {ann: is_good(ann, params, max_work=max_work) for ann in proto.likelihoods}
     for hand, dist in sorted(proto.table.items()):
         total = sum((p for _, p in dist), Fraction(0))
         if total != 1:
@@ -209,9 +209,7 @@ def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> Valida
                         "truthfulness", hand, f"announcement {ann.lines} does not contain {hand}"
                     )
                 )
-            if ann not in safety_cache:
-                safety_cache[ann] = is_good(ann, params, max_work=max_work)
-            if not safety_cache[ann]:
+            if not good[ann]:
                 issues.append(
                     ValidationIssue("safety", hand, f"announcement {ann.lines} is not good")
                 )

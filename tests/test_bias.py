@@ -11,6 +11,8 @@ from itertools import combinations
 
 import pytest
 
+import cardeal.bias
+import cardeal.model
 from cardeal import (
     Parameters,
     bias_report,
@@ -228,6 +230,18 @@ def test_prior_point_in_hand_by_counting(p331):
     for point in range(7):
         assert prior_point_in_hand(p331, point) == Fraction(3, 7)
     assert prior_point_in_hand(Parameters(4, 3, 1), 0) == Fraction(1, 2)
+
+
+def test_prior_and_references_list_no_hands(protocols, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("hands enumerated")
+
+    monkeypatch.setattr(cardeal.model, "enumerate_ksets", refuse)
+    monkeypatch.setattr(cardeal.bias, "enumerate_ksets", refuse, raising=False)
+    assert prior_point_in_hand(Parameters(30, 30, 30), 89) == Fraction(1, 3)
+    report = bias_report(protocols["fact1"])
+    assert report.references["point_in_hand_prior"] == Fraction(3, 7)
+    assert report.references["uniform_pick_class_ratio"] == Fraction(3, 5)
 
 
 def test_bias_reports(protocols):

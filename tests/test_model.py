@@ -34,7 +34,7 @@ def test_parameters_derive_deck_size():
     assert Parameters(4, 3, 1).v == 8
 
 
-@pytest.mark.parametrize("bad", [(3, 3, 0), (0, 3, 1), (3, -1, 1)])
+@pytest.mark.parametrize("bad", [(3, 3, 0), (0, 3, 1), (3, -1, 1), (True, 3, 1)])
 def test_parameters_reject_nonpositive_counts(bad):
     with pytest.raises(ValueError):
         Parameters(*bad)
@@ -173,6 +173,7 @@ def test_announcement_constructor_invariants():
         ((0, 1, 2), (0, 1, 2, 3)),  # mixed sizes
         ((-1, 0, 1),),
         ((0, 1, "2"),),
+        ((False, 1, 2), (0, 3, 4)),  # a bool is not a card
         ([0, 1, 2],),  # a line must be a tuple
         [(0, 1, 2)],  # so must the lines
     ]:
@@ -202,13 +203,22 @@ def _traced(call):
 
 @pytest.mark.parametrize(
     "call",
-    ["check_axioms", "is_good", "format_announcement", "posterior_lines", "bob_sets", "cathy_card_counts"],
+    [
+        "check_axioms",
+        "is_good",
+        "format_announcement",
+        "announcement_json",
+        "posterior_lines",
+        "bob_sets",
+        "cathy_card_counts",
+    ],
 )
 def test_absurd_card_label_is_refused_before_any_mask(call, p331, uniform60):
     calls = {
         "check_axioms": lambda ann: check_axioms(ann, p331),
         "is_good": lambda ann: is_good(ann, p331),
         "format_announcement": lambda ann: format_announcement(ann, p331),
+        "announcement_json": lambda ann: announcement_json(ann, p331),
         "posterior_lines": lambda ann: posterior_lines(uniform60, ann),
         "bob_sets": lambda ann: bob_sets(ann, (3,), p331),
         "cathy_card_counts": lambda ann: cathy_card_counts(ann, (3,), p331),

@@ -6,8 +6,12 @@ from math import lcm
 import pytest
 
 from cardeal import (
+    PAPER_LINES,
     Parameters,
+    WorkLimitExceeded,
     build_protocol,
+    classify_by_triple,
+    enumerate_good_announcements,
     enumerate_ksets,
     parse_announcement,
     protocol_from_json,
@@ -79,6 +83,36 @@ def test_fact2_tables(p331_module):
     assert literal.hand_weight((1, 3, 5)) == Fraction(3, 7)
 
 
+def three_branch_table(kind, params, point=None):
+    """Oracle: the table built by one branch per kind, each writing its own weights."""
+    table = {}
+    for hand in enumerate_ksets(params.v, params.a):
+        anns = enumerate_good_announcements(params, hand, PAPER_LINES)
+        if kind == "uniform60":
+            share = Fraction(1, len(anns))
+            entries = [(ann, share) for ann in anns]
+        elif kind == "fact1":
+            inside, outside = classify_by_triple(anns, hand)
+            p_in = Fraction(1, 2) / len(inside)
+            p_out = Fraction(1, 2) / len(outside)
+            entries = [(ann, p_in if triple_point(ann) in hand else p_out) for ann in anns]
+        else:
+            chosen = [ann for ann in anns if triple_point(ann) == point]
+            share = Fraction(1, len(chosen))
+            entries = [(ann, share) for ann in chosen]
+        table[hand] = tuple(entries)
+    return table
+
+
+@pytest.mark.parametrize(
+    "kind, point",
+    [("uniform60", None), ("fact1", None)]
+    + [(kind, point) for kind in ("fact2_conditional", "fact2_literal") for point in range(7)],
+)
+def test_class_rule_matches_three_branch_oracle(kind, point, p331_module):
+    assert build_protocol(kind, p331_module, point).table == three_branch_table(kind, p331_module, point)
+
+
 def test_every_hand_distribution_sums_to_one(uniform60, fact1, p331_module):
     for proto in (uniform60, fact1, build_protocol("fact2_conditional", p331_module, 3)):
         for dist in proto.table.values():
@@ -138,6 +172,11 @@ def test_validation_catches_corruption(uniform60, p331_module):
     table[hand] = table[hand][:-1] + ((bad, Fraction(1, 60)),)
     report = validate_protocol(Protocol("uniform60", p331_module, table))
     assert any(issue.kind == "safety" for issue in report.issues)
+
+
+def test_coverage_sweep_is_guarded():
+    with pytest.raises(WorkLimitExceeded):
+        validate_protocol(Protocol("uniform60", Parameters(8, 8, 1), {}), max_work=1000)
 
 
 def test_sampling_is_deterministic_and_truthful(fact1):
