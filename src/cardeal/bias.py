@@ -9,11 +9,11 @@ announcer's actual hand:
     P(hand = L | announcement, observer) is proportional to
     table[L](announcement) * [L disjoint from observer] * weight(L)
 
-where weight is the class-level reweighting for the literal fact2 reading
-and 1 otherwise. The protocol's ``likelihoods`` index holds exactly these
-products per announcement, built once per protocol, so a posterior is one
-column lookup plus a disjointness test per line. All probabilities stay exact
-rationals end to end.
+where weight is ``Protocol.hand_weight``: equal mass for the two hand
+classes under the literal fact2 reading, 1 otherwise. The protocol's
+``likelihoods`` index holds exactly these products per announcement, built
+once per protocol, so a posterior is one column lookup plus a disjointness
+test per line. All probabilities stay exact rationals end to end.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
 
     ``max_work`` bounds the enumeration of the reference hand's announcements.
     """
+    if not proto.table:
+        raise ValueError(f"{proto.kind} protocol has an empty table")
     params = proto.params
     max_deviation = Fraction(0)
     triple_in_hand: dict[Announcement, Fraction] = {}
@@ -138,7 +140,7 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
     return BiasReport(
         protocol=proto.kind,
         point=proto.point,
-        literal_reweighting=proto.class_weights is not None,
+        literal_reweighting=proto.kind == "fact2_literal",
         max_uniform_deviation=max_deviation,
         triple_in_hand=triple_in_hand,
         class_balance=class_balance,

@@ -91,7 +91,7 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
             # A branch that needs no further line takes no candidates, so it builds no row.
             yield from extend(candidates & compatible_after(i) if need > 1 else 0, [*chosen, pool[i]])
 
-    return tuple(sorted(extend((1 << len(pool)) - 1, [hand_mask]), key=lambda ann: ann.lines))
+    return tuple(extend((1 << len(pool)) - 1, [hand_mask]))
 
 
 def triple_point(ann: Announcement) -> int | None:

@@ -18,11 +18,10 @@ hand's good announcements, and every class gets equal mass, spread uniformly.
 * ``fact2_conditional(p)``: with the triple point p fixed publicly ahead of
   time, one class, those whose triple point is p (12 of them when p is
   actually held, 6 otherwise).
-* ``fact2_literal(p)``: same per-hand table, but the two hand classes are
-  additionally reweighted 4/7 (p held) to 3/7 (p not held). A fixed hand
-  determines its class, so the reweighting cannot be realised inside any
-  per-hand distribution; it is carried as metadata and applied by the bias
-  analyzer at the hand-class level.
+* ``fact2_literal(p)``: same per-hand table, with the hands holding p and the
+  others as two classes of equal mass (4/7 against 3/7 per hand at the
+  paper's deal). A fixed hand determines its class, so the bias analyzer
+  applies this weight, ``Protocol.hand_weight``, outside any distribution.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ PROTOCOL_KINDS = ("uniform60", "fact1", "fact2_conditional", "fact2_literal")
 
 @dataclass(frozen=True)
 class Protocol:
-    """A named protocol: each hand's announcement distribution plus class metadata.
+    """A named protocol: each hand's announcement distribution; its kind fixes the hand weights.
 
     ``likelihoods`` indexes the table by announcement. It is derived at first
     use and cached on the instance, so a table must not be mutated after
@@ -69,13 +68,12 @@ class Protocol:
     params: Parameters
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]]
     point: int | None = None
-    class_weights: dict[bool, Fraction] | None = None
 
     def hand_weight(self, hand: CardSet) -> Fraction:
-        """Class-level reweighting factor; 1 unless the literal reading applies."""
-        if self.class_weights is None:
+        """Hand-level weight: 1 unless the literal reading applies (see ``_literal_weight``)."""
+        if self.kind != "fact2_literal":
             return Fraction(1)
-        return self.class_weights[self.point in hand]
+        return _literal_weight(self.params, self.point in hand)
 
     @cached_property
     def likelihoods(self) -> dict[Announcement, dict[CardSet, Fraction]]:
@@ -95,6 +93,15 @@ class Protocol:
     def support(self) -> list[Announcement]:
         """Every announcement some hand can produce, canonically ordered."""
         return sorted(self.likelihoods, key=lambda ann: ann.lines)
+
+
+def _literal_weight(params: Parameters, holds_point: bool) -> Fraction:
+    """A ``fact2_literal`` hand's weight: the other hand class's share of the C(v, a) hands.
+
+    C(v-1, a-1) hands hold the point and C(v-1, a) do not, so both classes get equal mass.
+    """
+    v, a = params.v, params.a
+    return Fraction(comb(v - 1, a) if holds_point else comb(v - 1, a - 1), comb(v, a))
 
 
 def build_protocol(
@@ -127,11 +134,7 @@ def build_protocol(
             classes = [[ann for ann in anns if triple_point(ann) == point]]
         share = {ann: Fraction(1, len(classes) * len(cls)) for cls in classes for ann in cls}
         table[hand] = tuple((ann, share[ann]) for ann in anns if ann in share)
-
-    weights = None
-    if kind == "fact2_literal":
-        weights = {True: Fraction(4, 7), False: Fraction(3, 7)}
-    return Protocol(kind=kind, params=params, table=table, point=point, class_weights=weights)
+    return Protocol(kind=kind, params=params, table=table, point=point)
 
 
 def sample(proto: Protocol, hand: Iterable[int], seed) -> Announcement:
@@ -224,14 +227,23 @@ def _fraction_from_json(data: dict) -> Fraction:
     return Fraction(data["num"], data["den"])
 
 
+def _class_weights_json(kind: str, params: Parameters) -> dict | None:
+    if kind != "fact2_literal":
+        return None
+    return {
+        "point_in_hand": _fraction_json(_literal_weight(params, True)),
+        "point_not_in_hand": _fraction_json(_literal_weight(params, False)),
+    }
+
+
 def protocol_json(proto: Protocol) -> dict:
     """Serialisable form with exact rationals as {"num": ..., "den": ...}."""
     params = proto.params
-    out = {
+    return {
         "kind": proto.kind,
         "params": [params.a, params.b, params.c],
         "point": proto.point,
-        "class_weights": None,
+        "class_weights": _class_weights_json(proto.kind, params),
         "table": {
             format_card_set(hand, params.v): [
                 {"announcement": format_announcement(ann, params), "p": _fraction_json(p)}
@@ -240,16 +252,13 @@ def protocol_json(proto: Protocol) -> dict:
             for hand, dist in sorted(proto.table.items())
         },
     }
-    if proto.class_weights is not None:
-        out["class_weights"] = {
-            "point_in_hand": _fraction_json(proto.class_weights[True]),
-            "point_not_in_hand": _fraction_json(proto.class_weights[False]),
-        }
-    return out
 
 
 def protocol_from_json(data: dict) -> Protocol:
     params = Parameters(*data["params"])
+    expected = _class_weights_json(data["kind"], params)
+    if data.get("class_weights") != expected:
+        raise ValueError(f"{data['kind']} protocol at {params} needs class_weights {expected}")
     table = {
         parse_card_set(hand_text, params.v): tuple(
             (parse_announcement(entry["announcement"], params), _fraction_from_json(entry["p"]))
@@ -257,16 +266,4 @@ def protocol_from_json(data: dict) -> Protocol:
         )
         for hand_text, entries in data["table"].items()
     }
-    weights = None
-    if data.get("class_weights"):
-        weights = {
-            True: _fraction_from_json(data["class_weights"]["point_in_hand"]),
-            False: _fraction_from_json(data["class_weights"]["point_not_in_hand"]),
-        }
-    return Protocol(
-        kind=data["kind"],
-        params=params,
-        table=table,
-        point=data.get("point"),
-        class_weights=weights,
-    )
+    return Protocol(kind=data["kind"], params=params, table=table, point=data.get("point"))

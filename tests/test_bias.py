@@ -268,6 +268,11 @@ def test_bias_reports(protocols):
     assert report.literal_reweighting
 
 
+def test_bias_report_refuses_an_empty_table(p331):
+    with pytest.raises(ValueError, match="uniform60"):
+        bias_report(Protocol("uniform60", p331, {}))
+
+
 def test_fact2_posterior_ratio_between_classes(protocols, p331):
     proto = protocols["fact2_conditional"]
     for ann in proto.support():

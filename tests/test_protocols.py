@@ -74,13 +74,22 @@ def test_fact2_tables(p331_module):
     assert {p for _, p in conditional.table[(1, 3, 5)]} == {Fraction(1, 6)}
     assert len(conditional.table[(0, 1, 2)]) == 12
     assert {p for _, p in conditional.table[(0, 1, 2)]} == {Fraction(1, 12)}
-    assert conditional.class_weights is None
+    assert {conditional.hand_weight(hand) for hand in enumerate_ksets(7, 3)} == {1}
 
     literal = build_protocol("fact2-literal", p331_module, 0)
     assert literal.table == conditional.table
-    assert literal.class_weights == {True: Fraction(4, 7), False: Fraction(3, 7)}
-    assert literal.hand_weight((0, 1, 2)) == Fraction(4, 7)
-    assert literal.hand_weight((1, 3, 5)) == Fraction(3, 7)
+    for hand in enumerate_ksets(7, 3):
+        assert literal.hand_weight(hand) == (Fraction(4, 7) if 0 in hand else Fraction(3, 7))
+
+
+@pytest.mark.parametrize("abc", [(3, 3, 1), (3, 2, 2), (4, 3, 1), (2, 2, 1), (5, 4, 1)])
+def test_literal_hand_classes_have_equal_mass(abc):
+    params = Parameters(*abc)
+    literal = Protocol("fact2_literal", params, {}, 0)
+    mass = {True: Fraction(0), False: Fraction(0)}
+    for hand in enumerate_ksets(params.v, params.a):
+        mass[0 in hand] += literal.hand_weight(hand)
+    assert mass[True] == mass[False] > 0
 
 
 def three_branch_table(kind, params, point=None):
@@ -244,3 +253,30 @@ def test_protocol_json_round_trip(p331_module):
         assert restored == proto
     sample_entry = protocol_json(build_protocol("uniform60", p331_module))["table"]["012"][0]
     assert sample_entry["p"] == {"num": 1, "den": 60}
+
+
+LITERAL_WEIGHTS_JSON = {"point_in_hand": {"num": 4, "den": 7}, "point_not_in_hand": {"num": 3, "den": 7}}
+
+
+@pytest.mark.parametrize(
+    "kind, point",
+    [("uniform60", None), ("fact1", None)]
+    + [(kind, point) for kind in ("fact2_conditional", "fact2_literal") for point in range(7)],
+)
+def test_protocol_json_class_weights_block(kind, point, p331_module):
+    expected = LITERAL_WEIGHTS_JSON if kind == "fact2_literal" else None
+    assert protocol_json(build_protocol(kind, p331_module, point))["class_weights"] == expected
+
+
+def test_protocol_from_json_refuses_weights_the_kind_does_not_imply(p331_module):
+    data = protocol_json(build_protocol("fact2_literal", p331_module, 2))
+    swapped = {
+        "point_in_hand": LITERAL_WEIGHTS_JSON["point_not_in_hand"],
+        "point_not_in_hand": LITERAL_WEIGHTS_JSON["point_in_hand"],
+    }
+    for weights in (swapped, None):
+        with pytest.raises(ValueError, match="class_weights"):
+            protocol_from_json({**data, "class_weights": weights})
+    uniform = protocol_json(build_protocol("uniform60", p331_module))
+    with pytest.raises(ValueError, match="class_weights"):
+        protocol_from_json({**uniform, "class_weights": LITERAL_WEIGHTS_JSON})
