@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
-from .protocols import PAPER_LINES, Protocol, _fraction_json
+from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class PosteriorTable:
     announcement: Announcement
     observer: CardSet
     posteriors: tuple[tuple[CardSet, Fraction], ...]
-
-    def probability(self, line: Iterable[int]) -> Fraction:
-        return dict(self.posteriors)[tuple(sorted(line))]
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,8 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
     if not proto.table:
         raise ValueError(f"{proto.kind} protocol has an empty table")
     params = proto.params
+    if params != PAPER_PARAMS:
+        raise ValueError(f"bias references are defined for {PAPER_PARAMS} only, got {params}")
     max_deviation = Fraction(0)
     triple_in_hand: dict[Announcement, Fraction] = {}
     # Unconditional chance that the produced announcement's most frequent

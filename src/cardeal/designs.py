@@ -2,10 +2,11 @@
 
 A collection of equally sized lines on v points is a t-design when every
 t-subset of the points lies in the same number of lines; that number is the
-covalency. Covalency is decided here by exhaustive iteration over all
-C(v, t) t-subsets with early exit on the first mismatch, which at desk scale
-is both feasible and the most trustworthy oracle. Each tuple size's scan is
-charged C(v, t) * k (subsets times lines) to the work guard before it starts.
+covalency. Every entry point passes one gate, ``_fit``, which states the
+tuple-size rule and builds line masks only through ``check_fit``. One scanner,
+``_scan``, then tries all C(v, t) t-subsets with early exit on the first
+mismatch (at desk scale both feasible and the most trustworthy oracle), after
+charging C(v, t) * k (subsets times lines) to the work guard.
 """
 
 from __future__ import annotations
@@ -13,20 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .guard import require_work
-from .model import Announcement, CardSet, check_fit, to_mask
-
-
-@dataclass(frozen=True)
-class CovalencyMismatch:
-    """Two t-subsets covered by different numbers of lines."""
-
-    subset: CardSet
-    count: int
-    reference: CardSet
-    reference_count: int
+from .model import Announcement, CardSet, card_set, check_fit, to_mask
 
 
 @dataclass(frozen=True)
@@ -43,20 +34,29 @@ class DesignProfile:
     strength: int
 
 
-def _scan(line_masks: Sequence[int], points: Sequence[int], t: int, max_work: int | None):
-    require_work(comb(len(points), t) * len(line_masks), max_work, "covalency scan")
+def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int):
+    """Line masks and sorted points, once the lines fit the points and 0 <= t <= block size.
+
+    An empty residual has no block size, so it bounds t from below only, and no masks."""
+    pts = card_set(points)
+    ann = Announcement.of(lines) if (lines := tuple(lines)) else None
+    size = ann.block_size if ann else None
+    if t < 0 or size is not None and t > size:
+        raise ValueError(f"tuple size {t} out of range for block size {size}")
+    return (check_fit(ann, size, max(pts, default=-1) + 1) if ann else ()), pts
+
+
+def _scan(masks: tuple[int, ...], points: CardSet, t: int, max_work: int | None) -> int | None:
+    require_work(comb(len(points), t) * len(masks), max_work, "covalency scan")
     expected = None
-    reference = None
     for subset in combinations(points, t):
         sm = to_mask(subset)
-        count = sum(1 for m in line_masks if m & sm == sm)
+        count = sum(1 for m in masks if m & sm == sm)
         if expected is None:
-            expected, reference = count, subset
+            expected = count
         elif count != expected:
-            return None, CovalencyMismatch(subset, count, reference, expected)
-    if expected is None:
-        return 0, None  # no t-subsets at all: vacuously constant
-    return expected, None
+            return None
+    return 0 if expected is None else expected  # no t-subsets at all: vacuously constant
 
 
 def covalency_over(
@@ -71,32 +71,12 @@ def covalency_over(
     The point set is explicit so that residual collections (lines avoiding a
     card) can be measured on the deck minus that card.
     """
-    line_list = list(lines)
-    pts = tuple(points)
-    if t < 0:
-        raise ValueError(f"tuple size must be nonnegative, got {t}")
-    if line_list and t > len(line_list[0]):
-        raise ValueError(f"tuple size {t} exceeds block size {len(line_list[0])}")
-    return _scan([to_mask(line) for line in line_list], pts, t, max_work)[0]
-
-
-def _deck_scan(ann: Announcement, v: int, t: int, max_work: int | None):
-    masks = check_fit(ann, ann.block_size, v)
-    if not 0 <= t <= ann.block_size:
-        raise ValueError(f"tuple size {t} out of range for block size {ann.block_size}")
-    return _scan(masks, range(v), t, max_work)
+    return _scan(*_fit(lines, points, t), t, max_work)
 
 
 def covalency(ann: Announcement, v: int, t: int, *, max_work: int | None = None) -> int | None:
     """Covalency of the announcement at tuple size t over the full deck."""
-    return _deck_scan(ann, v, t, max_work)[0]
-
-
-def covalency_mismatch(
-    ann: Announcement, v: int, t: int, *, max_work: int | None = None
-) -> CovalencyMismatch | None:
-    """The first uneven pair of t-subsets, or None when the count is constant."""
-    return _deck_scan(ann, v, t, max_work)[1]
+    return covalency_over(ann, range(v), t, max_work=max_work)
 
 
 def design_strength(ann: Announcement, v: int, *, max_work: int | None = None) -> int:
@@ -111,10 +91,10 @@ def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) ->
     scan stops at the first tuple size without a constant count and every
     larger size reads None, uncharged by the work guard.
     """
-    masks = check_fit(ann, ann.block_size, v)
+    masks, points = _fit(ann, range(v), ann.block_size)
     table = []
     for t in range(ann.block_size + 1):
-        value = _scan(masks, range(v), t, max_work)[0]
+        value = _scan(masks, points, t, max_work)
         if value is None:
             break
         table.append(value)

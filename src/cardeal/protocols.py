@@ -104,6 +104,19 @@ def _literal_weight(params: Parameters, holds_point: bool) -> Fraction:
     return Fraction(comb(v - 1, a) if holds_point else comb(v - 1, a - 1), comb(v, a))
 
 
+def _check_request(kind: str, params: Parameters, point: int | None) -> None:
+    """Refuse an unknown kind, a deal other than the paper's, or a point the kind does not take."""
+    if kind not in PROTOCOL_KINDS:
+        raise ValueError(f"unknown protocol kind {kind!r}, expected one of {PROTOCOL_KINDS}")
+    if params != PAPER_PARAMS:
+        raise ValueError(f"protocol tables are defined for {PAPER_PARAMS} only, got {params}")
+    if kind.startswith("fact2"):
+        if type(point) is not int or not 0 <= point < params.v:
+            raise ValueError(f"fact2 protocols need a public point below {params.v}, got {point}")
+    elif point is not None:
+        raise ValueError(f"{kind} takes no public point")
+
+
 def build_protocol(
     kind: str,
     params: Parameters,
@@ -113,16 +126,7 @@ def build_protocol(
 ) -> Protocol:
     """Materialise one of the named protocols for the paper's deal."""
     kind = kind.replace("-", "_")
-    if kind not in PROTOCOL_KINDS:
-        raise ValueError(f"unknown protocol kind {kind!r}, expected one of {PROTOCOL_KINDS}")
-    if params != PAPER_PARAMS:
-        raise ValueError(f"protocol tables are defined for {PAPER_PARAMS} only, got {params}")
-    if kind.startswith("fact2"):
-        if point is None or not 0 <= point < params.v:
-            raise ValueError(f"fact2 protocols need a public point below {params.v}, got {point}")
-    elif point is not None:
-        raise ValueError(f"{kind} takes no public point")
-
+    _check_request(kind, params, point)
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
     for hand in enumerate_ksets(params.v, params.a):
         anns = enumerate_good_announcements(params, hand, PAPER_LINES, max_work=max_work)
@@ -256,6 +260,7 @@ def protocol_json(proto: Protocol) -> dict:
 
 def protocol_from_json(data: dict) -> Protocol:
     params = Parameters(*data["params"])
+    _check_request(data["kind"], params, data.get("point"))
     expected = _class_weights_json(data["kind"], params)
     if data.get("class_weights") != expected:
         raise ValueError(f"{data['kind']} protocol at {params} needs class_weights {expected}")

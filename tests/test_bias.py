@@ -145,7 +145,7 @@ def test_duplicate_entries_are_reported_and_summed(protocols, p331):
     assert split.likelihoods == proto.likelihoods
     for observer in OBSERVERS:
         assert posterior_lines(split, ann, observer) == posterior_lines(proto, ann, observer)
-    assert posterior_lines(split, ann).probability(hand) == Fraction(1, 5)
+    assert dict(posterior_lines(split, ann).posteriors)[hand] == Fraction(1, 5)
     assert bias_report(split) == bias_report(proto)
 
 
@@ -271,6 +271,16 @@ def test_bias_reports(protocols):
 def test_bias_report_refuses_an_empty_table(p331):
     with pytest.raises(ValueError, match="uniform60"):
         bias_report(Protocol("uniform60", p331, {}))
+
+
+def test_bias_report_refuses_a_deal_other_than_the_papers(p431, binary3, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("reference enumeration ran")
+
+    monkeypatch.setattr(cardeal.bias, "enumerate_good_announcements", no_enumeration)
+    proto = Protocol("uniform60", p431, {(0, 1, 2, 3): ((binary3, Fraction(1)),)})
+    with pytest.raises(ValueError, match=r"Parameters\(a=4, b=3, c=1\)"):
+        bias_report(proto)
 
 
 def test_fact2_posterior_ratio_between_classes(protocols, p331):

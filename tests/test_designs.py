@@ -18,7 +18,7 @@ from cardeal import (
     lines_avoiding,
     parse_announcement,
 )
-from cardeal.designs import covalency_mismatch, profile_json
+from cardeal.designs import profile_json
 
 
 def test_covalency_examples(five_hand, seven_hand, binary3):
@@ -31,30 +31,17 @@ def test_covalency_counts_blocks_at_zero(seven_hand):
     assert covalency(seven_hand, 7, 0) == 7
 
 
-def test_covalency_mismatch_is_a_real_mismatch(five_hand):
-    mismatch = covalency_mismatch(five_hand, 7, 1)
-    assert mismatch is not None
-    counts = {
-        subset: sum(1 for line in five_hand.lines if set(subset) <= set(line))
-        for subset in (mismatch.subset, mismatch.reference)
-    }
-    assert counts[mismatch.subset] == mismatch.count
-    assert counts[mismatch.reference] == mismatch.reference_count
-    assert mismatch.count != mismatch.reference_count
-
-
 def test_covalency_scans_are_guarded(five_hand, seven_hand):
     # Each scanned tuple size t is charged C(v, t) * k before it starts.
     estimate = comb(7, 2) * 7
     scans = [
         lambda limit: covalency(seven_hand, 7, 2, max_work=limit),
-        lambda limit: covalency_mismatch(seven_hand, 7, 2, max_work=limit),
         lambda limit: covalency_over(seven_hand.lines, range(7), 2, max_work=limit),
     ]
     for scan in scans:
         with pytest.raises(WorkLimitExceeded):
             scan(estimate - 1)
-    assert [scan(estimate) for scan in scans] == [1, None, 1]
+    assert [scan(estimate) for scan in scans] == [1, 1]
     # The profile stops at the first uneven t and is never charged beyond it:
     # t = 3 for the seven lines, t = 1 for the five.
     for ann, estimate, expected in [(seven_hand, comb(7, 3) * 7, 2), (five_hand, comb(7, 1) * 5, 0)]:
@@ -67,6 +54,45 @@ def test_covalency_scans_are_guarded(five_hand, seven_hand):
 def test_covalency_rejects_oversized_tuples(five_hand):
     with pytest.raises(ValueError):
         covalency(five_hand, 7, 4)
+
+
+@pytest.mark.parametrize(
+    "lines, t",
+    [
+        ([(0, 1, -2)], 1),  # negative card
+        ([(0, 1, 2.0)], 1),  # non-int card
+        ([(0, 1, 1)], 1),  # repeated card in a line
+        ([(0, 1, 2), (3, 4)], 1),  # lines of unequal size
+        ([(0, 1, 2), (0, 1, 7)], 1),  # card above the largest point
+        ([(0, 1, 2)], -1),
+        ([(0, 1, 2)], 4),
+    ],
+)
+def test_covalency_gate_refuses_bad_input(lines, t):
+    with pytest.raises(ValueError):
+        covalency_over(lines, range(7), t)
+    with pytest.raises(ValueError):
+        covalency(lines, 7, t)
+
+
+def test_covalency_gate_refuses_bad_points():
+    with pytest.raises(ValueError):
+        covalency_over([(0, 1, 2)], [0, 1, 1, 2], 1)
+    with pytest.raises(ValueError):
+        covalency_over([(0, 1, 2)], [-1, 0, 1, 2], 1)
+
+
+def test_covalency_gate_refuses_absurd_cards_before_building_masks():
+    # a line card of 10**8 would otherwise make a 12 MB mask
+    with pytest.raises(ValueError, match="out of range"):
+        covalency_over([(0, 1), (1, 2), (0, 10**8)], range(3), 1)
+
+
+def test_empty_residual_is_vacuously_constant():
+    assert [covalency_over([], range(7), t) for t in range(4)] == [0, 0, 0, 0]
+    assert covalency_over([], [], 0) == 0
+    with pytest.raises(ValueError):
+        covalency_over([], range(7), -1)
 
 
 def test_design_strength_examples(seven_hand, binary3):

@@ -244,7 +244,7 @@ def test_sampling_rejects_unknown_hand(uniform60):
 
 
 def test_protocol_json_round_trip(p331_module):
-    for kind, point in (("fact1", None), ("fact2_literal", 4)):
+    for kind, point in (("uniform60", None), ("fact1", None), ("fact2_conditional", 0), ("fact2_literal", 4)):
         proto = build_protocol(kind, p331_module, point)
         data = protocol_json(proto)
         assert data["kind"] == kind
@@ -280,3 +280,20 @@ def test_protocol_from_json_refuses_weights_the_kind_does_not_imply(p331_module)
     uniform = protocol_json(build_protocol("uniform60", p331_module))
     with pytest.raises(ValueError, match="class_weights"):
         protocol_from_json({**uniform, "class_weights": LITERAL_WEIGHTS_JSON})
+
+
+@pytest.mark.parametrize(
+    "kind, point, edit",
+    [
+        ("fact2_literal", 0, {"point": None}),
+        ("fact2_literal", 0, {"point": 9}),
+        ("fact2_literal", 0, {"point": "0"}),
+        ("uniform60", None, {"point": 0}),
+        ("uniform60", None, {"kind": "bogus", "class_weights": None}),
+        ("uniform60", None, {"params": [4, 3, 1]}),
+    ],
+)
+def test_protocol_from_json_applies_the_request_rule(kind, point, edit, p331_module):
+    data = protocol_json(build_protocol(kind, p331_module, point))
+    with pytest.raises(ValueError):
+        protocol_from_json({**data, **edit})
