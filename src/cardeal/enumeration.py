@@ -16,7 +16,19 @@ clashes with the hand iff it shares a - c or more cards with it, so the pool
 holds the n = sum over i < a - c of C(a, i)·C(b + c, a - i) lines sharing i
 cards, known before any work. A search makes C(v, a) - 1 clash tests to
 filter the pool, at most C(n, 2) to build rows (only when k >= 3) and
-visits at most C(n, k - 1) leaves.
+visits at most C(n, k - 1) leaves. The guard is charged on every call, so a
+request is admitted or refused alike whether or not its search is cached.
+
+Only the reference hand 0..a-1 is searched, once per (params, k). Any other
+hand h gets the reference list relabelled by the permutation that sends
+0..a-1 to h in order and the remaining cards to the remaining cards in
+order. A permutation of the deck maps a-sets, b-sets and c-sets onto
+themselves and preserves every intersection, so it maps the announcements
+containing 0..a-1 that satisfy CA1-CA3 one-to-one onto those containing h.
+Re-sorting the cards of each relabelled line, then the lines, then the list
+gives the canonical order the direct search of h yields; that search stays
+as the test oracle. A call relabels each of the C(v, a) lines once, no more
+steps than the pool filter it is charged for.
 """
 
 from __future__ import annotations
@@ -47,17 +59,29 @@ def enumerate_good_announcements(
     hand = card_set(hand, params.v)
     if len(hand) != params.a:
         raise ValueError(f"hand {hand} is not an {params.a}-set")
-    if k < 1:
-        raise ValueError(f"line count must be positive, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"line count must be a positive integer, got {k!r}")
     a, v = params.a, params.v
     n = sum(comb(a, i) * comb(v - a, a - i) for i in range(a - params.c))
     work = comb(v, a) - 1 + (comb(n, 2) if k >= 3 else 0) + comb(n, k - 1)
     require_work(work, max_work, "announcement enumeration")
-    return list(_good_containing(params, hand, k))
+    # Each line's image is sorted once per call, and the announcements share it.
+    image = (*hand, *(card for card in range(v) if card not in hand))
+    relabel = {line: tuple(sorted([image[card] for card in line])) for line in combinations(range(v), a)}
+    relabelled = sorted(
+        tuple(sorted([relabel[line] for line in lines])) for lines in _reference_lines(params, k)
+    )
+    return [Announcement(lines) for lines in relabelled]
 
 
 @lru_cache(maxsize=None)
+def _reference_lines(params: Parameters, k: int) -> tuple[tuple[CardSet, ...], ...]:
+    """The lines of every good k-line announcement containing the hand 0..a-1."""
+    return tuple(ann.lines for ann in _good_containing(params, tuple(range(params.a)), k))
+
+
 def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:
+    """The direct search: every good k-line announcement containing ``hand``, canonically ordered."""
     v, b = params.v, params.b
     hand_mask = to_mask(hand)
     pool = [

@@ -15,7 +15,7 @@ from cardeal import (
     triple_point,
 )
 from cardeal.axioms import _clash
-from cardeal.enumeration import _good_containing
+from cardeal.enumeration import _good_containing, _reference_lines
 
 # The twelve five-line announcements containing 012 whose most frequent card
 # is 0, and the six containing 135 with most frequent card 0.
@@ -116,7 +116,7 @@ def test_enumeration_guard(p331):
 def test_enumeration_leaves_obey_the_callers_limit(p331, monkeypatch):
     # The limit is charged once, for the whole candidate space; a per-leaf
     # axiom check must not re-read the environment and refuse on its own.
-    _good_containing.cache_clear()
+    _reference_lines.cache_clear()
     monkeypatch.setenv("CARDEAL_MAX_WORK", "40")
     assert len(enumerate_good_announcements(p331, (0, 1, 2), 5, max_work=10**6)) == 60
     with pytest.raises(WorkLimitExceeded):
@@ -153,11 +153,65 @@ def test_pool_pairs_are_tested_only_for_lines_the_search_extends(monkeypatch):
     params, hand = Parameters(6, 5, 1), tuple(range(6))
     lines = comb(12, 6)
     for k, limit in [(1, lines - 1), (2, lines - 1), (3, lines - 1 + comb(lines - 1, 2))]:
-        _good_containing.cache_clear()
+        _reference_lines.cache_clear()
         calls = 0
         enumerate_good_announcements(params, hand, k, max_work=comb(lines, k))
         assert calls <= limit, (k, calls)
-    _good_containing.cache_clear()
+    _reference_lines.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "params, ks",
+    [
+        (Parameters(3, 3, 1), range(2, 8)),
+        (Parameters(3, 2, 2), range(2, 5)),
+        (Parameters(2, 3, 2), range(2, 5)),
+        (Parameters(4, 2, 1), range(2, 8)),
+    ],
+)
+def test_relabelled_lists_match_the_direct_search(params, ks):
+    # The direct per-hand search is the oracle for relabelling the reference
+    # hand's list; whole lists are compared, so the order is checked too.
+    # (4,2,1) runs to k = 7, its first k with good announcements (6 per hand).
+    for k in ks:
+        for hand in combinations(range(params.v), params.a):
+            assert enumerate_good_announcements(params, hand, k) == list(_good_containing(params, hand, k))
+
+
+@pytest.mark.parametrize("hand", [(0, 1, 4, 5), (3, 5, 6, 7)])
+def test_relabelled_lists_match_the_direct_search_at_431_k7(hand):
+    params = Parameters(4, 3, 1)
+    anns = enumerate_good_announcements(params, hand, 7)
+    assert len(anns) == 8064
+    assert anns == list(_good_containing(params, hand, 7))
+
+
+def test_warm_reference_search_does_not_bypass_the_guard(p331):
+    _reference_lines.cache_clear()
+    enumerate_good_announcements(p331, (0, 1, 2), 5)
+    with pytest.raises(WorkLimitExceeded):
+        enumerate_good_announcements(p331, (1, 3, 5), 5, max_work=100)
+
+
+def test_one_search_per_params_and_line_count(p331):
+    _reference_lines.cache_clear()
+    for hand in combinations(range(7), 3):
+        assert len(enumerate_good_announcements(p331, hand, 5)) == 60
+    assert _reference_lines.cache_info().currsize == 1
+
+
+def test_callers_get_their_own_lists(p331):
+    first = enumerate_good_announcements(p331, (1, 3, 5), 5)
+    second = enumerate_good_announcements(p331, (1, 3, 5), 5)
+    assert first == second and first is not second
+    first.clear()
+    assert enumerate_good_announcements(p331, (1, 3, 5), 5) == second
+
+
+@pytest.mark.parametrize("k", [0, -1, True, False, 2.0, "5", None])
+def test_line_count_must_be_a_positive_int(p331, k):
+    with pytest.raises(ValueError, match="line count"):
+        enumerate_good_announcements(p331, (0, 1, 2), k)
 
 
 # The oracle visits C(others, k - 1) candidates per k; sizes above this many
