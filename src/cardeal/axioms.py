@@ -22,12 +22,17 @@ union. ``_clash``, the one statement of that rule, returns such a pair's free
 mask; ``check_axioms``, ``is_good`` and enumeration all call it. The CA1
 witness is the least b-prefix (b smallest cards) of a clashing free mask.
 For CA2-CA5, ``check_axioms`` counts once, for every c-set X, how many
-avoiding lines hold each card outside X: CA2 fails where some count equals
-the number of avoiding lines, CA3 where some count is 0, CA4 where the
-counts differ. The lines are distinct and lie outside X, so a card with
-count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off the
-same counts, m_X = |avoid_X| - n_X, and fails at exactly the c-sets where
-CA4 does. ``_covers`` is the early-exit reading of CA2-CA3 over
+avoiding lines hold each card outside X. It reads the per-card masks of
+``model.card_masks`` (bit i of card y's mask set iff line i holds y): the
+avoiding lines are every line but those in the masks of X's cards, and the
+count n_X(y) is the popcount of y's mask within them. CA2 fails where some
+count equals the number of avoiding lines, CA3 where some count is 0, CA4
+where the counts differ. The lines are distinct and lie outside X, so a card
+with count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off
+the same counts, m_X = |avoid_X| - n_X, and fails at exactly the c-sets where
+CA4 does. Witness tuples are built only for a c-set that violates an axiom.
+``cathy_card_counts`` takes the same popcounts for one c-set.
+``_covers`` is the early-exit reading of CA2-CA3 over
 precomputed c-set masks. ``is_good`` is "no clashing pair and ``_covers``";
 enumeration clears CA1 during its search and calls ``_covers`` alone at each
 leaf, so both share one CA2-CA3 decision.
@@ -35,14 +40,23 @@ leaf, so both share one CA2-CA3 decision.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .guard import require_work
-from .model import Announcement, CardSet, Parameters, card_set, check_fit, format_card_set, from_mask, to_mask
+from .model import (
+    Announcement,
+    CardSet,
+    Parameters,
+    card_masks,
+    card_set,
+    check_fit,
+    format_card_set,
+    from_mask,
+    to_mask,
+)
 
 
 class InferenceError(LookupError):
@@ -187,21 +201,35 @@ def bob_infer(ann: Announcement, bob_hand: Iterable[int]) -> CardSet:
 
 
 def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -> dict[int, int]:
-    """Occurrences of every deck card among the lines avoiding x; cards of x map to 0."""
-    masks = check_fit(ann, params.a, params.v)
+    """Occurrences of every deck card among the lines avoiding x; cards of x map to 0.
+
+    The popcounts of the per-card masks that ``check_axioms`` reads."""
+    cards = card_masks(ann, params.a, params.v)
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
-    xm = to_mask(xs)
-    counts = Counter(chain.from_iterable(line for line, m in zip(ann.lines, masks) if not m & xm))
-    return {card: counts[card] for card in range(params.v)}
+    avoid = _avoiding((1 << len(ann)) - 1, (cards[card] for card in xs))
+    return {card: (lines & avoid).bit_count() for card, lines in enumerate(cards)}
 
 
-def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tuple[int, ...]:
-    """Validate the lines, charge the guard for the kernel's work, return the line masks."""
+def _avoiding(every: int, inside: Iterable[int]) -> int:
+    """The mask of lines avoiding a card set: ``every`` line but those in an ``inside`` card's mask."""
+    for lines in inside:
+        every &= ~lines
+    return every
+
+
+def _outside(per_card: list, xs: CardSet) -> list:
+    """``per_card``, one entry per deck card, with the entries of the cards in xs deleted in place."""
+    for x in reversed(xs):
+        del per_card[x]
+    return per_card
+
+
+def _prepare(ann: Announcement, params: Parameters, max_work: int | None, per_c_set: int) -> tuple[int, ...]:
+    """Validate the lines, charge C(k, 2) line pairs plus per_c_set steps per c-set, return the line masks."""
     masks = check_fit(ann, params.a, params.v)
-    k = len(masks)
-    require_work(comb(k, 2) + comb(params.v, params.c) * k, max_work, "axiom check")
+    require_work(comb(len(masks), 2) + comb(params.v, params.c) * per_c_set, max_work, "axiom check")
     return masks
 
 
@@ -251,8 +279,8 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     (first one doubling as the primary witness) together with the constants
     found elsewhere.
     """
-    masks = _prepare(ann, params, max_work)
-    v, b = params.v, params.b
+    v, b, c = params.v, params.b, params.c
+    masks = _prepare(ann, params, max_work, v - c)
 
     ca1 = AxiomVerdict(True)
     frees = [free for m1, m2 in combinations(masks, 2) if (free := _clash(m1, m2, v, b))]
@@ -268,17 +296,29 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     m_constants: dict[CardSet, int] = {}
     n_violations: list[UnevenCountWitness] = []
     m_violations: list[UnevenCountWitness] = []
-    for xs, xm, rest in _c_set_masks(v, params.c):
+    cards = card_masks(ann, params.a, v)
+    every = (1 << len(masks)) - 1
+    deck = range(v)
+    for xs, inside in zip(combinations(deck, c), combinations(cards, c)):
         # One count per outside card decides CA2-CA5; CA5 reads |avoid| - n.
-        avoid = [line for line, m in zip(ann.lines, masks) if not m & xm]
-        seen = Counter(chain.from_iterable(avoid))
-        counts = tuple((y, seen[y]) for y in from_mask(rest))
-        if ca2.passed and avoid and (common := tuple(y for y, n in counts if n == len(avoid))):
-            ca2 = AxiomVerdict(False, CommonCardWitness(xs, common))
-        if ca3.passed and (missing := tuple(y for y, n in counts if n == 0)):
-            ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, missing))
-        _record(xs, counts, n_constants, n_violations)
-        _record(xs, tuple((y, len(avoid) - n) for y, n in counts), m_constants, m_violations)
+        avoid = _avoiding(every, inside)
+        total = avoid.bit_count()
+        ns = _outside([(lines & avoid).bit_count() for lines in cards], xs)
+        low, high = min(ns), max(ns)
+        common, missing = total > 0 and high == total, low == 0
+        if low == high:
+            n_constants[xs] = low
+            m_constants[xs] = total - low
+            if not (common or missing):
+                continue
+        ys = _outside(list(deck), xs)
+        if low != high:
+            n_violations.append(UnevenCountWitness(xs, tuple(zip(ys, ns))))
+            m_violations.append(UnevenCountWitness(xs, tuple(zip(ys, [total - n for n in ns]))))
+        if ca2.passed and common:
+            ca2 = AxiomVerdict(False, CommonCardWitness(xs, tuple(y for y, n in zip(ys, ns) if n == total)))
+        if ca3.passed and missing:
+            ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, tuple(y for y, n in zip(ys, ns) if not n)))
 
     return AxiomReport(
         params=params,
@@ -290,22 +330,9 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     )
 
 
-def _record(
-    xs: CardSet,
-    counts: tuple[tuple[int, int], ...],
-    constants: dict[CardSet, int],
-    violations: list[UnevenCountWitness],
-) -> None:
-    values = {count for _, count in counts}
-    if len(values) <= 1:
-        constants[xs] = counts[0][1] if counts else 0
-    else:
-        violations.append(UnevenCountWitness(xs, counts))
-
-
 def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> bool:
     """True iff CA1, CA2 and CA3 all hold: the early-exit reading of check_axioms."""
-    masks = _prepare(ann, params, max_work)
+    masks = _prepare(ann, params, max_work, len(ann))
     clash = any(_clash(m1, m2, params.v, params.b) for m1, m2 in combinations(masks, 2))
     return not clash and _covers(masks, _c_set_masks(params.v, params.c))
 

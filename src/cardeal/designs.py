@@ -3,10 +3,13 @@
 A collection of equally sized lines on v points is a t-design when every
 t-subset of the points lies in the same number of lines; that number is the
 covalency. Every entry point passes one gate, ``_fit``, which states the
-tuple-size rule and builds line masks only through ``check_fit``. One scanner,
-``_scan``, then tries all C(v, t) t-subsets with early exit on the first
-mismatch (at desk scale both feasible and the most trustworthy oracle), after
-charging C(v, t) * k (subsets times lines) to the work guard.
+tuple-size rule and builds masks only through ``model.card_masks``: one mask
+per point, with bit i set iff line i holds the point. One scanner, ``_scan``,
+then tries all C(v, t) t-subsets with early exit on the first mismatch (at
+desk scale both feasible and the most trustworthy oracle), after charging
+C(v, t) * k (subsets times lines) to the work guard. The count for a t-subset
+is the popcount of the AND of its points' masks, t steps rather than the k
+line tests the charge was set for.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import comb
 from typing import Iterable
 
 from .guard import require_work
-from .model import Announcement, CardSet, card_set, check_fit, to_mask
+from .model import Announcement, CardSet, card_masks, card_set
 
 
 @dataclass(frozen=True)
@@ -34,24 +37,34 @@ class DesignProfile:
     strength: int
 
 
-def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int):
-    """Line masks and sorted points, once the lines fit the points and 0 <= t <= block size.
+def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple[tuple[int, ...], int]:
+    """Each point's mask (bit i set iff line i holds it), in point order, and the number of lines.
 
-    An empty residual has no block size, so it bounds t from below only, and no masks."""
+    Built once the lines fit the points and 0 <= t <= block size. An empty
+    residual has no block size, so it bounds t from below only, and no masks."""
     pts = card_set(points)
     ann = Announcement.of(lines) if (lines := tuple(lines)) else None
     size = ann.block_size if ann else None
     if t < 0 or size is not None and t > size:
         raise ValueError(f"tuple size {t} out of range for block size {size}")
-    return (check_fit(ann, size, max(pts, default=-1) + 1) if ann else ()), pts
+    if ann is None:
+        return (), 0
+    cards = card_masks(ann, size, max(pts, default=-1) + 1)
+    return tuple(cards[p] for p in pts), len(ann)
 
 
-def _scan(masks: tuple[int, ...], points: CardSet, t: int, max_work: int | None) -> int | None:
-    require_work(comb(len(points), t) * len(masks), max_work, "covalency scan")
+def _scan(columns: tuple[int, ...], k: int, t: int, max_work: int | None) -> int | None:
+    """The count of lines holding each t-subset of the points if it is constant, else None.
+
+    A t-subset's count is the popcount of the AND of its points' masks."""
+    require_work(comb(len(columns), t) * k, max_work, "covalency scan")
+    every = (1 << k) - 1
     expected = None
-    for subset in combinations(points, t):
-        sm = to_mask(subset)
-        count = sum(1 for m in masks if m & sm == sm)
+    for subset in combinations(columns, t):
+        held = every
+        for lines in subset:
+            held &= lines
+        count = held.bit_count()
         if expected is None:
             expected = count
         elif count != expected:
@@ -91,10 +104,10 @@ def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) ->
     scan stops at the first tuple size without a constant count and every
     larger size reads None, uncharged by the work guard.
     """
-    masks, points = _fit(ann, range(v), ann.block_size)
+    columns, k = _fit(ann, range(v), ann.block_size)
     table = []
     for t in range(ann.block_size + 1):
-        value = _scan(masks, points, t, max_work)
+        value = _scan(columns, k, t, max_work)
         if value is None:
             break
         table.append(value)

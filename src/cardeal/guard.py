@@ -14,15 +14,23 @@ class WorkLimitExceeded(RuntimeError):
 
 
 def resolve_max_work(value: int | None = None) -> int:
-    """Explicit value if given, else the CARDEAL_MAX_WORK variable, else 10^8."""
+    """Explicit value if given, else the CARDEAL_MAX_WORK variable, else 10^8.
+
+    A negative limit, from either source, is refused with a ValueError naming it.
+    """
     if value is not None:
+        if value < 0:
+            raise ValueError(f"the work limit (max_work, --max-work) must be nonnegative, got {value}")
         return value
     env = os.environ.get(ENV_VAR)
     if env:
         try:
-            return int(env)
+            limit = int(env)
         except ValueError:
             raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
+        if limit < 0:
+            raise ValueError(f"{ENV_VAR} must be nonnegative, got {env!r}")
+        return limit
     return DEFAULT_MAX_WORK
 
 

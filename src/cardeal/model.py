@@ -5,8 +5,10 @@ are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
 as dictionary keys. The ``Announcement`` constructor alone enforces the
 announcement invariant. ``check_lines`` checks an announcement's line size
-and card range; ``check_fit`` alone turns its lines into masks, after those
-checks, so an absurd card label never reaches a mask.
+and card range. Two functions alone turn lines into masks, each after those
+checks, so an absurd card label never reaches a mask: ``check_fit`` builds
+one mask per line (bit y set iff the line holds card y) and ``card_masks``
+its transpose, one mask per card (bit i set iff line i holds the card).
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
@@ -104,7 +106,7 @@ class Announcement:
     """One or more distinct, equally sized lines in canonical order.
 
     The constructor rejects anything else with ValueError; equality and
-    hashing use ``lines``. Line masks come from ``check_fit``.
+    hashing use ``lines``. Masks come from ``check_fit`` and ``card_masks``.
     """
 
     lines: tuple[CardSet, ...]
@@ -154,9 +156,24 @@ def check_lines(ann: Announcement, size: int, v: int) -> None:
 
 
 def check_fit(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
-    """The line masks, built only once ``check_lines`` passes: the one builder of masks."""
+    """The line masks, built only once ``check_lines`` passes: the one builder of line masks."""
     check_lines(ann, size, v)
     return tuple(map(to_mask, ann.lines))
+
+
+def card_masks(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
+    """The per-card masks, built only once ``check_lines`` passes: entry y has bit i set iff line i holds y.
+
+    The one builder of per-card masks; a count of lines holding a card set is
+    the popcount of an AND of its entries.
+    """
+    check_lines(ann, size, v)
+    cards = [0] * v
+    for i, line in enumerate(ann.lines):
+        bit = 1 << i
+        for card in line:
+            cards[card] |= bit
+    return tuple(cards)
 
 
 @dataclass(frozen=True)

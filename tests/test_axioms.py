@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -141,13 +142,56 @@ def test_work_guard(five_hand, p331, monkeypatch):
 
 
 def test_work_estimate_is_pairs_plus_c_set_sweep(five_hand, p331):
-    # C(5, 2) line pairs for CA1, then 7 c-sets against 5 lines: 10 + 35 = 45
+    # C(5, 2) line pairs for CA1, then 7 c-sets: check_axioms counts each
+    # c-set's 6 outside cards (10 + 42 = 52), is_good tests its 5 lines (10 + 35 = 45)
     with pytest.raises(WorkLimitExceeded):
-        check_axioms(five_hand, p331, max_work=44)
+        check_axioms(five_hand, p331, max_work=51)
     with pytest.raises(WorkLimitExceeded):
         is_good(five_hand, p331, max_work=44)
-    assert check_axioms(five_hand, p331, max_work=45).good
+    assert check_axioms(five_hand, p331, max_work=52).good
     assert is_good(five_hand, p331, max_work=45)
+
+
+def test_single_line_sweep_is_charged_per_outside_card():
+    # One line on 45 cards, but C(45, 3) = 14,190 c-sets of 42 outside cards
+    # each: 595,980 steps, not the 14,190 that one step per line would charge.
+    with pytest.raises(WorkLimitExceeded, match="595980"):
+        check_axioms(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=100_000)
+    assert is_good(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=100_000) is False
+
+
+def test_cathy_card_counts_agree_with_the_report():
+    # Both read the per-card masks: over the outside cards, cathy_card_counts
+    # gives the c-set's CA4 constant or its violation's counts.
+    rng = random.Random(4913)
+    checked = 0
+    for params in (Parameters(3, 3, 1), Parameters(4, 3, 1), Parameters(3, 2, 2), Parameters(2, 2, 3)):
+        all_lines = list(combinations(range(params.v), params.a))
+        for _ in range(75):
+            ann = Announcement.of(rng.sample(all_lines, rng.randint(1, 12)))
+            report = check_axioms(ann, params)
+            for xs in combinations(range(params.v), params.c):
+                counts = cathy_card_counts(ann, xs, params)
+                outside = tuple((y, counts[y]) for y in range(params.v) if y not in xs)
+                assert all(counts[x] == 0 for x in xs)
+                witness = report.ca4.violation_for(xs)
+                if witness is None:
+                    assert {n for _, n in outside} == {report.ca4.constants[xs]}
+                else:
+                    assert witness.counts == outside
+            checked += 1
+    assert checked == 300
+
+
+@pytest.mark.parametrize("source", ["argument", "variable"])
+def test_negative_max_work_is_refused_naming_its_source(source, monkeypatch):
+    if source == "argument":
+        with pytest.raises(ValueError, match="--max-work.*-1"):
+            resolve_max_work(-1)
+    else:
+        monkeypatch.setenv("CARDEAL_MAX_WORK", "-1")
+        with pytest.raises(ValueError, match="CARDEAL_MAX_WORK.*'-1'"):
+            resolve_max_work()
 
 
 def test_bad_max_work_variable_is_named(monkeypatch):

@@ -113,6 +113,18 @@ def test_bad_max_work_variable_exit_2():
     assert "CARDEAL_MAX_WORK" in proc.stderr and "abc" in proc.stderr
 
 
+@pytest.mark.parametrize("source, named", [("option", "--max-work"), ("variable", "CARDEAL_MAX_WORK")])
+def test_negative_max_work_exit_2_naming_its_source(source, named, capsys, monkeypatch):
+    argv = ["verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246"]
+    if source == "option":
+        argv += ["--max-work", "-1"]
+    else:
+        monkeypatch.setenv("CARDEAL_MAX_WORK", "-1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert named in err and "nonnegative" in err and "-1" in err
+
+
 def test_analyze_obeys_callers_limit():
     proc = run_process(
         "analyze", "--protocol", "uniform60", "--max-work", "1000000",

@@ -1,21 +1,34 @@
-"""Differential test of the axiom kernel against the brute-force quantifiers.
+"""Differential test of the axiom kernel and the covalency scanner against brute-force loops.
 
-The oracle below decides CA1 the direct way, by sweeping every b-set, counts
-CA5 over the receiver's candidate b-sets themselves, and keeps the
-standalone CA1-CA3 loop that ``is_good`` once was. The kernel decides CA1
-over line pairs and reads CA2-CA5 off one per-card count per c-set; the two
-must agree on every verdict and produce equal witnesses, not merely
-equivalent ones.
+The axiom oracle below decides CA1 the direct way, by sweeping every b-set,
+walks the avoiding lines of each c-set to count CA2-CA4, counts CA5 over the
+receiver's candidate b-sets themselves, and keeps the standalone CA1-CA3
+loop that ``is_good`` once was. The kernel decides CA1 over line pairs and
+reads CA2-CA5 off one popcount per outside card and c-set; the two must
+agree on every verdict and produce equal witnesses, not merely equivalent
+ones. The covalency oracle tests every line against every t-subset, where
+the scanner takes one popcount of an AND of per-point masks.
 """
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from test_acceptance import _theorem_corpus
 
-from cardeal import Announcement, Parameters, check_axioms, is_good
+from cardeal import (
+    Announcement,
+    Parameters,
+    check_axioms,
+    covalency,
+    covalency_over,
+    design_profile,
+    is_good,
+    lines_avoiding,
+)
 from cardeal.designs import binary_design
+from cardeal.guard import DEFAULT_MAX_WORK
 from cardeal.axioms import (
     AmbiguityWitness,
     AxiomReport,
@@ -98,33 +111,73 @@ def oracle_is_good(ann, params):
     return True
 
 
-def _random_corpus(seed, params, count):
-    rng = random.Random(seed)
+def oracle_covalency_over(lines, points, t):
+    masks = [to_mask(line) for line in lines]
+    expected = None
+    for subset in combinations(sorted(points), t):
+        sm = to_mask(subset)
+        count = sum(1 for m in masks if m & sm == sm)
+        if expected is None:
+            expected = count
+        elif count != expected:
+            return None
+    return 0 if expected is None else expected
+
+
+def oracle_design_profile(ann, v):
+    table = []
+    for t in range(ann.block_size + 1):
+        value = oracle_covalency_over(ann.lines, range(v), t)
+        if value is None:
+            break
+        table.append(value)
+    return tuple(table) + (None,) * (ann.block_size + 1 - len(table))
+
+
+def _random_lines(rng, params, fewest, most):
     all_lines = list(combinations(range(params.v), params.a))
-    return [
-        (params, Announcement.of(rng.sample(all_lines, rng.randint(1, min(8, len(all_lines))))))
-        for _ in range(count)
-    ]
+    return Announcement.of(rng.sample(all_lines, rng.randint(fewest, min(most, len(all_lines)))))
+
+
+def _random_corpus(seed, params, count, fewest=1, most=8):
+    rng = random.Random(seed)
+    return [(params, _random_lines(rng, params, fewest, most)) for _ in range(count)]
 
 
 def _assert_kernel_matches_oracle(corpus):
+    """Reports equal the oracle's; returns how many fail CA1."""
     ca1_failures = 0
     for params, ann in corpus:
         report = check_axioms(ann, params)
         assert report == oracle_check_axioms(ann, params), (params, ann)
         assert is_good(ann, params) == oracle_is_good(ann, params) == report.good, (params, ann)
         ca1_failures += not report.ca1.passed
-    # both sides of CA1 are exercised
-    assert 0 < ca1_failures < len(corpus)
+    return ca1_failures
+
+
+def _assert_kernel_matches_oracle_on_both_sides_of_ca1(corpus):
+    assert 0 < _assert_kernel_matches_oracle(corpus) < len(corpus)
 
 
 def test_kernel_matches_oracle_on_theorem_corpus():
-    _assert_kernel_matches_oracle(_theorem_corpus(20240331, 5000))
+    _assert_kernel_matches_oracle_on_both_sides_of_ca1(_theorem_corpus(20240331, 5000))
 
 
 @pytest.mark.parametrize("abc", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
 def test_kernel_matches_oracle_on_random_announcements(abc):
-    _assert_kernel_matches_oracle(_random_corpus(sum(abc) * 1000 + abc[0], Parameters(*abc), 1500))
+    _assert_kernel_matches_oracle_on_both_sides_of_ca1(
+        _random_corpus(sum(abc) * 1000 + abc[0], Parameters(*abc), 1500)
+    )
+
+
+@pytest.mark.parametrize("abc, count", [((4, 3, 1), 60), ((3, 2, 2), 40), ((4, 2, 3), 40)])
+def test_kernel_matches_oracle_on_many_line_announcements(abc, count):
+    # From 31 lines up to every line of the deck, at c = 1, 2, 3: the
+    # per-card masks then span more than one 30-bit digit of a Python int.
+    # So many lines always hold a clashing pair, so every report fails CA1.
+    params = Parameters(*abc)
+    corpus = _random_corpus(sum(abc) * 1000 + abc[0], params, count, fewest=31, most=comb(params.v, params.a))
+    assert _assert_kernel_matches_oracle(corpus) == count
 
 
 def test_kernel_matches_oracle_on_binary_designs():
@@ -139,7 +192,37 @@ def test_kernel_matches_oracle_on_binary_designs():
         first = design.lines[0]
         moved = first[:-1] + (min(set(range(params.v)) - set(first)),)
         corpus += [(params, design), (params, Announcement.of([*design.lines, moved]))]
-    _assert_kernel_matches_oracle(corpus)
+    _assert_kernel_matches_oracle_on_both_sides_of_ca1(corpus)
+
+
+def _assert_scanner_matches_oracle(ann, v):
+    """Profile, covalency and every one-card residual's covalency_over equal the oracle's.
+
+    Every tuple size the default work limit admits is scanned, None included.
+    """
+    assert design_profile(ann, v).covalencies == oracle_design_profile(ann, v), ann
+    for t in range(ann.block_size + 1):
+        if comb(v, t) * len(ann) > DEFAULT_MAX_WORK:
+            continue
+        assert covalency(ann, v, t) == oracle_covalency_over(ann.lines, range(v), t), (ann, t)
+        for x in range(v):
+            residual, points = lines_avoiding(ann, (x,)), [p for p in range(v) if p != x]
+            expected = oracle_covalency_over(residual, points, t)
+            assert covalency_over(residual, points, t) == expected, (ann, x, t)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_scanner_matches_oracle_on_binary_designs(n):
+    _assert_scanner_matches_oracle(binary_design(n), 1 << n)
+
+
+@pytest.mark.parametrize("abc", [(3, 3, 1), (4, 3, 1)])
+def test_scanner_matches_oracle_on_random_collections(abc):
+    # From one line up to every line of the deck, so some residuals are empty
+    # and some masks span more than one 30-bit digit.
+    params = Parameters(*abc)
+    for _, ann in _random_corpus(abc[0], params, 200, most=comb(params.v, params.a)):
+        _assert_scanner_matches_oracle(ann, params.v)
 
 
 def test_ca1_witness_is_first_b_set_with_every_avoiding_line(p331):
