@@ -12,8 +12,11 @@ announcer's actual hand:
 where weight is ``Protocol.hand_weight``: equal mass for the two hand
 classes under the literal fact2 reading, 1 otherwise. The protocol's
 ``likelihoods`` index holds exactly these products per announcement, built
-once per protocol, so a posterior is one column lookup plus a disjointness
-test per line. All probabilities stay exact rationals end to end.
+once per protocol, as integer numerators over one protocol-wide
+denominator. A posterior is one column lookup, a disjointness test and an
+integer sum over the lines, and one exact ``Fraction`` per line; the bias
+report likewise sums integers and builds a ``Fraction`` only for each value
+it reports. No floating point enters any probability.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterable
 
 from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
-from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json
+from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json, common_denominator
 
 
 @dataclass(frozen=True)
@@ -79,21 +82,21 @@ def posterior_lines(
     obs = card_set(observer, params.v)
     if len(obs) not in (0, params.c):
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
-    seen = set(obs)
-    column = proto.likelihoods.get(ann, {})
-    weights = [
-        column.get(line, Fraction(0)) if seen.isdisjoint(line) else Fraction(0)
-        for line in ann.lines
-    ]
-    total = sum(weights, Fraction(0))
+    weights, total = _line_weights(proto, ann, set(obs))
+    posteriors = tuple((line, Fraction(w, total)) for line, w in zip(ann.lines, weights))
+    return PosteriorTable(ann, obs, posteriors)
+
+
+def _line_weights(proto: Protocol, ann: Announcement, seen: set[int]) -> tuple[list[int], int]:
+    """Each line's likelihood numerator, 0 where it meets ``seen``, and their sum, which must be positive."""
+    column = proto.likelihoods.columns.get(ann, {})
+    weights = [column.get(line, 0) if seen.isdisjoint(line) else 0 for line in ann.lines]
+    total = sum(weights)
     if total == 0:
         raise ValueError(
             "announcement is not produced by any hand consistent with the observer"
         )
-    posteriors = tuple(
-        (line, weight / total) for line, weight in zip(ann.lines, weights)
-    )
-    return PosteriorTable(ann, obs, posteriors)
+    return weights, total
 
 
 def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
@@ -110,23 +113,22 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
     triple_in_hand: dict[Announcement, Fraction] = {}
     # Unconditional chance that the produced announcement's most frequent
     # card is actually held; the uniform hand prior cancels out of the ratio.
-    in_mass = Fraction(0)
+    # in_mass counts over the index's denominator.
+    in_mass = 0
+    columns = proto.likelihoods.columns
     for ann in proto.support():
-        table = posterior_lines(proto, ann)
-        uniform = Fraction(1, len(ann.lines))
-        max_deviation = max(
-            max_deviation, max(abs(p - uniform) for _, p in table.posteriors)
-        )
+        weights, total = _line_weights(proto, ann, set())
+        k = len(ann.lines)
+        # |w/total - 1/k| = |k*w - total| / (k*total)
+        deviation = Fraction(max(abs(k * w - total) for w in weights), k * total)
+        max_deviation = max(max_deviation, deviation)
         top = triple_point(ann)
         if top is not None:
-            triple_in_hand[ann] = sum(
-                (p for line, p in table.posteriors if top in line), Fraction(0)
-            )
-            in_mass += sum(
-                (w for hand, w in proto.likelihoods[ann].items() if top in hand), Fraction(0)
-            )
-    all_mass = sum((proto.hand_weight(hand) for hand in proto.table), Fraction(0))
-    class_balance = in_mass / all_mass
+            held = sum(w for line, w in zip(ann.lines, weights) if top in line)
+            triple_in_hand[ann] = Fraction(held, total)
+            in_mass += sum(w for hand, w in columns[ann].items() if top in hand)
+    weight_den, hand_weights = common_denominator([proto.hand_weight(hand) for hand in proto.table])
+    class_balance = Fraction(in_mass * weight_den, proto.likelihoods.denominator * sum(hand_weights))
 
     reference_hand = tuple(range(params.a))
     reference_anns = enumerate_good_announcements(params, reference_hand, PAPER_LINES, max_work=max_work)

@@ -30,10 +30,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate
-from math import comb, lcm
-from typing import Iterable
+from math import comb, gcd, lcm
+from typing import Iterable, Sequence
 
 from .axioms import is_good
 from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
@@ -43,6 +43,7 @@ from .model import (
     CardSet,
     Parameters,
     card_set,
+    check_lines,
     enumerate_ksets,
     format_announcement,
     format_card_set,
@@ -53,6 +54,24 @@ from .model import (
 PAPER_PARAMS = Parameters(3, 3, 1)
 PAPER_LINES = 5
 PROTOCOL_KINDS = ("uniform60", "fact1", "fact2_conditional", "fact2_literal")
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm D of the values' denominators, and each value's exact integer numerator over D."""
+    denominator = lcm(*{value.denominator for value in values})
+    return denominator, [value.numerator * (denominator // value.denominator) for value in values]
+
+
+@dataclass(frozen=True)
+class Likelihoods:
+    """A protocol's table indexed by announcement, in integers over one denominator.
+
+    ``columns[ann][hand] / denominator`` is the hand's probability of
+    producing ``ann`` times its hand weight.
+    """
+
+    denominator: int
+    columns: dict[Announcement, dict[CardSet, int]]
 
 
 @dataclass(frozen=True)
@@ -76,23 +95,39 @@ class Protocol:
         return _literal_weight(self.params, self.point in hand)
 
     @cached_property
-    def likelihoods(self) -> dict[Announcement, dict[CardSet, Fraction]]:
+    def likelihoods(self) -> Likelihoods:
         """Per producible announcement, each producing hand's probability times its weight.
 
         Repeated entries for one hand and announcement are summed, as sampling
-        counts them.
+        counts them. Every sum is kept as an integer numerator over one
+        protocol-wide denominator, the lcm of the sums' own denominators, so
+        equal sums give equal indexes. A negative probability is refused with
+        ValueError naming its hand and announcement.
         """
-        index: dict[Announcement, dict[CardSet, Fraction]] = {}
-        for hand, dist in self.table.items():
-            weight = self.hand_weight(hand)
-            for ann, p in dist:
-                column = index.setdefault(ann, {})
-                column[hand] = column.get(hand, 0) + p * weight
-        return index
+        entries = [(hand, ann, p) for hand, dist in self.table.items() for ann, p in dist]
+        prob_den, masses = common_denominator([p for _, _, p in entries])
+        weight_den, weights = common_denominator([self.hand_weight(hand) for hand in self.table])
+        weight = dict(zip(self.table, weights))
+        columns: dict[Announcement, dict[CardSet, int]] = {}
+        for (hand, ann, p), mass in zip(entries, masses):
+            if mass < 0:
+                raise ValueError(
+                    f"hand {hand} gives announcement {ann.lines} the negative probability {p}"
+                )
+            column = columns.setdefault(ann, {})
+            column[hand] = column.get(hand, 0) + mass * weight[hand]
+        denominator = prob_den * weight_den
+        shared = gcd(denominator, *(n for column in columns.values() for n in column.values()))
+        if shared > 1:
+            denominator //= shared
+            for column in columns.values():
+                for hand in column:
+                    column[hand] //= shared
+        return Likelihoods(denominator, columns)
 
     def support(self) -> list[Announcement]:
         """Every announcement some hand can produce, canonically ordered."""
-        return sorted(self.likelihoods, key=lambda ann: ann.lines)
+        return sorted(self.likelihoods.columns, key=lambda ann: ann.lines)
 
 
 def _literal_weight(params: Parameters, holds_point: bool) -> Fraction:
@@ -159,12 +194,12 @@ def sample_many(proto: Protocol, hand: Iterable[int], seed, n: int) -> list[Anno
     if hand not in proto.table:
         raise KeyError(f"unknown hand {hand}")
     dist = proto.table[hand]
-    if any(p < 0 for _, p in dist):
+    denom, masses = common_denominator([p for _, p in dist])
+    if any(mass < 0 for mass in masses):
         raise ValueError(f"distribution for {hand} has a negative probability")
-    denom = lcm(*(p.denominator for _, p in dist))
     # thresholds[i] is the mass of the first i entries; a ticket selects the
     # first entry whose upper threshold exceeds it
-    thresholds = list(accumulate((int(p * denom) for _, p in dist), initial=0))
+    thresholds = list(accumulate(masses, initial=0))
     if thresholds[-1] != denom:
         raise ValueError(f"distribution for {hand} sums to {Fraction(thresholds[-1], denom)}")
     rng = random.Random(seed)
@@ -185,23 +220,28 @@ class ValidationReport:
 
 
 def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> ValidationReport:
-    """Confirm coverage, exact normalization, no repeated entry, truthfulness and CA1-CA3 safety."""
+    """Confirm coverage, exact normalization, no repeated entry, truthfulness and CA1-CA3 safety.
+
+    An announcement whose lines do not fit the deal is reported as unsafe.
+    """
     issues: list[ValidationIssue] = []
     params = proto.params
     require_work(comb(params.v, params.a), max_work, "protocol coverage check")
     for hand in enumerate_ksets(params.v, params.a):
         if hand not in proto.table:
             issues.append(ValidationIssue("coverage", hand, f"hand {hand} has no distribution"))
-    good = {ann: is_good(ann, params, max_work=max_work) for ann in proto.likelihoods}
+    listed_anywhere = dict.fromkeys(ann for dist in proto.table.values() for ann, _ in dist)
+    unsafe = {ann: _unsafe(ann, params, max_work) for ann in listed_anywhere}
     for hand, dist in sorted(proto.table.items()):
-        total = sum((p for _, p in dist), Fraction(0))
-        if total != 1:
+        denom, masses = common_denominator([p for _, p in dist])
+        if sum(masses) != denom:
+            total = Fraction(sum(masses), denom)
             issues.append(
                 ValidationIssue("normalization", hand, f"probabilities sum to {total}, not 1")
             )
         listed: set[Announcement] = set()
-        for ann, p in dist:
-            if p <= 0:
+        for (ann, p), mass in zip(dist, masses):
+            if mass <= 0:
                 issues.append(
                     ValidationIssue("positivity", hand, f"probability {p} is not positive")
                 )
@@ -216,11 +256,20 @@ def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> Valida
                         "truthfulness", hand, f"announcement {ann.lines} does not contain {hand}"
                     )
                 )
-            if not good[ann]:
-                issues.append(
-                    ValidationIssue("safety", hand, f"announcement {ann.lines} is not good")
-                )
+            if unsafe[ann]:
+                issues.append(ValidationIssue("safety", hand, unsafe[ann]))
     return ValidationReport(not issues, tuple(issues))
+
+
+def _unsafe(ann: Announcement, params: Parameters, max_work: int | None) -> str | None:
+    """Why ``ann`` is not a safe announcement at ``params``, or None if it is good."""
+    try:
+        check_lines(ann, params.a, params.v)
+    except ValueError as exc:
+        return f"announcement {ann.lines} does not fit {params}: {exc}"
+    if is_good(ann, params, max_work=max_work):
+        return None
+    return f"announcement {ann.lines} is not good"
 
 
 def _fraction_json(value: Fraction) -> dict:
@@ -243,6 +292,7 @@ def _class_weights_json(kind: str, params: Parameters) -> dict | None:
 def protocol_json(proto: Protocol) -> dict:
     """Serialisable form with exact rationals as {"num": ..., "den": ...}."""
     params = proto.params
+    text = cache(partial(format_announcement, params=params))  # each distinct announcement once
     return {
         "kind": proto.kind,
         "params": [params.a, params.b, params.c],
@@ -250,7 +300,7 @@ def protocol_json(proto: Protocol) -> dict:
         "class_weights": _class_weights_json(proto.kind, params),
         "table": {
             format_card_set(hand, params.v): [
-                {"announcement": format_announcement(ann, params), "p": _fraction_json(p)}
+                {"announcement": text(ann), "p": _fraction_json(p)}
                 for ann, p in dist
             ]
             for hand, dist in sorted(proto.table.items())
@@ -259,14 +309,23 @@ def protocol_json(proto: Protocol) -> dict:
 
 
 def protocol_from_json(data: dict) -> Protocol:
+    """Inverse of ``protocol_json``; each distinct announcement text is parsed once per call."""
     params = Parameters(*data["params"])
     _check_request(data["kind"], params, data.get("point"))
     expected = _class_weights_json(data["kind"], params)
     if data.get("class_weights") != expected:
         raise ValueError(f"{data['kind']} protocol at {params} needs class_weights {expected}")
+    parsed: dict[str, Announcement] = {}
+
+    def announcement(text) -> Announcement:
+        # a non-text entry is never looked up: it reaches the parser, which refuses it
+        if not (isinstance(text, str) and text in parsed):
+            parsed[text] = parse_announcement(text, params)
+        return parsed[text]
+
     table = {
         parse_card_set(hand_text, params.v): tuple(
-            (parse_announcement(entry["announcement"], params), _fraction_from_json(entry["p"]))
+            (announcement(entry["announcement"]), _fraction_from_json(entry["p"]))
             for entry in entries
         )
         for hand_text, entries in data["table"].items()

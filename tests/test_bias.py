@@ -6,23 +6,31 @@ table entry (times the class factor for the literal fact2 reading), and
 reads posteriors off the accumulated joint weights.
 """
 
+import random
+import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 import cardeal.bias
 import cardeal.model
 from cardeal import (
+    PAPER_LINES,
     Parameters,
     bias_report,
     build_protocol,
     card_set,
+    enumerate_good_announcements,
+    enumerate_ksets,
     parse_announcement,
     posterior_lines,
     prior_point_in_hand,
     protocol_from_json,
     protocol_json,
+    sample_many,
+    triple_point,
     validate_protocol,
 )
 from cardeal.bias import PosteriorTable, bias_report_json, posterior_json
@@ -77,8 +85,9 @@ def table_posterior_lines(proto, ann, observer=()):
         if obs_cards & set(line):
             weights.append(Fraction(0))
             continue
-        dist = dict(proto.table.get(line, ()))
-        weights.append(dist.get(ann, Fraction(0)) * proto.hand_weight(line))
+        # repeated entries for one announcement are summed, as sampling counts them
+        p = sum((q for entry, q in proto.table.get(line, ()) if entry == ann), Fraction(0))
+        weights.append(p * proto.hand_weight(line))
     total = sum(weights, Fraction(0))
     if total == 0:
         raise ValueError(
@@ -328,3 +337,122 @@ def test_json_forms(protocols, p331):
     report_data = bias_report_json(bias_report(protocols["fact1"]), p331)
     assert report_data["class_balance"] == {"num": 1, "den": 2}
     assert report_data["references"]["even_split"] == {"num": 1, "den": 2}
+
+
+def table_likelihoods(proto):
+    """Oracle: the announcement index summed entry by entry in Fractions."""
+    index = {}
+    for hand, dist in proto.table.items():
+        for ann, p in dist:
+            column = index.setdefault(ann, {})
+            column[hand] = column.get(hand, 0) + p * proto.hand_weight(hand)
+    return index
+
+
+def table_bias_figures(proto):
+    """Oracle: a bias report's deviation, triple posteriors and class balance, in Fractions."""
+    support = sorted({ann for dist in proto.table.values() for ann, _ in dist}, key=lambda a: a.lines)
+    max_deviation = Fraction(0)
+    triple_in_hand = {}
+    for ann in support:
+        posteriors = table_posterior_lines(proto, ann).posteriors
+        uniform = Fraction(1, len(ann.lines))
+        max_deviation = max([max_deviation] + [abs(p - uniform) for _, p in posteriors])
+        top = triple_point(ann)
+        if top is not None:
+            triple_in_hand[ann] = sum((p for line, p in posteriors if top in line), Fraction(0))
+    in_mass = sum(
+        (
+            p * proto.hand_weight(hand)
+            for hand, dist in proto.table.items()
+            for ann, p in dist
+            if triple_point(ann) is not None and triple_point(ann) in hand
+        ),
+        Fraction(0),
+    )
+    all_mass = sum((proto.hand_weight(hand) for hand in proto.table), Fraction(0))
+    return max_deviation, triple_in_hand, in_mass / all_mass
+
+
+def random_protocol(rng, params):
+    """A seeded table: some hands left out, mixed denominators, repeated entries, zero ones in some tables."""
+    least = rng.randrange(2)
+    table = {}
+    for hand in enumerate_ksets(params.v, params.a):
+        if rng.random() < 0.1:
+            continue
+        anns = enumerate_good_announcements(params, hand, PAPER_LINES)
+        entries = [
+            (ann, Fraction(rng.randrange(least, 4), rng.choice((1, 2, 3, 5, 7, 12, 60))))
+            for ann in rng.sample(anns, 6)
+        ]
+        table[hand] = tuple(entries + rng.sample(entries, 2))
+    if rng.random() < 0.5:
+        return Protocol("fact2_literal", params, table, rng.randrange(params.v))
+    return Protocol("uniform60", params, table)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_index_matches_fraction_oracle_on_random_tables(seed, p331):
+    proto = random_protocol(random.Random(seed), p331)
+    index = proto.likelihoods
+    expected = table_likelihoods(proto)
+    assert {
+        ann: {hand: Fraction(n, index.denominator) for hand, n in column.items()}
+        for ann, column in index.columns.items()
+    } == expected
+    denominators = [w.denominator for column in expected.values() for w in column.values()]
+    assert index.denominator == lcm(*denominators)
+    support = proto.support()
+    assert support == sorted(expected, key=lambda ann: ann.lines)
+    for ann in support:
+        for observer in OBSERVERS:
+            want = outcome(table_posterior_lines, proto, ann, observer)
+            assert outcome(posterior_lines, proto, ann, observer) == want, (ann, observer)
+    try:
+        want = table_bias_figures(proto)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bias_report(proto)
+        assert str(got.value) == str(exc)
+    else:
+        report = bias_report(proto)
+        assert (report.max_uniform_deviation, report.triple_in_hand, report.class_balance) == want
+
+
+def test_random_tables_reach_every_outcome(p331):
+    # the differential test above meets both kinds, posteriors and refusals, reports and refusals
+    seen = set()
+    for seed in range(8):
+        proto = random_protocol(random.Random(seed), p331)
+        seen.add(proto.kind)
+        for ann in proto.support():
+            for observer in OBSERVERS:
+                seen.add(type(outcome(posterior_lines, proto, ann, observer)).__name__)
+        try:
+            bias_report(proto)
+            seen.add("report")
+        except ValueError:
+            seen.add("refused report")
+    assert seen == {"uniform60", "fact2_literal", "PosteriorTable", "tuple", "report", "refused report"}
+
+
+def test_negative_probability_is_refused_by_the_index(protocols, p331):
+    proto = protocols["uniform60"]
+    hand = (0, 1, 2)
+    (a1, p), (a2, _), *rest = proto.table[hand]
+    table = dict(proto.table)
+    table[hand] = ((a1, -p), (a2, 3 * p), *rest)
+
+    def negative():
+        return Protocol("uniform60", p331, table)
+
+    message = rf"hand \(0, 1, 2\) gives announcement {re.escape(str(a1.lines))} the negative probability -1/60"
+    with pytest.raises(ValueError, match=message):
+        posterior_lines(negative(), a1, (6,))
+    with pytest.raises(ValueError, match=message):
+        bias_report(negative())
+    with pytest.raises(ValueError, match="negative"):
+        sample_many(negative(), hand, 0, 10)
+    report = validate_protocol(negative())
+    assert [(issue.kind, issue.hand) for issue in report.issues] == [("positivity", hand)]

@@ -7,12 +7,16 @@ import pytest
 
 from cardeal import (
     PAPER_LINES,
+    Announcement,
+    AnnouncementParseError,
     Parameters,
     WorkLimitExceeded,
     build_protocol,
     classify_by_triple,
     enumerate_good_announcements,
     enumerate_ksets,
+    format_announcement,
+    format_card_set,
     parse_announcement,
     protocol_from_json,
     protocol_json,
@@ -297,3 +301,73 @@ def test_protocol_from_json_applies_the_request_rule(kind, point, edit, p331_mod
     data = protocol_json(build_protocol(kind, p331_module, point))
     with pytest.raises(ValueError):
         protocol_from_json({**data, **edit})
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (((0, 1), (2, 3)), "lines have 2 cards, expected 3"),
+        (((0, 1, 2), (3, 4, 9)), "card 9 out of range for deck size 7"),
+    ],
+)
+def test_validation_reports_announcements_that_do_not_fit_as_unsafe(lines, message, uniform60, p331_module):
+    hand = (0, 1, 2)
+    table = dict(uniform60.table)
+    table[hand] = table[hand][:-1] + ((Announcement(lines), Fraction(1, 60)),)
+    broken = Protocol("uniform60", p331_module, table)
+    report = validate_protocol(broken)
+    safety = [issue for issue in report.issues if issue.kind == "safety"]
+    assert [issue.hand for issue in safety] == [hand]
+    assert message in safety[0].message and str(lines) in safety[0].message
+    # C(5, 2) + 7 * 5 = 45 steps per good announcement's check: the guard still refuses
+    with pytest.raises(WorkLimitExceeded):
+        validate_protocol(broken, max_work=44)
+
+
+def per_entry_table_json(proto):
+    """Oracle: the JSON table formatted entry by entry."""
+    v = proto.params.v
+    return {
+        format_card_set(hand, v): [
+            {"announcement": format_announcement(ann, proto.params), "p": {"num": p.numerator, "den": p.denominator}}
+            for ann, p in dist
+        ]
+        for hand, dist in sorted(proto.table.items())
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, point", [("uniform60", None), ("fact1", None), ("fact2_conditional", 3), ("fact2_literal", 5)]
+)
+def test_protocol_json_table_matches_per_entry_oracle(kind, point, p331_module):
+    proto = build_protocol(kind, p331_module, point)
+    assert protocol_json(proto)["table"] == per_entry_table_json(proto)
+
+
+def _entries_of(data, text):
+    """Every JSON table entry whose announcement text is ``text``."""
+    return [entry for entries in data["table"].values() for entry in entries if entry["announcement"] == text]
+
+
+def test_protocol_from_json_reads_one_announcement_spelled_two_ways(uniform60, p331_module):
+    data = protocol_json(uniform60)
+    first, second, *_ = _entries_of(data, "012 034 056 135 246")
+    first["announcement"] = "210 043 065 153 264"
+    restored = protocol_from_json(data)
+    assert restored == uniform60
+    five = parse_announcement("012 034 056 135 246", p331_module)
+    assert sum(ann == five for dist in restored.table.values() for ann, _ in dist) == 5
+    assert second["announcement"] == "012 034 056 135 246"
+
+
+def test_protocol_from_json_repeated_malformed_text_keeps_its_error(uniform60, p331_module):
+    bad = "012 034 056 135 249"
+    with pytest.raises(AnnouncementParseError) as direct:
+        parse_announcement(bad, p331_module)
+    data = protocol_json(uniform60)
+    for entry in _entries_of(data, "012 034 056 135 246")[:2]:
+        entry["announcement"] = bad
+    for _ in range(2):  # nothing is remembered between calls
+        with pytest.raises(AnnouncementParseError) as loaded:
+            protocol_from_json(data)
+        assert str(loaded.value) == str(direct.value)
