@@ -20,7 +20,8 @@ One kernel decides them. CA1 is decided over the C(k, 2) line pairs, not the
 C(v, b) b-sets: it fails iff two lines leave b or more cards outside their
 union. ``_clash``, the one statement of that rule, returns such a pair's free
 mask; ``check_axioms``, ``is_good`` and enumeration all call it. The CA1
-witness is the least b-prefix (b smallest cards) of a clashing free mask.
+witness is the least b-prefix (b smallest cards) of a clashing free mask,
+found by comparing the prefixes as masks.
 For CA2-CA5, ``check_axioms`` counts once, for every c-set X, how many
 avoiding lines hold each card outside X. It reads the per-card masks of
 ``model.card_masks`` (bit i of card y's mask set iff line i holds y): the
@@ -30,8 +31,12 @@ count equals the number of avoiding lines, CA3 where some count is 0, CA4
 where the counts differ. The lines are distinct and lie outside X, so a card
 with count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off
 the same counts, m_X = |avoid_X| - n_X, and fails at exactly the c-sets where
-CA4 does. Witness tuples are built only for a c-set that violates an axiom.
-``cathy_card_counts`` takes the same popcounts for one c-set.
+CA4 does. The sweep records, per c-set, its constant or, where the counts
+differ, the c-set alone; the CA4 and CA5 verdicts share that list of
+violating c-sets, so a report takes O(C(v, c)) small entries. A
+``CountVerdict`` builds a witness's (card, count) pairs from the per-card
+masks only when it is read. ``cathy_card_counts`` takes the same popcounts
+for one c-set.
 ``_covers`` is the early-exit reading of CA2-CA3 over
 precomputed c-set masks. ``is_good`` is "no clashing pair and ``_covers``";
 enumeration clears CA1 during its search and calls ``_covers`` alone at each
@@ -41,9 +46,10 @@ leaf, so both share one CA2-CA3 decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .guard import require_work
 from .model import (
@@ -112,29 +118,51 @@ class AxiomVerdict:
     witness: object | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountVerdict:
     """Constancy verdict for CA4 or CA5 across every c-set.
 
     ``constants`` maps each c-set with a constant count to that count; every
-    other c-set appears in ``violations`` with its uneven counts. The verdict
-    passes iff there are no violations.
+    other c-set is listed, in lexicographic order, in ``violating``. The
+    verdict passes iff that list is empty. The per-card counts of a violating
+    c-set are not stored: ``counts_outside`` builds them, as (card, count)
+    pairs over the cards outside the set, whenever a witness is read. Two
+    verdicts are equal iff their constants and every witness's counts are.
     """
 
-    passed: bool
-    constants: dict[CardSet, int] = field(default_factory=dict)
-    violations: tuple[UnevenCountWitness, ...] = ()
+    constants: dict[CardSet, int]
+    violating: tuple[CardSet, ...]
+    counts_outside: Callable[[CardSet], tuple[tuple[int, int], ...]] = field(repr=False)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violating
 
     @property
     def witness(self) -> UnevenCountWitness | None:
-        return self.violations[0] if self.violations else None
+        """The first violating c-set with its counts."""
+        return self._witness(self.violating[0]) if self.violating else None
+
+    @property
+    def violations(self) -> tuple[UnevenCountWitness, ...]:
+        """Every violating c-set with its counts, built afresh on each read."""
+        return tuple(map(self._witness, self.violating))
 
     def violation_for(self, x: Iterable[int]) -> UnevenCountWitness | None:
         key = tuple(sorted(x))
-        for witness in self.violations:
-            if witness.x == key:
-                return witness
-        return None
+        return self._witness(key) if key in self._violating_set else None
+
+    @cached_property
+    def _violating_set(self) -> frozenset[CardSet]:
+        return frozenset(self.violating)
+
+    def _witness(self, x: CardSet) -> UnevenCountWitness:
+        return UnevenCountWitness(x, self.counts_outside(x))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CountVerdict):
+            return NotImplemented
+        return self.constants == other.constants and self.violations == other.violations
 
 
 @dataclass(frozen=True)
@@ -208,8 +236,21 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
-    avoid = _avoiding((1 << len(ann)) - 1, (cards[card] for card in xs))
-    return {card: (lines & avoid).bit_count() for card, lines in enumerate(cards)}
+    return dict(enumerate(_card_counts(cards, (1 << len(ann)) - 1, xs)[1]))
+
+
+def _card_counts(cards: Sequence[int], every: int, xs: CardSet) -> tuple[int, list[int]]:
+    """The number of lines avoiding xs, and how many of them hold each deck card."""
+    avoid = _avoiding(every, (cards[card] for card in xs))
+    return avoid.bit_count(), [(lines & avoid).bit_count() for lines in cards]
+
+
+def _uneven_counts(cards: Sequence[int], every: int, ca5: bool, xs: CardSet) -> tuple[tuple[int, int], ...]:
+    """(card, count) for each card outside xs: n_X for CA4, or m_X = |avoid_X| - n_X for CA5."""
+    total, ns = _card_counts(cards, every, xs)
+    if ca5:
+        ns = [total - n for n in ns]
+    return tuple(zip(_outside(list(range(len(cards))), xs), _outside(ns, xs)))
 
 
 def _avoiding(every: int, inside: Iterable[int]) -> int:
@@ -283,50 +324,55 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     masks = _prepare(ann, params, max_work, v - c)
 
     ca1 = AxiomVerdict(True)
-    frees = [free for m1, m2 in combinations(masks, 2) if (free := _clash(m1, m2, v, b))]
-    if frees:
-        # The violating b-sets are the b-subsets of the clashing free masks,
-        # and a set's least b-subset is its b smallest cards.
-        x = min(from_mask(free)[:b] for free in frees)
+    least = 0
+    for m1, m2 in combinations(masks, 2):
+        if free := _clash(m1, m2, v, b):
+            # The violating b-sets are the b-subsets of the clashing free
+            # masks, a set's least b-subset is its b smallest cards, and of two
+            # such prefixes the lesser holds the least card where they differ.
+            prefix = 0
+            for _ in range(b):
+                prefix |= free & -free
+                free &= free - 1
+            if not least or prefix & (diff := least ^ prefix) & -diff:
+                least = prefix
+    if least:
+        x = from_mask(least)
         ca1 = AxiomVerdict(False, AmbiguityWitness(x, tuple(lines_avoiding(ann, x))))
 
     ca2 = AxiomVerdict(True)
     ca3 = AxiomVerdict(True)
     n_constants: dict[CardSet, int] = {}
     m_constants: dict[CardSet, int] = {}
-    n_violations: list[UnevenCountWitness] = []
-    m_violations: list[UnevenCountWitness] = []
+    violating: list[CardSet] = []
     cards = card_masks(ann, params.a, v)
     every = (1 << len(masks)) - 1
-    deck = range(v)
-    for xs, inside in zip(combinations(deck, c), combinations(cards, c)):
+    for xs, inside in zip(combinations(range(v), c), combinations(cards, c)):
         # One count per outside card decides CA2-CA5; CA5 reads |avoid| - n.
         avoid = _avoiding(every, inside)
         total = avoid.bit_count()
         ns = _outside([(lines & avoid).bit_count() for lines in cards], xs)
         low, high = min(ns), max(ns)
-        common, missing = total > 0 and high == total, low == 0
         if low == high:
             n_constants[xs] = low
             m_constants[xs] = total - low
-            if not (common or missing):
-                continue
-        ys = _outside(list(deck), xs)
-        if low != high:
-            n_violations.append(UnevenCountWitness(xs, tuple(zip(ys, ns))))
-            m_violations.append(UnevenCountWitness(xs, tuple(zip(ys, [total - n for n in ns]))))
-        if ca2.passed and common:
-            ca2 = AxiomVerdict(False, CommonCardWitness(xs, tuple(y for y, n in zip(ys, ns) if n == total)))
-        if ca3.passed and missing:
-            ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, tuple(y for y, n in zip(ys, ns) if not n)))
+        else:
+            violating.append(xs)
+        if ca2.passed and total and high == total:
+            common = tuple(y for y, lines in enumerate(cards) if lines & avoid == avoid)
+            ca2 = AxiomVerdict(False, CommonCardWitness(xs, common))
+        if ca3.passed and not low:
+            missing = tuple(y for y, lines in enumerate(cards) if not lines & avoid and y not in xs)
+            ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, missing))
 
+    found = tuple(violating)
     return AxiomReport(
         params=params,
         ca1=ca1,
         ca2=ca2,
         ca3=ca3,
-        ca4=CountVerdict(not n_violations, n_constants, tuple(n_violations)),
-        ca5=CountVerdict(not m_violations, m_constants, tuple(m_violations)),
+        ca4=CountVerdict(n_constants, found, partial(_uneven_counts, cards, every, False)),
+        ca5=CountVerdict(m_constants, found, partial(_uneven_counts, cards, every, True)),
     )
 
 
@@ -355,12 +401,12 @@ def axiom_report_json(report: AxiomReport) -> dict:
             "pass": verdict.passed,
             label: {key(x): n for x, n in sorted(verdict.constants.items())},
             "witness": None,
-            "violating": [key(w.x) for w in verdict.violations],
+            "violating": [key(x) for x in verdict.violating],
         }
-        if verdict.witness is not None:
+        if (witness := verdict.witness) is not None:
             out["witness"] = {
-                "x": key(verdict.witness.x),
-                "counts": {str(card): count for card, count in verdict.witness.counts},
+                "x": key(witness.x),
+                "counts": {str(card): count for card, count in witness.counts},
             }
         return out
 

@@ -181,7 +181,7 @@ def _cmd_verify(args) -> int:
             else:
                 w = verdict.witness
                 counts = " ".join(f"{card}:{count}" for card, count in w.counts)
-                others = " ".join(format_card_set(viol.x, v) for viol in verdict.violations)
+                others = " ".join(format_card_set(x, v) for x in verdict.violating)
                 print(f"{name}: FAIL  X={format_card_set(w.x, v)} counts {counts}; violating c-sets: {others}")
         if profile is not None:
             table = " ".join(

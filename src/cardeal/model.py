@@ -244,6 +244,8 @@ def parse_announcement(text: str, params: Parameters) -> Announcement:
     ``params.v``; repeated lines are rejected. Errors carry the position
     (line index and token) of the offending input.
     """
+    if not isinstance(text, str):
+        raise AnnouncementParseError(f"announcement must be text, got {type(text).__name__}")
     stripped = text.strip()
     if not stripped:
         raise AnnouncementParseError("empty announcement")

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cardeal
 from cardeal import (
     AmbiguousLineError,
     Announcement,
@@ -18,7 +23,7 @@ from cardeal import (
     is_good,
     lines_avoiding,
 )
-from cardeal.axioms import axiom_report_json
+from cardeal.axioms import CountVerdict, axiom_report_json
 from cardeal.guard import resolve_max_work
 
 
@@ -61,6 +66,16 @@ def test_five_hand_verdicts(five_hand, p331):
     w5 = report.ca5.violation_for((5,))
     assert w5 is not None
     assert w5.count_of(1) == 2 and w5.count_of(2) == 1
+
+
+def test_count_verdicts_compare_every_count(five_hand, seven_hand, p331):
+    report = check_axioms(five_hand, p331)
+    assert report == check_axioms(five_hand, p331)
+    assert report != check_axioms(seven_hand, p331)
+    # Same constants and violating c-sets, but the CA5 counts: not equal.
+    ca4 = report.ca4
+    assert CountVerdict(ca4.constants, ca4.violating, report.ca5.counts_outside) != ca4
+    assert ca4.violation_for((0, 1)) is None and ca4.violation_for((9,)) is None
 
 
 def test_seven_hand_verdicts(seven_hand, p331):
@@ -158,6 +173,37 @@ def test_single_line_sweep_is_charged_per_outside_card():
     with pytest.raises(WorkLimitExceeded, match="595980"):
         check_axioms(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=100_000)
     assert is_good(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=100_000) is False
+
+
+PEAK_PROBE = """
+from cardeal import Announcement, Parameters, check_axioms
+report = check_axioms(Announcement(((0, 1),)), Parameters(2, 40, 3))
+assert len(report.ca4.violating) == 12341 and report.ca4.witness.x == (2, 3, 4)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_one_line_at_2_40_3_peaks_under_40_mib():
+    """Peak memory of check_axioms on one line at (2,40,3): 12,341 violating c-sets.
+
+    Method: a fresh interpreter imports cardeal, runs the check, reads the
+    primary witness, and prints VmHWM from its own /proc/self/status, the
+    high-water mark of its resident memory in KiB, interpreter included. A
+    report that stored a (card, count) tuple per outside card of every
+    violating c-set peaked at 92 MiB here. tracemalloc is not used: it makes
+    this call about twenty times slower.
+    """
+    src = str(Path(cardeal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 40 * 1024
 
 
 def test_cathy_card_counts_agree_with_the_report():

@@ -1,0 +1,82 @@
+"""``cardeal verify`` prints byte-identical text and JSON on a fixed corpus.
+
+The corpus is the CA4 fixtures, two small CA2/CA3 fixtures, the binary
+design with n = 4 at (8,7,1), (8,6,2) and (8,5,3), and 50 seeded random small
+announcements. ``data/verify_golden.json`` holds the SHA-256 digest of each
+output as the eager CA4/CA5 kernel printed it, when every violating c-set's
+counts were stored, so the lazily built witnesses must render exactly as the
+stored ones did. Regenerate the file only for a deliberate change of output
+format: ``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+from itertools import combinations
+from pathlib import Path
+
+import pytest
+
+from cardeal.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+RANDOM_PARAMS = ((3, 3, 1), (4, 3, 1), (3, 2, 2), (2, 3, 2), (2, 2, 3))
+
+
+def _corpus() -> list[tuple[str, str]]:
+    """(params, announcement text) pairs, in a fixed order."""
+    cases = [
+        ("3,3,1", "012 034 056 135 246"),
+        ("3,3,1", "012 034 056 135 146 236 245"),
+        ("3,3,1", "012 013"),
+        ("3,3,1", "012"),
+    ]
+    binary = []
+    for y in range(1, 16):
+        for parity in (0, 1):
+            binary.append([x for x in range(16) if (x & y).bit_count() % 2 == parity])
+    text = " ".join(",".join(map(str, line)) for line in binary)
+    cases += [(params, text) for params in ("8,7,1", "8,6,2", "8,5,3")]
+    rng = random.Random(20261018)
+    for _ in range(50):
+        a, b, c = rng.choice(RANDOM_PARAMS)
+        lines = rng.sample(list(combinations(range(a + b + c), a)), rng.randint(1, 12))
+        text = " ".join("".join(map(str, line)) for line in lines)
+        cases.append((f"{a},{b},{c}", text))
+    return cases
+
+
+def _verify(params: str, text: str, fmt: str) -> str:
+    """Exit code and stdout of ``cardeal verify`` on one case."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--params", params, "--announcement", text, "--format", fmt])
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _digest(params: str, text: str, fmt: str) -> str:
+    return hashlib.sha256(_verify(params, text, fmt).encode()).hexdigest()
+
+
+def _record() -> dict:
+    return {
+        f"{params} {text} {fmt}": _digest(params, text, fmt)
+        for params, text in _corpus()
+        for fmt in ("text", "json")
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_output_is_byte_identical(fmt):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cases = _corpus()
+    assert len(cases) == 57
+    for params, text in cases:
+        key = f"{params} {text} {fmt}"
+        assert _digest(params, text, fmt) == golden[key], key
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

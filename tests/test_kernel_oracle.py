@@ -36,8 +36,8 @@ from cardeal.axioms import (
     CommonCardWitness,
     CountVerdict,
     UncoveredCardWitness,
-    UnevenCountWitness,
     _clash,
+    axiom_report_json,
 )
 from cardeal.model import from_mask, to_mask
 
@@ -58,7 +58,7 @@ def oracle_check_axioms(ann, params):
     ca2 = AxiomVerdict(True)
     ca3 = AxiomVerdict(True)
     constants = ({}, {})
-    violations = ([], [])
+    violations = ({}, {})
     for xs in combinations(range(v), params.c):
         xm = to_mask(xs)
         avoid = [m for m in masks if m & xm == 0]
@@ -80,11 +80,12 @@ def oracle_check_axioms(ann, params):
             if len({n for _, n in counts}) <= 1:
                 found[xs] = counts[0][1] if counts else 0
             else:
-                bad.append(UnevenCountWitness(xs, counts))
+                bad[xs] = counts
 
+    # Every count is computed above; the verdict only looks them up.
     return AxiomReport(
         params, ca1, ca2, ca3,
-        *(CountVerdict(not bad, found, tuple(bad)) for found, bad in zip(constants, violations)),
+        *(CountVerdict(found, tuple(bad), bad.__getitem__) for found, bad in zip(constants, violations)),
     )
 
 
@@ -144,12 +145,28 @@ def _random_corpus(seed, params, count, fewest=1, most=8):
     return [(params, _random_lines(rng, params, fewest, most)) for _ in range(count)]
 
 
+def _views(report):
+    """Every value a report carries, each CA4/CA5 witness materialised with all its counts."""
+    counting = [
+        (verdict.passed, verdict.constants, verdict.violating, verdict.witness, verdict.violations)
+        for verdict in (report.ca4, report.ca5)
+    ]
+    return report.params, report.ca1, report.ca2, report.ca3, counting
+
+
 def _assert_kernel_matches_oracle(corpus):
-    """Reports equal the oracle's; returns how many fail CA1."""
+    """Materialised report views and JSON equal the oracle's; returns how many fail CA1."""
     ca1_failures = 0
     for params, ann in corpus:
         report = check_axioms(ann, params)
-        assert report == oracle_check_axioms(ann, params), (params, ann)
+        oracle = oracle_check_axioms(ann, params)
+        assert _views(report) == _views(oracle), (params, ann)
+        assert axiom_report_json(report) == axiom_report_json(oracle), (params, ann)
+        for verdict, expected in ((report.ca4, oracle.ca4), (report.ca5, oracle.ca5)):
+            assert all(verdict.violation_for(x) is None for x in verdict.constants), (params, ann)
+            if verdict.violating:
+                last = verdict.violation_for(reversed(verdict.violating[-1]))
+                assert last == expected.violations[-1], (params, ann)
         assert is_good(ann, params) == oracle_is_good(ann, params) == report.good, (params, ann)
         ca1_failures += not report.ca1.passed
     return ca1_failures

@@ -371,3 +371,11 @@ def test_protocol_from_json_repeated_malformed_text_keeps_its_error(uniform60, p
         with pytest.raises(AnnouncementParseError) as loaded:
             protocol_from_json(data)
         assert str(loaded.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("value", [5, [1, 2]])
+def test_protocol_from_json_refuses_non_text_announcement(value, uniform60):
+    data = protocol_json(uniform60)
+    _entries_of(data, "012 034 056 135 246")[0]["announcement"] = value
+    with pytest.raises(AnnouncementParseError, match="announcement must be text"):
+        protocol_from_json(data)
