@@ -45,13 +45,14 @@ leaf, so both share one CA2-CA3 decision.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .guard import require_work
+from .guard import comb_within, require_work
 from .model import (
     Announcement,
     CardSet,
@@ -127,7 +128,8 @@ class CountVerdict:
     verdict passes iff that list is empty. The per-card counts of a violating
     c-set are not stored: ``counts_outside`` builds them, as (card, count)
     pairs over the cards outside the set, whenever a witness is read. Two
-    verdicts are equal iff their constants and every witness's counts are.
+    verdicts are equal iff their constants, their violating c-sets and each
+    such c-set's counts are; the counts are compared one c-set at a time.
     """
 
     constants: dict[CardSet, int]
@@ -143,18 +145,10 @@ class CountVerdict:
         """The first violating c-set with its counts."""
         return self._witness(self.violating[0]) if self.violating else None
 
-    @property
-    def violations(self) -> tuple[UnevenCountWitness, ...]:
-        """Every violating c-set with its counts, built afresh on each read."""
-        return tuple(map(self._witness, self.violating))
-
     def violation_for(self, x: Iterable[int]) -> UnevenCountWitness | None:
         key = tuple(sorted(x))
-        return self._witness(key) if key in self._violating_set else None
-
-    @cached_property
-    def _violating_set(self) -> frozenset[CardSet]:
-        return frozenset(self.violating)
+        i = bisect_left(self.violating, key)
+        return self._witness(key) if self.violating[i : i + 1] == (key,) else None
 
     def _witness(self, x: CardSet) -> UnevenCountWitness:
         return UnevenCountWitness(x, self.counts_outside(x))
@@ -162,7 +156,11 @@ class CountVerdict:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountVerdict):
             return NotImplemented
-        return self.constants == other.constants and self.violations == other.violations
+        same = self.constants == other.constants and self.violating == other.violating
+        return same and all(self.counts_outside(x) == other.counts_outside(x) for x in self.violating)
+
+
+AXIOM_NAMES = ("ca1", "ca2", "ca3", "ca4", "ca5")
 
 
 @dataclass(frozen=True)
@@ -183,13 +181,10 @@ class AxiomReport:
         return self.good and self.ca4.passed and self.ca5.passed
 
     def passed(self, axiom: str) -> bool:
-        return {
-            "ca1": self.ca1.passed,
-            "ca2": self.ca2.passed,
-            "ca3": self.ca3.passed,
-            "ca4": self.ca4.passed,
-            "ca5": self.ca5.passed,
-        }[axiom]
+        """The verdict of one axiom by name, "ca1" to "ca5"; KeyError for any other name."""
+        if axiom not in AXIOM_NAMES:
+            raise KeyError(axiom)
+        return getattr(self, axiom).passed
 
 
 def lines_avoiding(ann: Announcement, x: Iterable[int]) -> list[CardSet]:
@@ -270,7 +265,8 @@ def _outside(per_card: list, xs: CardSet) -> list:
 def _prepare(ann: Announcement, params: Parameters, max_work: int | None, per_c_set: int) -> tuple[int, ...]:
     """Validate the lines, charge C(k, 2) line pairs plus per_c_set steps per c-set, return the line masks."""
     masks = check_fit(ann, params.a, params.v)
-    require_work(comb(len(masks), 2) + comb(params.v, params.c) * per_c_set, max_work, "axiom check")
+    c_sets = comb_within(params.v, params.c, max_work, "axiom check", per_c_set)
+    require_work(comb(len(masks), 2) + c_sets * per_c_set, max_work, "axiom check")
     return masks
 
 
@@ -385,30 +381,19 @@ def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = Non
 
 def axiom_report_json(report: AxiomReport) -> dict:
     """Stable JSON form of a report, card sets rendered in compact text."""
-    v = report.params.v
-
-    def key(cards: CardSet) -> str:
-        return format_card_set(cards, v)
+    key = partial(format_card_set, v=report.params.v)
 
     def simple(verdict: AxiomVerdict, payload) -> dict:
-        out = {"pass": verdict.passed, "witness": None}
-        if verdict.witness is not None:
-            out["witness"] = payload(verdict.witness)
-        return out
+        return {"pass": verdict.passed, "witness": verdict.witness and payload(verdict.witness)}
 
     def counting(verdict: CountVerdict, label: str) -> dict:
-        out = {
+        witness = verdict.witness
+        return {
             "pass": verdict.passed,
             label: {key(x): n for x, n in sorted(verdict.constants.items())},
-            "witness": None,
+            "witness": witness and {"x": key(witness.x), "counts": {str(y): n for y, n in witness.counts}},
             "violating": [key(x) for x in verdict.violating],
         }
-        if (witness := verdict.witness) is not None:
-            out["witness"] = {
-                "x": key(witness.x),
-                "counts": {str(card): count for card, count in witness.counts},
-            }
-        return out
 
     return {
         "ca1": simple(report.ca1, lambda w: {"x": key(w.x), "lines": [key(l) for l in w.lines]}),

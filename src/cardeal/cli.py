@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Sequence
 
-from .axioms import axiom_report_json, check_axioms
+from .axioms import AXIOM_NAMES, axiom_report_json, check_axioms
 from .bias import bias_report, bias_report_json, posterior_json, posterior_lines
 from .designs import binary_design, design_profile, profile_json
 from .enumeration import enumerate_good_announcements, triple_point
@@ -34,7 +34,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-AXIOM_NAMES = ("ca1", "ca2", "ca3", "ca4", "ca5")
 PROTOCOL_NAMES = tuple(kind.replace("_", "-") for kind in PROTOCOL_KINDS)
 
 
@@ -135,63 +134,45 @@ def _read_announcement(args, params: Parameters) -> Announcement:
 
 def _cmd_verify(args) -> int:
     params = _parse_params(args.params)
-    requested = []
-    for name in args.axioms.split(","):
-        name = name.strip().lower()
-        if name not in AXIOM_NAMES:
-            raise ValueError(f"unknown axiom {name!r}, expected {', '.join(AXIOM_NAMES)}")
-        requested.append(name)
+    requested = [name.strip().lower() for name in args.axioms.split(",")]
+    if unknown := [name for name in requested if name not in AXIOM_NAMES]:
+        raise ValueError(f"unknown axiom {unknown[0]!r}, expected {', '.join(AXIOM_NAMES)}")
     ann = _read_announcement(args, params)
-    report = check_axioms(ann, params, max_work=args.max_work)
-    profile = design_profile(ann, params.v, max_work=args.max_work) if args.profile else None
+    payload = axiom_report_json(check_axioms(ann, params, max_work=args.max_work))
+    if args.profile:
+        payload["profile"] = profile_json(design_profile(ann, params.v, max_work=args.max_work))
+    print(json.dumps(payload, indent=2) if args.format == "json" else _verify_text(payload))
+    return EXIT_OK if all(payload[name]["pass"] for name in requested) else EXIT_CHECK_FAILED
 
-    if args.format == "json":
-        payload = axiom_report_json(report)
-        if profile is not None:
-            payload["profile"] = profile_json(profile)
-        print(json.dumps(payload, indent=2))
-    else:
-        v = params.v
-        if report.ca1.passed:
-            print("CA1: pass")
-        else:
-            w = report.ca1.witness
-            lines = " ".join(format_card_set(line, v) for line in w.lines)
-            print(f"CA1: FAIL  X={format_card_set(w.x, v)} avoided by {lines}")
-        if report.ca2.passed:
-            print("CA2: pass")
-        else:
-            w = report.ca2.witness
-            print(f"CA2: FAIL  X={format_card_set(w.x, v)} common card(s) {format_card_set(w.common, v)}")
-        if report.ca3.passed:
-            print("CA3: pass")
-        else:
-            w = report.ca3.witness
-            print(f"CA3: FAIL  X={format_card_set(w.x, v)} uncovered card(s) {format_card_set(w.missing, v)}")
-        for name, verdict in (("CA4", report.ca4), ("CA5", report.ca5)):
-            if verdict.passed:
-                values = sorted(set(verdict.constants.values()))
-                if len(values) == 1:
-                    print(f"{name}: pass  constant {values[0]} for every c-set")
-                else:
-                    shown = ", ".join(
-                        f"{format_card_set(x, v)}->{n}" for x, n in sorted(verdict.constants.items())
-                    )
-                    print(f"{name}: pass  {shown}")
+
+_WITNESS_TEXT = {
+    "ca1": lambda w: "avoided by " + " ".join(w["lines"]),
+    "ca2": lambda w: f"common card(s) {w['common']}",
+    "ca3": lambda w: f"uncovered card(s) {w['missing']}",
+}
+
+
+def _verify_text(payload: dict) -> str:
+    """The text report, one line per axiom and one for a profile, read off the JSON payload."""
+    rows = []
+    for name in AXIOM_NAMES:
+        verdict, w = payload[name], payload[name]["witness"]
+        if name in _WITNESS_TEXT:
+            shown = "pass" if verdict["pass"] else f"FAIL  X={w['x']} {_WITNESS_TEXT[name](w)}"
+        elif verdict["pass"]:
+            constants = verdict["n" if name == "ca4" else "m"]
+            if len(values := set(constants.values())) == 1:
+                shown = f"pass  constant {values.pop()} for every c-set"
             else:
-                w = verdict.witness
-                counts = " ".join(f"{card}:{count}" for card, count in w.counts)
-                others = " ".join(format_card_set(x, v) for x in verdict.violating)
-                print(f"{name}: FAIL  X={format_card_set(w.x, v)} counts {counts}; violating c-sets: {others}")
-        if profile is not None:
-            table = " ".join(
-                f"t={t}:{'-' if value is None else value}"
-                for t, value in enumerate(profile.covalencies)
-            )
-            print(f"design strength: {profile.strength}  ({table})")
-
-    ok = all(report.passed(name) for name in requested)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+                shown = "pass  " + ", ".join(f"{x}->{n}" for x, n in constants.items())
+        else:
+            counts = " ".join(f"{card}:{count}" for card, count in w["counts"].items())
+            shown = f"FAIL  X={w['x']} counts {counts}; violating c-sets: {' '.join(verdict['violating'])}"
+        rows.append(f"{name.upper()}: {shown}")
+    if profile := payload.get("profile"):
+        table = " ".join(f"t={t}:{'-' if value is None else value}" for t, value in profile["lambda"].items())
+        rows.append(f"design strength: {profile['strength']}  ({table})")
+    return "\n".join(rows)
 
 
 def _cmd_construct(args) -> int:

@@ -7,19 +7,18 @@ tuple-size rule and builds masks only through ``model.card_masks``: one mask
 per point, with bit i set iff line i holds the point. One scanner, ``_scan``,
 then tries all C(v, t) t-subsets with early exit on the first mismatch (at
 desk scale both feasible and the most trustworthy oracle), after charging
-C(v, t) * k (subsets times lines) to the work guard. The count for a t-subset
-is the popcount of the AND of its points' masks, t steps rather than the k
-line tests the charge was set for.
+C(v, t) * max(t, 1) to the work guard: the count for a t-subset is the
+popcount of the AND of its t points' masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import log10
 from typing import Iterable
 
-from .guard import require_work
+from .guard import comb_within, require_log10_work, require_work
 from .model import Announcement, CardSet, card_masks, card_set
 
 
@@ -56,8 +55,9 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
 def _scan(columns: tuple[int, ...], k: int, t: int, max_work: int | None) -> int | None:
     """The count of lines holding each t-subset of the points if it is constant, else None.
 
-    A t-subset's count is the popcount of the AND of its points' masks."""
-    require_work(comb(len(columns), t) * k, max_work, "covalency scan")
+    A t-subset's count, charged max(t, 1) steps, is the popcount of the AND of its points' masks."""
+    t_sets = comb_within(len(columns), t, max_work, "covalency scan", max(t, 1))
+    require_work(t_sets * max(t, 1), max_work, "covalency scan")
     every = (1 << k) - 1
     expected = None
     for subset in combinations(columns, t):
@@ -125,6 +125,7 @@ def binary_design(n: int) -> Announcement:
     """
     if n < 3:
         raise ValueError(f"need at least 3 bits, got {n}")
+    require_log10_work((2 * n + 1) * log10(2), None, "binary construction")
     size = 1 << n
     require_work(2 * (size - 1) * size, None, "binary construction")
     lines = []

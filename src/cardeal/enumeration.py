@@ -40,7 +40,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .axioms import _c_set_masks, _clash, _covers
-from .guard import require_work
+from .guard import comb_within, require_work
 from .model import Announcement, CardSet, Parameters, card_set, from_mask, to_mask
 
 
@@ -61,10 +61,12 @@ def enumerate_good_announcements(
         raise ValueError(f"hand {hand} is not an {params.a}-set")
     if type(k) is not int or k < 1:
         raise ValueError(f"line count must be a positive integer, got {k!r}")
-    a, v = params.a, params.v
-    n = sum(comb(a, i) * comb(v - a, a - i) for i in range(a - params.c))
-    work = comb(v, a) - 1 + (comb(n, 2) if k >= 3 else 0) + comb(n, k - 1)
-    require_work(work, max_work, "announcement enumeration")
+    a, v, what = params.a, params.v, "announcement enumeration"
+    filter_tests = comb_within(v, a, max_work, what) - 1
+    # A line sharing i cards with the hand takes a - i of the v - a others, so i >= 2a - v.
+    n = sum(comb(a, i) * comb(v - a, a - i) for i in range(max(0, 2 * a - v), a - params.c))
+    work = filter_tests + (comb(n, 2) if k >= 3 else 0) + comb_within(n, k - 1, max_work, what)
+    require_work(work, max_work, what)
     # Each line's image is sorted once per call, and the announcements share it.
     image = (*hand, *(card for card in range(v) if card not in hand))
     relabel = {line: tuple(sorted([image[card] for card in line])) for line in combinations(range(v), a)}

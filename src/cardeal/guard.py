@@ -1,9 +1,9 @@
-"""Work-limit guard shared by the exhaustive checks."""
+"""Work-limit guard shared by the exhaustive checks; a huge binomial or power of two is sized by its log10."""
 
 from __future__ import annotations
 
 import os
-from math import log10
+from math import comb, inf, log, log1p, log10, pi
 
 DEFAULT_MAX_WORK = 10**8
 ENV_VAR = "CARDEAL_MAX_WORK"
@@ -39,10 +39,35 @@ def _readable(n: int) -> str:
     return str(n) if n < 10**12 else f"10^{log10(n):.1f}"
 
 
+def _refuse(needed: str, limit: int, what: str) -> None:
+    raise WorkLimitExceeded(
+        f"{what} needs about {needed} steps, above the limit of {_readable(limit)}; "
+        f"raise --max-work or {ENV_VAR} to run it anyway"
+    )
+
+
 def require_work(estimate: int, max_work: int | None, what: str) -> None:
     limit = resolve_max_work(max_work)
     if estimate > limit:
-        raise WorkLimitExceeded(
-            f"{what} needs about {_readable(estimate)} steps, above the limit of {_readable(limit)}; "
-            f"raise --max-work or {ENV_VAR} to run it anyway"
-        )
+        _refuse(_readable(estimate), limit, what)
+
+
+def require_log10_work(log10_estimate: float, max_work: int | None, what: str) -> None:
+    """Refuse an estimate known by its log10 once it is past both 10^12 and ten times the limit."""
+    limit = resolve_max_work(max_work)
+    if log10_estimate > max(12.0, log10(limit + 1) + 1):
+        _refuse(f"10^{log10_estimate:.1f}", limit, what)
+
+
+def comb_within(n: int, k: int, max_work: int | None, what: str, times: int = 1) -> int:
+    """C(n, k), once C(n, k) * times is known not to be far above the limit.
+
+    Past a bound n^j of 2^4096, j = min(k, n - k), C(n, k) >= 2^41 is first
+    sized by Stirling's series, within 0.06 in log10 (inf past a float's range)."""
+    j = min(k, n - k)
+    if times and j * n.bit_length() > 4096:
+        x = j / (n - j)  # in (0, 1], as j <= n / 2; 0.0 once n - j dwarfs j
+        nats = j * (log(n) - log(j) + (log1p(x) / x if x else 1.0)) if j.bit_length() < 1000 else inf
+        nats -= (log(2 * pi) + log(j) + log((n - j) / n)) / 2
+        require_log10_work(nats / log(10) + log10(times), max_work, what)
+    return comb(n, k)

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 from .axioms import is_good
 from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
-from .guard import require_work
+from .guard import comb_within, require_work
 from .model import (
     Announcement,
     CardSet,
@@ -226,7 +226,8 @@ def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> Valida
     """
     issues: list[ValidationIssue] = []
     params = proto.params
-    require_work(comb(params.v, params.a), max_work, "protocol coverage check")
+    what = "protocol coverage check"
+    require_work(comb_within(params.v, params.a, max_work, what), max_work, what)
     for hand in enumerate_ksets(params.v, params.a):
         if hand not in proto.table:
             issues.append(ValidationIssue("coverage", hand, f"hand {hand} has no distribution"))

@@ -23,7 +23,7 @@ from cardeal import (
     is_good,
     lines_avoiding,
 )
-from cardeal.axioms import CountVerdict, axiom_report_json
+from cardeal.axioms import AXIOM_NAMES, CountVerdict, axiom_report_json
 from cardeal.guard import resolve_max_work
 
 
@@ -59,6 +59,10 @@ def test_five_hand_verdicts(five_hand, p331):
     report = check_axioms(five_hand, p331)
     assert report.ca1.passed and report.ca2.passed and report.ca3.passed
     assert not report.ca4.passed and not report.ca5.passed
+    assert [report.passed(name) for name in AXIOM_NAMES] == [True, True, True, False, False]
+    for name in ("ca6", "params", "CA1"):
+        with pytest.raises(KeyError):
+            report.passed(name)
     # the c-set {5} is among the recorded violations, with the documented counts
     w4 = report.ca4.violation_for((5,))
     assert w4 is not None
@@ -206,6 +210,35 @@ def test_one_line_at_2_40_3_peaks_under_40_mib():
     assert int(proc.stdout) < 40 * 1024
 
 
+EQUALITY_PROBE = """
+from cardeal import Announcement, Parameters, check_axioms
+line, params = Announcement(((0, 1),)), Parameters(2, 60, 3)
+first, second = check_axioms(line, params), check_axioms(line, params)
+assert len(first.ca4.violating) == 39711 and first == second
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_comparing_two_reports_at_2_60_3_peaks_under_60_mib():
+    """Peak memory of ``==`` on two reports of one line at (2,60,3).
+
+    Same method as the (2,40,3) pin above. Comparing every witness tuple of
+    both reports at once peaked at 375 MiB here; one witness per side at a
+    time stays near the 23 MiB the two reports take.
+    """
+    src = str(Path(cardeal.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", EQUALITY_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 60 * 1024
+
+
 def test_cathy_card_counts_agree_with_the_report():
     # Both read the per-card masks: over the outside cards, cathy_card_counts
     # gives the c-set's CA4 constant or its violation's counts.
@@ -298,12 +331,12 @@ def test_failure_witnesses_reproduce_violations(ann):
         covered = set().union(*(set(l) for l in avoid)) if avoid else set()
         assert set(w.missing) == set(range(7)) - set(w.x) - covered
         assert w.missing
-    for witness in report.ca4.violations:
+    for witness in map(report.ca4.violation_for, report.ca4.violating):
         counts = dict(witness.counts)
         recomputed = cathy_card_counts(ann, witness.x, params)
         assert all(recomputed[card] == n for card, n in counts.items())
         assert len(set(counts.values())) > 1
-    for witness in report.ca5.violations:
+    for witness in map(report.ca5.violation_for, report.ca5.violating):
         counts = dict(witness.counts)
         candidates = bob_sets(ann, witness.x, params)
         for card, n in counts.items():

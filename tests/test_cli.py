@@ -81,7 +81,7 @@ def test_verify_parse_error_exit_2(capsys):
     assert "duplicate line" in err
 
 
-def run_process(*argv, env=None):
+def run_process(*argv, env=None, **options):
     """Run the CLI in a fresh interpreter, where an uncaught exception prints a traceback."""
     src = str(Path(cardeal.__file__).resolve().parents[1])
     return subprocess.run(
@@ -89,6 +89,7 @@ def run_process(*argv, env=None):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        **options,
     )
 
 
@@ -159,8 +160,9 @@ def test_construct_binary_text_and_json(capsys):
 
 
 def test_verify_profile_guard_exit_2():
-    # The axiom check (21 + 7 * 7 = 70 steps) fits; the profile's t = 2 scan
-    # (C(7, 2) * 7 = 147 steps) does not, and nothing is printed before it.
+    # The axiom check (21 + 7 * 7 = 70 steps) and the profile's scans up to
+    # t = 2 (at most C(7, 2) * 2 = 42 steps) fit; its t = 3 scan
+    # (C(7, 3) * 3 = 105 steps) does not, and nothing is printed before it.
     proc = run_process(
         "verify", "--params", "3,3,1", "--announcement", "012 034 056 135 146 236 245",
         "--profile", "--max-work", "100",
@@ -185,6 +187,30 @@ def test_construct_guard_message_survives_a_huge_estimate():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "above the limit" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--params", "2,1000000,500000", "--announcement", "0,1"),
+        ("verify", "--params", "2,10000000,5000000", "--announcement", "0,1"),
+        ("enumerate", "--params", "3,1000000,1", "--hand", "0,1,2", "--size", "100000", "--count"),
+        ("construct", "binary", "--bits", "30000000000"),
+        ("construct", "binary", "--bits", "300000000"),
+    ],
+)
+def test_huge_estimates_are_refused_before_they_are_computed(argv):
+    # Each estimate has hundreds of thousands of digits or more. Computing it
+    # exactly took 3 to over 60 seconds, or ran out of memory building 2^n.
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_process(*argv, preexec_fn=cap_memory, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "steps, above the limit" in proc.stderr
 
 
 def test_construct_pipes_into_verify(capsys, monkeypatch):

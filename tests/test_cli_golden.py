@@ -5,7 +5,10 @@ design with n = 4 at (8,7,1), (8,6,2) and (8,5,3), and 50 seeded random small
 announcements. ``data/verify_golden.json`` holds the SHA-256 digest of each
 output as the eager CA4/CA5 kernel printed it, when every violating c-set's
 counts were stored, so the lazily built witnesses must render exactly as the
-stored ones did. Regenerate the file only for a deliberate change of output
+stored ones did. It also holds ``verify --profile`` digests for the two
+(3,3,1) CA4 fixtures and the three binary rows, recorded when the text
+report was still written out witness by witness, before it was rendered from
+the JSON payload. Regenerate the file only for a deliberate change of output
 format: ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
@@ -48,24 +51,36 @@ def _corpus() -> list[tuple[str, str]]:
     return cases
 
 
-def _verify(params: str, text: str, fmt: str) -> str:
+def _profile_corpus() -> list[tuple[str, str]]:
+    """The (3,3,1) CA4 fixtures and the binary rows, the cases ``--profile`` is pinned on."""
+    cases = _corpus()
+    return cases[:2] + cases[4:7]
+
+
+def _verify(params: str, text: str, fmt: str, *extra: str) -> str:
     """Exit code and stdout of ``cardeal verify`` on one case."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify", "--params", params, "--announcement", text, "--format", fmt])
+        code = main(["verify", "--params", params, "--announcement", text, "--format", fmt, *extra])
     return f"exit {code}\n{out.getvalue()}"
 
 
-def _digest(params: str, text: str, fmt: str) -> str:
-    return hashlib.sha256(_verify(params, text, fmt).encode()).hexdigest()
+def _digest(params: str, text: str, fmt: str, *extra: str) -> str:
+    return hashlib.sha256(_verify(params, text, fmt, *extra).encode()).hexdigest()
 
 
 def _record() -> dict:
-    return {
+    plain = {
         f"{params} {text} {fmt}": _digest(params, text, fmt)
         for params, text in _corpus()
         for fmt in ("text", "json")
     }
+    profiled = {
+        f"{params} {text} {fmt} --profile": _digest(params, text, fmt, "--profile")
+        for params, text in _profile_corpus()
+        for fmt in ("text", "json")
+    }
+    return {**plain, **profiled}
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -76,6 +91,16 @@ def test_verify_output_is_byte_identical(fmt):
     for params, text in cases:
         key = f"{params} {text} {fmt}"
         assert _digest(params, text, fmt) == golden[key], key
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_profile_output_is_byte_identical(fmt):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cases = _profile_corpus()
+    assert len(cases) == 5
+    for params, text in cases:
+        key = f"{params} {text} {fmt} --profile"
+        assert _digest(params, text, fmt, "--profile") == golden[key], key
 
 
 if __name__ == "__main__":

@@ -32,8 +32,9 @@ def test_covalency_counts_blocks_at_zero(seven_hand):
 
 
 def test_covalency_scans_are_guarded(five_hand, seven_hand):
-    # Each scanned tuple size t is charged C(v, t) * k before it starts.
-    estimate = comb(7, 2) * 7
+    # Each scanned tuple size t is charged C(v, t) * t before it starts: t
+    # ANDs of per-point masks per t-subset.
+    estimate = comb(7, 2) * 2
     scans = [
         lambda limit: covalency(seven_hand, 7, 2, max_work=limit),
         lambda limit: covalency_over(seven_hand.lines, range(7), 2, max_work=limit),
@@ -44,7 +45,7 @@ def test_covalency_scans_are_guarded(five_hand, seven_hand):
     assert [scan(estimate) for scan in scans] == [1, 1]
     # The profile stops at the first uneven t and is never charged beyond it:
     # t = 3 for the seven lines, t = 1 for the five.
-    for ann, estimate, expected in [(seven_hand, comb(7, 3) * 7, 2), (five_hand, comb(7, 1) * 5, 0)]:
+    for ann, estimate, expected in [(seven_hand, comb(7, 3) * 3, 2), (five_hand, comb(7, 1) * 1, 0)]:
         with pytest.raises(WorkLimitExceeded):
             design_profile(ann, 7, max_work=estimate - 1)
         assert design_profile(ann, 7, max_work=estimate).strength == expected

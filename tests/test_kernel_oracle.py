@@ -148,7 +148,8 @@ def _random_corpus(seed, params, count, fewest=1, most=8):
 def _views(report):
     """Every value a report carries, each CA4/CA5 witness materialised with all its counts."""
     counting = [
-        (verdict.passed, verdict.constants, verdict.violating, verdict.witness, verdict.violations)
+        (verdict.passed, verdict.constants, verdict.violating, verdict.witness,
+         tuple(map(verdict.violation_for, verdict.violating)))
         for verdict in (report.ca4, report.ca5)
     ]
     return report.params, report.ca1, report.ca2, report.ca3, counting
@@ -166,7 +167,7 @@ def _assert_kernel_matches_oracle(corpus):
             assert all(verdict.violation_for(x) is None for x in verdict.constants), (params, ann)
             if verdict.violating:
                 last = verdict.violation_for(reversed(verdict.violating[-1]))
-                assert last == expected.violations[-1], (params, ann)
+                assert last == expected.violation_for(expected.violating[-1]), (params, ann)
         assert is_good(ann, params) == oracle_is_good(ann, params) == report.good, (params, ann)
         ca1_failures += not report.ca1.passed
     return ca1_failures
