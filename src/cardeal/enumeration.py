@@ -29,11 +29,17 @@ Re-sorting the cards of each relabelled line, then the lines, then the list
 gives the canonical order the direct search of h yields; that search stays
 as the test oracle. A call relabels each of the C(v, a) lines once, no more
 steps than the pool filter it is charged for.
+
+A relabelling also maps each card's line count to its image, so it carries
+the triple point (the card in strictly more lines than any other). The
+reference list stores each announcement's point beside its lines, counted
+once per (params, k), and ``_relabelled`` hands out both images. The
+protocol tables sort a hand's announcements by that point without counting
+cards or building an announcement per entry.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -56,6 +62,17 @@ def enumerate_good_announcements(
     Canonically ordered and duplicate-free. Refuses instances whose search
     (see the module docstring) would exceed the work limit.
     """
+    return [Announcement(lines) for lines, _ in _relabelled(params, hand, k, max_work)]
+
+
+def _relabelled(
+    params: Parameters, hand: Iterable[int], k: int, max_work: int | None
+) -> list[tuple[tuple[CardSet, ...], int | None]]:
+    """The lines and triple point of every good k-line announcement containing ``hand``.
+
+    The reference hand's list relabelled onto ``hand``, in canonical order,
+    charged to the guard as the search it stands for.
+    """
     hand = card_set(hand, params.v)
     if len(hand) != params.a:
         raise ValueError(f"hand {hand} is not an {params.a}-set")
@@ -70,16 +87,17 @@ def enumerate_good_announcements(
     # Each line's image is sorted once per call, and the announcements share it.
     image = (*hand, *(card for card in range(v) if card not in hand))
     relabel = {line: tuple(sorted([image[card] for card in line])) for line in combinations(range(v), a)}
-    relabelled = sorted(
-        tuple(sorted([relabel[line] for line in lines])) for lines in _reference_lines(params, k)
+    # The lines of distinct announcements differ, so the sort never compares two points.
+    return sorted(
+        (tuple(sorted([relabel[line] for line in lines])), None if point is None else image[point])
+        for lines, point in _reference_lines(params, k)
     )
-    return [Announcement(lines) for lines in relabelled]
 
 
 @lru_cache(maxsize=None)
-def _reference_lines(params: Parameters, k: int) -> tuple[tuple[CardSet, ...], ...]:
-    """The lines of every good k-line announcement containing the hand 0..a-1."""
-    return tuple(ann.lines for ann in _good_containing(params, tuple(range(params.a)), k))
+def _reference_lines(params: Parameters, k: int) -> tuple[tuple[tuple[CardSet, ...], int | None], ...]:
+    """The lines and triple point of every good k-line announcement containing the hand 0..a-1."""
+    return tuple((ann.lines, triple_point(ann)) for ann in _good_containing(params, tuple(range(params.a)), k))
 
 
 def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:
@@ -122,11 +140,12 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
 
 def triple_point(ann: Announcement) -> int | None:
     """The card occurring in strictly more lines than every other card, if any."""
-    counts = Counter(card for line in ann.lines for card in line)
-    ranked = counts.most_common(2)
-    if len(ranked) == 1 or ranked[0][1] > ranked[1][1]:
-        return ranked[0][0]
-    return None
+    counts: dict[int, int] = {}
+    for line in ann.lines:
+        for card in line:
+            counts[card] = counts.get(card, 0) + 1
+    card = max(counts, key=counts.__getitem__)
+    return card if list(counts.values()).count(counts[card]) == 1 else None
 
 
 def classify_by_triple(

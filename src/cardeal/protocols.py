@@ -22,12 +22,20 @@ hand's good announcements, and every class gets equal mass, spread uniformly.
   others as two classes of equal mass (4/7 against 3/7 per hand at the
   paper's deal). A fixed hand determines its class, so the bias analyzer
   applies this weight, ``Protocol.hand_weight``, outside any distribution.
+
+Every class is read off the triple point. A hand's good announcements are
+the reference hand's, relabelled, and the relabelling carries each reference
+announcement's point along (see ``enumeration``), so a build counts no cards.
+It makes one ``Fraction`` per class and one ``Announcement`` per distinct
+announcement, shared by every hand that lists it: 420 objects, not 2,100, at
+the paper's deal.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
@@ -36,7 +44,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .axioms import is_good
-from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
+from .enumeration import _relabelled
 from .guard import comb_within, require_work
 from .model import (
     Announcement,
@@ -162,17 +170,23 @@ def build_protocol(
     """Materialise one of the named protocols for the paper's deal."""
     kind = kind.replace("-", "_")
     _check_request(kind, params, point)
+    built: dict[tuple[CardSet, ...], Announcement] = {}
+
+    def announcement(lines: tuple[CardSet, ...]) -> Announcement:
+        if lines not in built:
+            built[lines] = Announcement(lines)
+        return built[lines]
+
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
     for hand in enumerate_ksets(params.v, params.a):
-        anns = enumerate_good_announcements(params, hand, PAPER_LINES, max_work=max_work)
-        if kind == "uniform60":
-            classes = [anns]
-        elif kind == "fact1":
-            classes = classify_by_triple(anns, hand)
-        else:
-            classes = [[ann for ann in anns if triple_point(ann) == point]]
-        share = {ann: Fraction(1, len(classes) * len(cls)) for cls in classes for ann in cls}
-        table[hand] = tuple((ann, share[ann]) for ann in anns if ann in share)
+        entries = _relabelled(params, hand, PAPER_LINES, max_work)
+        if kind.startswith("fact2"):
+            entries = [(lines, q) for lines, q in entries if q == point]
+        # fact1 splits by whether the triple point q is held; the other kinds have one class.
+        classes = [q in hand for _, q in entries] if kind == "fact1" else [True] * len(entries)
+        sizes = Counter(classes)
+        share = {cls: Fraction(1, len(sizes) * size) for cls, size in sizes.items()}
+        table[hand] = tuple((announcement(lines), share[cls]) for (lines, _), cls in zip(entries, classes))
     return Protocol(kind=kind, params=params, table=table, point=point)
 
 

@@ -15,7 +15,7 @@ from cardeal import (
     triple_point,
 )
 from cardeal.axioms import _clash
-from cardeal.enumeration import _good_containing, _reference_lines
+from cardeal.enumeration import _good_containing, _reference_lines, _relabelled
 
 # The twelve five-line announcements containing 012 whose most frequent card
 # is 0, and the six containing 135 with most frequent card 0.
@@ -68,6 +68,30 @@ def test_triple_point_examples(five_hand, seven_hand):
     assert triple_point(five_hand) == 0
     assert triple_point(seven_hand) is None
     assert triple_point(Announcement.of([(0, 1, 2)])) is None
+
+
+def _counter_triple_point(ann):
+    """Oracle: the two most common cards by ``Counter``; the first is the point if it is strictly ahead."""
+    ranked = Counter(card for line in ann.lines for card in line).most_common(2)
+    if len(ranked) == 1 or ranked[0][1] > ranked[1][1]:
+        return ranked[0][0]
+    return None
+
+
+def test_triple_point_matches_the_counter_oracle(p331, seven_hand):
+    anns = [
+        ann
+        for k in range(1, 8)
+        for hand in combinations(range(7), 3)
+        for ann in enumerate_good_announcements(p331, hand, k)
+    ]
+    assert len(anns) == 3570
+    anns += [Announcement(lines) for lines, _ in _reference_lines(Parameters(4, 3, 1), 7)]
+    # Ties: every card thrice (the Fano plane), a single line, every card once, two cards ahead.
+    ties = ([(0, 1, 2)], [(0, 1, 2), (3, 4, 5)], [(0, 1, 2), (0, 1, 3)])
+    anns += [seven_hand, *(Announcement.of(lines) for lines in ties)]
+    for ann in anns:
+        assert triple_point(ann) == _counter_triple_point(ann), ann.lines
 
 
 def test_classification_for_hand_012(p331, five_hand):
@@ -160,15 +184,15 @@ def test_pool_pairs_are_tested_only_for_lines_the_search_extends(monkeypatch):
     _reference_lines.cache_clear()
 
 
-@pytest.mark.parametrize(
-    "params, ks",
-    [
-        (Parameters(3, 3, 1), range(2, 8)),
-        (Parameters(3, 2, 2), range(2, 5)),
-        (Parameters(2, 3, 2), range(2, 5)),
-        (Parameters(4, 2, 1), range(2, 8)),
-    ],
-)
+RELABEL_GRID = [
+    (Parameters(3, 3, 1), range(2, 8)),
+    (Parameters(3, 2, 2), range(2, 5)),
+    (Parameters(2, 3, 2), range(2, 5)),
+    (Parameters(4, 2, 1), range(2, 8)),
+]
+
+
+@pytest.mark.parametrize("params, ks", RELABEL_GRID)
 def test_relabelled_lists_match_the_direct_search(params, ks):
     # The direct per-hand search is the oracle for relabelling the reference
     # hand's list; whole lists are compared, so the order is checked too.
@@ -176,6 +200,19 @@ def test_relabelled_lists_match_the_direct_search(params, ks):
     for k in ks:
         for hand in combinations(range(params.v), params.a):
             assert enumerate_good_announcements(params, hand, k) == list(_good_containing(params, hand, k))
+
+
+@pytest.mark.parametrize("params, ks", RELABEL_GRID)
+def test_relabelling_carries_the_triple_point(params, ks):
+    # The relabelled point is the image of the reference point; it must be the
+    # point counted afresh on the relabelled lines, which come in the public order.
+    for k in ks:
+        for hand in combinations(range(params.v), params.a):
+            entries = _relabelled(params, hand, k, None)
+            listed = enumerate_good_announcements(params, hand, k)
+            assert [lines for lines, _ in entries] == [ann.lines for ann in listed]
+            for lines, point in entries:
+                assert point == triple_point(Announcement(lines)), (hand, lines)
 
 
 @pytest.mark.parametrize("hand", [(0, 1, 4, 5), (3, 5, 6, 7)])

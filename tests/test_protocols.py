@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -25,7 +25,10 @@ from cardeal import (
     triple_point,
     validate_protocol,
 )
+from cardeal.enumeration import _reference_lines
 from cardeal.protocols import Protocol
+
+KINDS_AT_A_POINT = [("uniform60", None), ("fact1", None), ("fact2_conditional", 3), ("fact2_literal", 3)]
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +193,30 @@ def test_validation_catches_corruption(uniform60, p331_module):
 def test_coverage_sweep_is_guarded():
     with pytest.raises(WorkLimitExceeded):
         validate_protocol(Protocol("uniform60", Parameters(8, 8, 1), {}), max_work=1000)
+
+
+# One hand's enumeration charge at (3,3,1) k=5: C(7,3) - 1 pool filter tests,
+# then C(22,2) row tests and C(22,4) leaves for the 22 lines that share fewer
+# than two cards with the hand (4 sharing none, 3·6 sharing one).
+PER_HAND_ENUMERATION = comb(7, 3) - 1 + comb(22, 2) + comb(22, 4)
+
+
+@pytest.mark.parametrize("kind, point", KINDS_AT_A_POINT)
+def test_build_is_charged_as_one_hands_enumeration(kind, point, p331_module):
+    _reference_lines.cache_clear()
+    with pytest.raises(WorkLimitExceeded, match="announcement enumeration"):
+        build_protocol(kind, p331_module, point, max_work=PER_HAND_ENUMERATION - 1)
+    assert _reference_lines.cache_info().currsize == 0  # refused before the search
+    build_protocol(kind, p331_module, point, max_work=PER_HAND_ENUMERATION)
+    with pytest.raises(WorkLimitExceeded, match="announcement enumeration"):
+        build_protocol(kind, p331_module, point, max_work=PER_HAND_ENUMERATION - 1)
+    build_protocol(kind, p331_module, point, max_work=PER_HAND_ENUMERATION)
+
+
+@pytest.mark.parametrize("kind, point", KINDS_AT_A_POINT)
+def test_a_built_table_holds_one_object_per_announcement(kind, point, p331_module):
+    proto = build_protocol(kind, p331_module, point)
+    assert len({id(ann) for dist in proto.table.values() for ann, _ in dist}) == len(proto.support())
 
 
 def test_sampling_is_deterministic_and_truthful(fact1):
