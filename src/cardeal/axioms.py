@@ -38,9 +38,10 @@ violating c-sets, so a report takes O(C(v, c)) small entries. A
 masks only when it is read. ``cathy_card_counts`` takes the same popcounts
 for one c-set.
 ``_covers`` is the early-exit reading of CA2-CA3 over
-precomputed c-set masks. ``is_good`` is "no clashing pair and ``_covers``";
-enumeration clears CA1 during its search and calls ``_covers`` alone at each
-leaf, so both share one CA2-CA3 decision.
+precomputed c-set masks. ``is_good`` is "no clashing pair and ``_covers``".
+Enumeration clears CA1 during its search and picks its last line by the
+per-c-set conditions ``_covers`` tests (it calls ``_covers`` only on a
+one-line announcement); a test holds it to the leaf-by-leaf ``_covers`` search.
 """
 
 from __future__ import annotations

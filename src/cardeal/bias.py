@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .enumeration import classify_by_triple, enumerate_good_announcements, triple_point
+from .enumeration import classify_by_triple, enumerate_good_announcements
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
 from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json, common_denominator
 
@@ -122,7 +122,7 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
         # |w/total - 1/k| = |k*w - total| / (k*total)
         deviation = Fraction(max(abs(k * w - total) for w in weights), k * total)
         max_deviation = max(max_deviation, deviation)
-        top = triple_point(ann)
+        top = ann.triple_point
         if top is not None:
             held = sum(w for line, w in zip(ann.lines, weights) if top in line)
             triple_in_hand[ann] = Fraction(held, total)

@@ -17,7 +17,7 @@ from typing import Sequence
 from .axioms import AXIOM_NAMES, axiom_report_json, check_axioms
 from .bias import bias_report, bias_report_json, posterior_json, posterior_lines
 from .designs import binary_design, design_profile, profile_json
-from .enumeration import enumerate_good_announcements, triple_point
+from .enumeration import enumerate_good_announcements
 from .guard import WorkLimitExceeded, require_work
 from .model import (
     Announcement,
@@ -194,7 +194,7 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"point {p} out of range for deck size {params.v}")
     anns = enumerate_good_announcements(params, hand, args.size, max_work=args.max_work)
     if p is not None:
-        anns = [ann for ann in anns if triple_point(ann) == p]
+        anns = [ann for ann in anns if ann.triple_point == p]
     if args.count:
         print(len(anns))
     else:

@@ -6,8 +6,11 @@ them): the hand plus a (k-1)-clique of the compatibility graph on the pool
 of lines that do not clash with the hand. The search intersects candidate
 sets with each chosen line's bitset of compatible later lines, built the
 first time a branch needs a line after it, so k = 1 and k = 2 test no pair
-of pool lines. CA1 therefore holds at every leaf, which tests only CA2-CA3
-on its line masks; only survivors are built as announcements. No isomorph
+of pool lines. The last line is picked without testing each leaf: for each
+c-set the first k - 1 lines fail under CA2-CA3, it must avoid the c-set and
+the cards its avoiding lines share, and hold the outside cards they miss.
+With one bitset per card over the pool these are ANDs on the candidate set,
+which leave exactly the good completions, in pool order. No isomorph
 rejection: at desk scale the exhaustive search is the ground truth
 everything else is tested against.
 
@@ -15,9 +18,11 @@ The work guard charges the search, not the raw candidate space. A line
 clashes with the hand iff it shares a - c or more cards with it, so the pool
 holds the n = sum over i < a - c of C(a, i)·C(b + c, a - i) lines sharing i
 cards, known before any work. A search makes C(v, a) - 1 clash tests to
-filter the pool, at most C(n, 2) to build rows (only when k >= 3) and
-visits at most C(n, k - 1) leaves. The guard is charged on every call, so a
-request is admitted or refused alike whether or not its search is cached.
+filter the pool, at most C(n, 2) to build rows (only when k >= 3) and is
+charged C(n, k - 1) for the leaves. It visits no leaf, so the charge
+over-counts its work; the guard admits and refuses what a leaf-by-leaf
+search would. The guard is charged on every call, so a request is admitted
+or refused alike whether or not its search is cached.
 
 Only the reference hand 0..a-1 is searched, once per (params, k). Any other
 hand h gets the reference list relabelled by the permutation that sends
@@ -35,7 +40,8 @@ the triple point (the card in strictly more lines than any other). The
 reference list stores each announcement's point beside its lines, counted
 once per (params, k), and ``_relabelled`` hands out both images. The
 protocol tables sort a hand's announcements by that point without counting
-cards or building an announcement per entry.
+cards or building an announcement per entry, and every announcement built
+here carries its point, so ``triple_point`` reads it without counting.
 """
 
 from __future__ import annotations
@@ -62,7 +68,14 @@ def enumerate_good_announcements(
     Canonically ordered and duplicate-free. Refuses instances whose search
     (see the module docstring) would exceed the work limit.
     """
-    return [Announcement(lines) for lines, _ in _relabelled(params, hand, k, max_work)]
+    return [_announcement(lines, point) for lines, point in _relabelled(params, hand, k, max_work)]
+
+
+def _announcement(lines: tuple[CardSet, ...], point: int | None) -> Announcement:
+    """The announcement of ``lines`` with ``point`` set as its triple point, which it must be."""
+    ann = Announcement(lines)
+    object.__setattr__(ann, "triple_point", point)  # fills the cached_property; the class is frozen
+    return ann
 
 
 def _relabelled(
@@ -97,19 +110,23 @@ def _relabelled(
 @lru_cache(maxsize=None)
 def _reference_lines(params: Parameters, k: int) -> tuple[tuple[tuple[CardSet, ...], int | None], ...]:
     """The lines and triple point of every good k-line announcement containing the hand 0..a-1."""
-    return tuple((ann.lines, triple_point(ann)) for ann in _good_containing(params, tuple(range(params.a)), k))
+    return tuple((ann.lines, ann.triple_point) for ann in _good_containing(params, tuple(range(params.a)), k))
 
 
 def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:
     """The direct search: every good k-line announcement containing ``hand``, canonically ordered."""
-    v, b = params.v, params.b
+    a, v, b = params.a, params.v, params.b
     hand_mask = to_mask(hand)
+    c_set_masks = tuple(_c_set_masks(v, params.c))
+    if k == 1:
+        return (Announcement((hand,)),) if _covers([hand_mask], c_set_masks) else ()
     pool = [
-        m for m in map(to_mask, combinations(range(v), params.a))
+        m for m in map(to_mask, combinations(range(v), a))
         if m != hand_mask and not _clash(m, hand_mask, v, b)
     ]
     rows: dict[int, int] = {}
-    c_set_masks = tuple(_c_set_masks(v, params.c))
+    # holding[y]: bit j set iff pool line j holds card y.
+    holding = [int("".join("1" if m >> y & 1 else "0" for m in reversed(pool)) or "0", 2) for y in range(v)]
 
     def compatible_after(i: int) -> int:
         """Bit j set iff pool line j comes after line i and does not clash with it; built on first use."""
@@ -119,33 +136,59 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
             rows[i] = int(bits or "0", 2) << (i + 1)
         return rows[i]
 
+    def last_lines(candidates: int, chosen: list[int]) -> list[Announcement]:
+        """The good announcements made of ``chosen`` and one line from ``candidates``.
+
+        ``_covers`` fails a c-set X on ``chosen`` when X's avoiding lines share
+        a card or miss an outside card. A last line holding a card of X leaves
+        that as it is; one avoiding X must miss the shared cards and hold the
+        missed ones. A passing X passes whatever the last line is.
+        """
+        if not candidates:
+            return []
+        avoid = hold = 0
+        for _, xm, rest in c_set_masks:
+            common, union = rest, 0
+            for m in chosen:
+                if not m & xm:
+                    common &= m
+                    union |= m
+            if common or union != rest:
+                avoid |= xm | common
+                hold |= rest & ~union
+                if hold & avoid or hold.bit_count() > a:  # no line can do both
+                    return []
+        for y in from_mask(avoid):
+            candidates &= ~holding[y]
+        for y in from_mask(hold):
+            candidates &= holding[y]
+        bits = bin(candidates)[:1:-1]
+        ends = []
+        i = -1
+        for _ in range(bits.count("1")):
+            i = bits.index("1", i + 1)
+            ends.append(Announcement(tuple(sorted(map(from_mask, [*chosen, pool[i]])))))
+        return ends
+
     def extend(candidates: int, chosen: list[int]) -> Iterator[Announcement]:
-        """The good announcements that extend ``chosen`` by lines from ``candidates``."""
+        """The good announcements that extend ``chosen`` by lines from ``candidates``, two or more of them."""
         need = k - len(chosen)
-        if need == 0:
-            if _covers(chosen, c_set_masks):
-                yield Announcement(tuple(sorted(map(from_mask, chosen))))
-            return
         # Picks run in ascending order and a clique grows only by later lines, so
         # the last need - 1 candidates cannot start a branch.
         bits = bin(candidates)[:1:-1]
         i = -1
         for _ in range(bits.count("1") - need + 1):
             i = bits.index("1", i + 1)
-            # A branch that needs no further line takes no candidates, so it builds no row.
-            yield from extend(candidates & compatible_after(i) if need > 1 else 0, [*chosen, pool[i]])
+            later, grown = candidates & compatible_after(i), [*chosen, pool[i]]
+            yield from extend(later, grown) if need > 2 else last_lines(later, grown)
 
-    return tuple(extend((1 << len(pool)) - 1, [hand_mask]))
+    whole_pool = (1 << len(pool)) - 1
+    return tuple(extend(whole_pool, [hand_mask]) if k > 2 else last_lines(whole_pool, [hand_mask]))
 
 
 def triple_point(ann: Announcement) -> int | None:
-    """The card occurring in strictly more lines than every other card, if any."""
-    counts: dict[int, int] = {}
-    for line in ann.lines:
-        for card in line:
-            counts[card] = counts.get(card, 0) + 1
-    card = max(counts, key=counts.__getitem__)
-    return card if list(counts.values()).count(counts[card]) == 1 else None
+    """The card occurring in strictly more lines than every other card, if any: ``ann.triple_point``."""
+    return ann.triple_point
 
 
 def classify_by_triple(
@@ -162,7 +205,7 @@ def classify_by_triple(
     for ann in anns:
         if hand not in ann.lines:
             raise ValueError(f"announcement {ann.lines} does not contain {hand}")
-        top = triple_point(ann)
+        top = ann.triple_point
         if top is None:
             raise ValueError(f"announcement {ann.lines} has no unique most-frequent card")
         (inside if top in hand else outside).append(ann)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -105,8 +106,9 @@ def from_mask(mask: int) -> CardSet:
 class Announcement:
     """One or more distinct, equally sized lines in canonical order.
 
-    The constructor rejects anything else with ValueError; equality and
-    hashing use ``lines``. Masks come from ``check_fit`` and ``card_masks``.
+    The constructor rejects anything else with ValueError; equality,
+    hashing and repr use ``lines`` alone. Masks come from ``check_fit`` and
+    ``card_masks``.
     """
 
     lines: tuple[CardSet, ...]
@@ -145,6 +147,20 @@ class Announcement:
 
     def __contains__(self, line: object) -> bool:
         return line in self.lines
+
+    @cached_property
+    def triple_point(self) -> int | None:
+        """The card occurring in strictly more lines than every other card, if any.
+
+        Counted at first read and kept. Enumeration sets it instead on the
+        announcements it builds, from the point it relabels.
+        """
+        counts: dict[int, int] = {}
+        for line in self.lines:
+            for card in line:
+                counts[card] = counts.get(card, 0) + 1
+        card = max(counts, key=counts.__getitem__)
+        return card if list(counts.values()).count(counts[card]) == 1 else None
 
 
 def check_lines(ann: Announcement, size: int, v: int) -> None:

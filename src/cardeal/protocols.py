@@ -27,8 +27,8 @@ Every class is read off the triple point. A hand's good announcements are
 the reference hand's, relabelled, and the relabelling carries each reference
 announcement's point along (see ``enumeration``), so a build counts no cards.
 It makes one ``Fraction`` per class and one ``Announcement`` per distinct
-announcement, shared by every hand that lists it: 420 objects, not 2,100, at
-the paper's deal.
+announcement, shared by every hand that lists it and carrying its triple
+point: 420 objects, not 2,100, at the paper's deal.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .axioms import is_good
-from .enumeration import _relabelled
+from .enumeration import _announcement, _relabelled
 from .guard import comb_within, require_work
 from .model import (
     Announcement,
@@ -172,9 +172,9 @@ def build_protocol(
     _check_request(kind, params, point)
     built: dict[tuple[CardSet, ...], Announcement] = {}
 
-    def announcement(lines: tuple[CardSet, ...]) -> Announcement:
+    def announcement(lines: tuple[CardSet, ...], q: int | None) -> Announcement:
         if lines not in built:
-            built[lines] = Announcement(lines)
+            built[lines] = _announcement(lines, q)
         return built[lines]
 
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
@@ -186,7 +186,7 @@ def build_protocol(
         classes = [q in hand for _, q in entries] if kind == "fact1" else [True] * len(entries)
         sizes = Counter(classes)
         share = {cls: Fraction(1, len(sizes) * size) for cls, size in sizes.items()}
-        table[hand] = tuple((announcement(lines), share[cls]) for (lines, _), cls in zip(entries, classes))
+        table[hand] = tuple((announcement(*entry), share[cls]) for entry, cls in zip(entries, classes))
     return Protocol(kind=kind, params=params, table=table, point=point)
 
 

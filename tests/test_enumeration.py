@@ -14,8 +14,9 @@ from cardeal import (
     parse_announcement,
     triple_point,
 )
-from cardeal.axioms import _clash
+from cardeal.axioms import _c_set_masks, _clash, _covers
 from cardeal.enumeration import _good_containing, _reference_lines, _relabelled
+from cardeal.model import from_mask, to_mask
 
 # The twelve five-line announcements containing 012 whose most frequent card
 # is 0, and the six containing 135 with most frequent card 0.
@@ -221,6 +222,86 @@ def test_relabelled_lists_match_the_direct_search_at_431_k7(hand):
     anns = enumerate_good_announcements(params, hand, 7)
     assert len(anns) == 8064
     assert anns == list(_good_containing(params, hand, 7))
+
+
+def _leaf_checked_search(params, hand, k):
+    """Oracle: the clique search that tests every k-line leaf with ``_covers``, canonically ordered."""
+    v, b = params.v, params.b
+    hand_mask = to_mask(hand)
+    pool = [
+        m for m in map(to_mask, combinations(range(v), params.a))
+        if m != hand_mask and not _clash(m, hand_mask, v, b)
+    ]
+    rows = {}
+    c_set_masks = tuple(_c_set_masks(v, params.c))
+
+    def compatible_after(i):
+        if i not in rows:
+            bits = "".join("0" if _clash(pool[i], pool[j], v, b) else "1" for j in range(len(pool) - 1, i, -1))
+            rows[i] = int(bits or "0", 2) << (i + 1)
+        return rows[i]
+
+    def extend(candidates, chosen):
+        if len(chosen) == k:
+            if _covers(chosen, c_set_masks):
+                yield Announcement(tuple(sorted(map(from_mask, chosen))))
+            return
+        bits = bin(candidates)[:1:-1]
+        i = -1
+        for _ in range(bits.count("1")):
+            i = bits.index("1", i + 1)
+            yield from extend(candidates & compatible_after(i), [*chosen, pool[i]])
+
+    return list(extend((1 << len(pool)) - 1, [hand_mask]))
+
+
+LEAF_ORACLE_GRID = [
+    *((params, ks, [tuple(range(params.a))]) for params, ks in RELABEL_GRID),
+    (Parameters(3, 3, 1), range(1, 8), [(0, 1, 2)]),
+    (Parameters(3, 4, 2), range(1, 10), [(0, 1, 2)]),
+    (Parameters(4, 3, 1), range(1, 8), [(0, 1, 2, 3), (4, 5, 6, 7)]),
+    (Parameters(4, 4, 1), range(1, 5), [(0, 1, 2, 3)]),
+    (Parameters(5, 3, 1), range(1, 5), [(0, 1, 2, 3, 4)]),
+]
+
+
+@pytest.mark.parametrize("params, ks, hands", LEAF_ORACLE_GRID)
+def test_last_line_filter_matches_the_leaf_checked_search(params, ks, hands):
+    # The search picks its last line by bitset filter; the oracle tests every
+    # leaf with _covers. Whole lists are compared, so the order is checked too.
+    # Dropping the filter's avoid term (cards of X and the shared cards) or its
+    # hold term (outside cards no line covers yet) lets bad announcements
+    # through, and this test fails. The shared cards alone may be dropped: if
+    # every line avoiding X holds y, the chosen lines fail X - x + y, whose
+    # avoid term forbids y.
+    for k in ks:
+        for hand in hands:
+            assert list(_good_containing(params, hand, k)) == _leaf_checked_search(params, hand, k), (hand, k)
+
+
+def test_only_a_one_line_search_calls_covers(monkeypatch):
+    calls = 0
+
+    def counting_covers(*args):
+        nonlocal calls
+        calls += 1
+        return _covers(*args)
+
+    monkeypatch.setattr("cardeal.enumeration._covers", counting_covers)
+    for params, k, found in [(Parameters(4, 3, 1), 5, 0), (Parameters(3, 3, 1), 5, 60), (Parameters(3, 3, 1), 1, 0)]:
+        calls = 0
+        assert len(_good_containing(params, tuple(range(params.a)), k)) == found
+        assert calls == (k == 1), (params, k)
+
+
+@pytest.mark.parametrize("params, ks", RELABEL_GRID)
+def test_enumerated_announcements_carry_their_triple_point(params, ks):
+    # The point is set from the relabelled reference point, not counted.
+    for k in ks:
+        for hand in combinations(range(params.v), params.a):
+            for ann in enumerate_good_announcements(params, hand, k):
+                assert "triple_point" in vars(ann)
+                assert ann.triple_point == _counter_triple_point(ann), (hand, ann.lines)
 
 
 def test_warm_reference_search_does_not_bypass_the_guard(p331):

@@ -219,6 +219,13 @@ def test_a_built_table_holds_one_object_per_announcement(kind, point, p331_modul
     assert len({id(ann) for dist in proto.table.values() for ann, _ in dist}) == len(proto.support())
 
 
+@pytest.mark.parametrize("kind, point", KINDS_AT_A_POINT)
+def test_a_built_table_carries_each_triple_point(kind, point, p331_module):
+    for ann in build_protocol(kind, p331_module, point).support():
+        assert "triple_point" in vars(ann)
+        assert ann.triple_point == Announcement(ann.lines).triple_point, ann.lines
+
+
 def test_sampling_is_deterministic_and_truthful(fact1):
     first = sample(fact1, (0, 1, 2), seed=11)
     assert (0, 1, 2) in first.lines
