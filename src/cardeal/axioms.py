@@ -20,20 +20,29 @@ One kernel decides them. CA1 is decided over the C(k, 2) line pairs, not the
 C(v, b) b-sets: it fails iff two lines leave b or more cards outside their
 union. ``_clash``, the one statement of that rule, returns such a pair's free
 mask; ``check_axioms``, ``is_good`` and enumeration all call it. The CA1
-witness is the least b-prefix (b smallest cards) of a clashing free mask,
-found by comparing the prefixes as masks.
-For CA2-CA5, ``check_axioms`` counts once, for every c-set X, how many
-avoiding lines hold each card outside X. It reads the per-card masks of
-``model.card_masks`` (bit i of card y's mask set iff line i holds y): the
-avoiding lines are every line but those in the masks of X's cards, and the
-count n_X(y) is the popcount of y's mask within them. CA2 fails where some
-count equals the number of avoiding lines, CA3 where some count is 0, CA4
-where the counts differ. The lines are distinct and lie outside X, so a card
-with count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off
-the same counts, m_X = |avoid_X| - n_X, and fails at exactly the c-sets where
-CA4 does. The sweep records, per c-set, its constant or, where the counts
-differ, the c-set alone; the CA4 and CA5 verdicts share that list of
-violating c-sets, so a report takes O(C(v, c)) small entries. A
+witness is the least violating b-set. Sets are ordered so that the lesser of
+two holds the least card where they differ; among b-sets that is the
+lexicographic order. The least b-subset of a set is its b-prefix (its b
+smallest cards), and the b-prefix of the lesser of two sets is the lesser of
+their b-prefixes. So the pass keeps only the least clashing free mask and
+takes its b-prefix once, at the end.
+For CA2-CA5, ``check_axioms`` sweeps every c-set X. It reads the per-card
+masks of ``model.card_masks`` (bit i of card y's mask set iff line i holds
+y): the avoiding lines are every line but those in the masks of X's cards,
+and the count n_X(y) of avoiding lines holding a card y is the popcount of
+y's mask within them. CA2 fails where some count equals the number of
+avoiding lines, CA3 where some count is 0, CA4 where the counts differ. The
+lines are distinct and lie outside X, so a card with count n lies in exactly
+|avoid| - n candidate b-sets; CA5 is read off the same counts,
+m_X = |avoid_X| - n_X, and fails at exactly the c-sets where CA4 does. Until
+CA2 and CA3 both have their witness, the sweep takes one count per outside
+card. After that it counts only what CA4 needs: every avoiding line holds a
+cards, all outside X, so the v - c outside counts sum to a·|avoid_X|, and the
+only constant they can have is n = a·|avoid_X| / (v - c). Where v - c does
+not divide a·|avoid_X|, X violates CA4 without a count; otherwise the counts
+are read until one differs from n. The sweep records, per c-set, its constant
+or, where the counts differ, the c-set alone; the CA4 and CA5 verdicts share
+that list of violating c-sets, so a report takes O(C(v, c)) small entries. A
 ``CountVerdict`` builds a witness's (card, count) pairs from the per-card
 masks only when it is read. ``cathy_card_counts`` takes the same popcounts
 for one c-set.
@@ -317,50 +326,61 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     (first one doubling as the primary witness) together with the constants
     found elsewhere.
     """
-    v, b, c = params.v, params.b, params.c
+    a, b, c, v = params.a, params.b, params.c, params.v
     masks = _prepare(ann, params, max_work, v - c)
 
     ca1 = AxiomVerdict(True)
     least = 0
     for m1, m2 in combinations(masks, 2):
-        if free := _clash(m1, m2, v, b):
-            # The violating b-sets are the b-subsets of the clashing free
-            # masks, a set's least b-subset is its b smallest cards, and of two
-            # such prefixes the lesser holds the least card where they differ.
-            prefix = 0
-            for _ in range(b):
-                prefix |= free & -free
-                free &= free - 1
-            if not least or prefix & (diff := least ^ prefix) & -diff:
-                least = prefix
+        # Of two sets the lesser holds the least card where they differ.
+        if (free := _clash(m1, m2, v, b)) and (not least or free & (diff := least ^ free) & -diff):
+            least = free
     if least:
-        x = from_mask(least)
-        ca1 = AxiomVerdict(False, AmbiguityWitness(x, tuple(lines_avoiding(ann, x))))
+        # The least violating b-set is the b-prefix of the least clashing free
+        # mask (see the module docstring).
+        prefix = 0
+        for _ in range(b):
+            prefix |= least & -least
+            least &= least - 1
+        lines = tuple(line for line, m in zip(ann.lines, masks) if not m & prefix)
+        ca1 = AxiomVerdict(False, AmbiguityWitness(from_mask(prefix), lines))
 
     ca2 = AxiomVerdict(True)
     ca3 = AxiomVerdict(True)
     n_constants: dict[CardSet, int] = {}
     m_constants: dict[CardSet, int] = {}
     violating: list[CardSet] = []
-    cards = card_masks(ann, params.a, v)
+    cards = card_masks(ann, a, v)
     every = (1 << len(masks)) - 1
     for xs, inside in zip(combinations(range(v), c), combinations(cards, c)):
-        # One count per outside card decides CA2-CA5; CA5 reads |avoid| - n.
         avoid = _avoiding(every, inside)
         total = avoid.bit_count()
-        ns = _outside([(lines & avoid).bit_count() for lines in cards], xs)
-        low, high = min(ns), max(ns)
-        if low == high:
-            n_constants[xs] = low
-            m_constants[xs] = total - low
-        else:
+        n = None
+        if ca2.passed or ca3.passed:
+            # One count per outside card: CA2 and CA3 read the extremes.
+            ns = [(lines & avoid).bit_count() for lines in _outside(list(cards), xs)]
+            low, high = min(ns), max(ns)
+            if low == high:
+                n = low
+            if ca2.passed and total and high == total:
+                common = tuple(y for y, lines in enumerate(cards) if lines & avoid == avoid)
+                ca2 = AxiomVerdict(False, CommonCardWitness(xs, common))
+            if ca3.passed and not low:
+                missing = tuple(y for y, lines in enumerate(cards) if not lines & avoid and y not in xs)
+                ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, missing))
+        elif not a * total % (v - c):
+            # The v - c outside counts sum to a * total, so n is the only
+            # constant they can have; the first count that differs refutes it.
+            n = a * total // (v - c)
+            for lines in _outside(list(cards), xs):
+                if (lines & avoid).bit_count() != n:
+                    n = None
+                    break
+        if n is None:
             violating.append(xs)
-        if ca2.passed and total and high == total:
-            common = tuple(y for y, lines in enumerate(cards) if lines & avoid == avoid)
-            ca2 = AxiomVerdict(False, CommonCardWitness(xs, common))
-        if ca3.passed and not low:
-            missing = tuple(y for y, lines in enumerate(cards) if not lines & avoid and y not in xs)
-            ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, missing))
+        else:
+            n_constants[xs] = n
+            m_constants[xs] = total - n
 
     found = tuple(violating)
     return AxiomReport(

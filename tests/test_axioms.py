@@ -299,6 +299,24 @@ def test_ca4_iff_ca5_with_count_relation(case):
             assert n * (params.a + params.b) == params.a * size
 
 
+def _announcements(abc):
+    params = Parameters(*abc)
+    lines = st.sampled_from(list(combinations(range(params.v), params.a)))
+    return st.sets(lines, min_size=1, max_size=10).map(lambda chosen: (params, Announcement.of(chosen)))
+
+
+@settings(deadline=None)
+@given(st.one_of(*map(_announcements, [(3, 3, 1), (4, 3, 1), (3, 2, 2), (2, 3, 2), (3, 1, 3), (2, 2, 3)])))
+def test_outside_counts_sum_to_a_per_avoiding_line(case):
+    # Each line avoiding X holds a cards, all outside X, so the outside counts
+    # sum to a * |avoid_X|: the identity that fixes CA4's only possible constant.
+    params, ann = case
+    for x in combinations(range(params.v), params.c):
+        counts = cathy_card_counts(ann, x, params)
+        outside = sum(n for y, n in counts.items() if y not in x)
+        assert outside == params.a * len(lines_avoiding(ann, x)), (ann, x)
+
+
 @settings(deadline=None)
 @given(announcements331)
 def test_constant_count_independent_of_single_observer_card(ann):

@@ -4,9 +4,9 @@ The axiom oracle below decides CA1 the direct way, by sweeping every b-set,
 walks the avoiding lines of each c-set to count CA2-CA4, counts CA5 over the
 receiver's candidate b-sets themselves, and keeps the standalone CA1-CA3
 loop that ``is_good`` once was. The kernel decides CA1 over line pairs and
-reads CA2-CA5 off one popcount per outside card and c-set; the two must
-agree on every verdict and produce equal witnesses, not merely equivalent
-ones. The covalency oracle tests every line against every t-subset, where
+reads CA2-CA5 off popcounts of the outside cards, which it skips or cuts
+short once CA2 and CA3 have failed; the two must agree on every verdict and
+produce equal witnesses, not merely equivalent ones. The covalency oracle tests every line against every t-subset, where
 the scanner takes one popcount of an AND of per-point masks.
 """
 
@@ -212,6 +212,88 @@ def test_kernel_matches_oracle_on_binary_designs():
         corpus += [(params, design), (params, Announcement.of([*design.lines, moved]))]
     _assert_kernel_matches_oracle_on_both_sides_of_ca1(corpus)
 
+
+def _every_announcement(abc, sizes):
+    """Every announcement at parameters abc whose number of lines is in ``sizes``."""
+    params = Parameters(*abc)
+    every_line = list(combinations(range(params.v), params.a))
+    return [(params, Announcement.of(lines)) for k in sizes for lines in combinations(every_line, k)]
+
+
+def _sweep_after_ca2_and_ca3(params, ann, report):
+    """How each c-set after the CA2 and CA3 witnesses was decided.
+
+    After both witnesses the sweep counts only toward CA4. The outside counts
+    sum to a * |avoid|, so a c-set is "indivisible" when v - c does not divide
+    that sum, and otherwise "constant" or "refuted" by its counts.
+    """
+    last = max(report.ca2.witness.x, report.ca3.witness.x)
+    for x in combinations(range(params.v), params.c):
+        if x > last:
+            if params.a * len(lines_avoiding(ann, x)) % (params.v - params.c):
+                yield "indivisible"
+            else:
+                yield "constant" if x in report.ca4.constants else "refuted"
+
+
+def test_kernel_matches_oracle_on_every_small_announcement():
+    # Every announcement of 1-4 lines at four small parameter sets, and of 5
+    # lines at (2,2,1): 3,347 in all. No announcement of at most 4 lines
+    # passes both CA2 and CA3 there, but the 5-cycles at (2,2,1) do and fail
+    # CA4, so the sweep's first phase decides CA4 alone. After both the CA2
+    # and the CA3 witness the corpus has c-sets of all three kinds the sweep
+    # tells apart.
+    corpus = [
+        case
+        for abc, most in [((2, 2, 1), 5), ((2, 1, 2), 4), ((3, 1, 1), 4), ((2, 2, 2), 4)]
+        for case in _every_announcement(abc, range(1, most + 1))
+    ]
+    assert len(corpus) == 3347
+    _assert_kernel_matches_oracle_on_both_sides_of_ca1(corpus)
+    kinds = set()
+    covered_but_uneven = 0
+    for params, ann in corpus:
+        report = check_axioms(ann, params)
+        if report.ca2.passed and report.ca3.passed:
+            covered_but_uneven += not report.ca4.passed
+        elif not report.ca2.passed and not report.ca3.passed:
+            kinds.update(_sweep_after_ca2_and_ca3(params, ann, report))
+    assert covered_but_uneven
+    assert kinds == {"indivisible", "constant", "refuted"}
+
+
+def _lesser(s, t):
+    """The lesser of two card masks in the CA1 pass's order: the one holding the least card where they differ."""
+    diff = s ^ t
+    return s if s & diff & -diff else t
+
+
+def _prefix(mask, b):
+    """The b smallest cards of a mask."""
+    return to_mask(from_mask(mask)[:b])
+
+
+@pytest.mark.parametrize("v", range(1, 8))
+def test_b_prefix_of_the_lesser_mask_is_the_lesser_b_prefix(v):
+    """The lemma behind the CA1 witness, checked on every pair of masks.
+
+    For masks s and t holding at least b cards each, the b-prefix of the
+    lesser of s and t equals the lesser of their b-prefixes. Say s is the
+    lesser, d the least card where they differ, so d is in s. If d is among
+    the b smallest cards of s, the two prefixes agree below d and only the
+    prefix of s holds d; otherwise both prefixes are the same cards below d.
+    So the CA1 pass may keep the least clashing free mask and take its
+    b-prefix once. Among b-sets the order is the lexicographic one, so that
+    prefix is the lexicographically first violating b-set.
+    """
+    for b in range(1, min(v, 3) + 1):
+        prefixes = {m: _prefix(m, b) for m in range(1 << v) if m.bit_count() >= b}
+        for s, s_prefix in prefixes.items():
+            for t, t_prefix in prefixes.items():
+                assert prefixes[_lesser(s, t)] == _lesser(s_prefix, t_prefix), (v, b, s, t)
+        b_sets = list(combinations(range(v), b))
+        for p in b_sets:
+            assert all(_lesser(to_mask(p), to_mask(q)) == to_mask(min(p, q)) for q in b_sets), (v, p)
 
 def _assert_scanner_matches_oracle(ann, v):
     """Profile, covalency and every one-card residual's covalency_over equal the oracle's.
