@@ -37,14 +37,11 @@ from .model import (
     Announcement,
     AnnouncementParseError,
     CardSet,
-    Deal,
     Parameters,
     card_set,
-    complement_set,
     enumerate_ksets,
     format_announcement,
     format_card_set,
-    make_deal,
     parse_announcement,
     parse_card_set,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "AxiomReport",
     "BiasReport",
     "CardSet",
-    "Deal",
     "DesignProfile",
     "InferenceError",
     "NoLineError",
@@ -90,7 +86,6 @@ __all__ = [
     "cathy_card_counts",
     "check_axioms",
     "classify_by_triple",
-    "complement_set",
     "covalency",
     "covalency_over",
     "design_profile",
@@ -101,7 +96,6 @@ __all__ = [
     "format_card_set",
     "is_good",
     "lines_avoiding",
-    "make_deal",
     "parse_announcement",
     "parse_card_set",
     "posterior_lines",

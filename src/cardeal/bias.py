@@ -14,9 +14,10 @@ classes under the literal fact2 reading, 1 otherwise. The protocol's
 ``likelihoods`` index holds exactly these products per announcement, built
 once per protocol, as integer numerators over one protocol-wide
 denominator. A posterior is one column lookup, a disjointness test and an
-integer sum over the lines, and one exact ``Fraction`` per line; the bias
-report likewise sums integers and builds a ``Fraction`` only for each value
-it reports. No floating point enters any probability.
+integer sum over the lines, and one exact ``Fraction`` per distinct weight
+(a row's lines share few); the bias report likewise sums integers and builds
+a ``Fraction`` only for each value it reports. No floating point enters any
+probability.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from typing import Iterable
 from .enumeration import classify_by_triple, enumerate_good_announcements
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
 from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json, common_denominator
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -76,15 +79,22 @@ def posterior_lines(
 
     The observer set must be empty (outside observer) or a full c-set. Lines
     meeting the observer's cards get posterior exactly 0; the rest are the
-    normalised table weights of the hands they correspond to.
+    normalised table weights of the hands they correspond to. Lines of equal
+    weight share one ``Fraction``, and every zero is one shared ``Fraction(0)``.
     """
     params = proto.params
     obs = card_set(observer, params.v)
     if len(obs) not in (0, params.c):
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
     weights, total = _line_weights(proto, ann, set(obs))
-    posteriors = tuple((line, Fraction(w, total)) for line, w in zip(ann.lines, weights))
-    return PosteriorTable(ann, obs, posteriors)
+    values = {0: _ZERO}
+    posteriors = []
+    for line, w in zip(ann.lines, weights):
+        p = values.get(w)
+        if p is None:
+            p = values[w] = Fraction(w, total)
+        posteriors.append((line, p))
+    return PosteriorTable(ann, obs, tuple(posteriors))
 
 
 def _line_weights(proto: Protocol, ann: Announcement, seen: set[int]) -> tuple[list[int], int]:

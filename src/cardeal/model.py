@@ -76,13 +76,6 @@ def enumerate_ksets(v: int, k: int) -> list[CardSet]:
     return list(combinations(range(v), k))
 
 
-def complement_set(x: Iterable[int], v: int) -> CardSet:
-    """The cards of the deck {0, ..., v-1} not in x."""
-    xs = card_set(x, v)
-    inside = set(xs)
-    return tuple(card for card in range(v) if card not in inside)
-
-
 def to_mask(cards: Iterable[int]) -> int:
     """Bit mask with bit i set for every card i. Fast set algebra for any v."""
     mask = 0
@@ -190,41 +183,6 @@ def card_masks(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
         for card in line:
             cards[card] |= bit
     return tuple(cards)
-
-
-@dataclass(frozen=True)
-class Deal:
-    """A full distribution of the deck over the three hands."""
-
-    alice: CardSet
-    bob: CardSet
-    cathy: CardSet
-
-
-def make_deal(
-    params: Parameters,
-    alice: Iterable[int],
-    bob: Iterable[int],
-    cathy: Iterable[int] | None = None,
-) -> Deal:
-    """Build a deal, filling in the third hand when omitted.
-
-    The three hands must be pairwise disjoint cards of the deck with sizes
-    (a, b, c), so together they cover it.
-    """
-    a_set = card_set(alice, params.v)
-    b_set = card_set(bob, params.v)
-    if cathy is None:
-        taken = set(a_set) | set(b_set)
-        c_set = tuple(card for card in range(params.v) if card not in taken)
-    else:
-        c_set = card_set(cathy, params.v)
-    sizes = (len(a_set), len(b_set), len(c_set))
-    if sizes != (params.a, params.b, params.c):
-        raise ValueError(f"hand sizes {sizes} do not match {params}")
-    if to_mask(a_set) & to_mask(b_set) or (to_mask(a_set) | to_mask(b_set)) & to_mask(c_set):
-        raise ValueError("hands overlap")
-    return Deal(a_set, b_set, c_set)
 
 
 def format_card_set(cards: Iterable[int], v: int) -> str:

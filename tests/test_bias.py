@@ -6,6 +6,8 @@ table entry (times the class factor for the literal fact2 reading), and
 reads posteriors off the accumulated joint weights.
 """
 
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -124,6 +126,52 @@ def test_posteriors_match_table_oracle(protocols):
                 assert outcome(posterior_lines, restored, ann, observer) == expected, (name, ann)
         assert bias_report(restored) == bias_report(proto), name
         assert proto == restored and "likelihoods" in vars(proto)
+
+
+# SHA-256 of json.dumps of the list of posterior_json documents, support
+# announcement by announcement and observer by observer in OBSERVERS order,
+# recorded from the one-Fraction-per-line implementation.
+POSTERIOR_JSON_DIGESTS = {
+    "uniform60": "cb77131e9b33f8f7a1983ef7ebdebcc7ef6161da7a141485035b4aaf87332b06",
+    "fact1": "594e0b940acdb43276ac83f11d31a36eaefc710f13811b28e710e13a48380e84",
+    "fact2_conditional": "0ff2515dff312d5dc628106fb99964e4e237214fc937e192d625faca2e4c35ac",
+    "fact2_literal": "3a881ed38c9b5fb215b810d704057c1a91ba8c328b5ba47b8d47130a74ca048c",
+}
+
+
+def test_posteriors_build_one_fraction_per_distinct_nonzero_value(protocols, monkeypatch):
+    built = 0
+
+    def counting_fraction(*args):
+        nonlocal built
+        built += 1
+        return Fraction(*args)
+
+    monkeypatch.setattr(cardeal.bias, "Fraction", counting_fraction)
+    for name, proto in protocols.items():
+        for ann in proto.support():
+            for observer in OBSERVERS:
+                built = 0
+                table = posterior_lines(proto, ann, observer)
+                distinct = {p for _, p in table.posteriors if p}
+                assert built == len(distinct), (name, ann, observer)
+                if name == "uniform60" and not observer:
+                    assert built == 1 < len(ann.lines)
+
+
+def test_posteriors_are_fractions_with_unchanged_json(protocols, p331):
+    zeros = 0
+    for name, proto in protocols.items():
+        docs = []
+        for ann in proto.support():
+            for observer in OBSERVERS:
+                table = posterior_lines(proto, ann, observer)
+                assert all(type(p) is Fraction for _, p in table.posteriors), (name, ann, observer)
+                zeros += sum(p == 0 for _, p in table.posteriors)
+                docs.append(posterior_json(table, p331))
+        digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+        assert digest == POSTERIOR_JSON_DIGESTS[name], name
+    assert zeros
 
 
 def test_posterior_errors_match_table_oracle(protocols, p331):

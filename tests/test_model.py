@@ -14,15 +14,12 @@ from cardeal import (
     bob_infer,
     bob_sets,
     build_protocol,
-    card_set,
     cathy_card_counts,
     check_axioms,
-    complement_set,
     enumerate_ksets,
     format_announcement,
     is_good,
     lines_avoiding,
-    make_deal,
     parse_announcement,
     posterior_lines,
 )
@@ -66,21 +63,6 @@ def test_enumerate_ksets_properties(v, k):
     assert len(sets) == comb(v, k)
     assert len(set(sets)) == len(sets)
     assert all(len(s) == k for s in sets)
-
-
-def test_complement_set_examples():
-    assert complement_set((5,), 7) == (0, 1, 2, 3, 4, 6)
-    assert complement_set((), 7) == (0, 1, 2, 3, 4, 5, 6)
-    assert complement_set(range(7), 7) == ()
-    with pytest.raises(ValueError):
-        complement_set((7,), 7)
-
-
-@given(st.integers(1, 12).flatmap(lambda v: st.tuples(st.just(v), st.sets(st.integers(0, v - 1)))))
-def test_complement_is_an_involution(case):
-    v, cards = case
-    x = card_set(cards, v)
-    assert complement_set(complement_set(x, v), v) == x
 
 
 def test_parse_five_hand(p331):
@@ -249,12 +231,3 @@ def test_avoiding_an_absurd_card_label_builds_no_mask(call):
 def test_lines_avoiding_refuses_a_negative_card():
     with pytest.raises(ValueError):
         lines_avoiding(Announcement.of([(0, 1, 2)]), (-1,))
-
-
-def test_make_deal_fills_in_third_hand(p331):
-    deal = make_deal(p331, (0, 1, 2), (3, 4, 5))
-    assert deal.cathy == (6,)
-    with pytest.raises(ValueError):
-        make_deal(p331, (0, 1, 2), (2, 3, 4))  # overlap
-    with pytest.raises(ValueError):
-        make_deal(p331, (0, 1, 2), (3, 4, 5), (5,))  # cathy overlaps bob
