@@ -31,26 +31,27 @@ masks of ``model.card_masks`` (bit i of card y's mask set iff line i holds
 y): the avoiding lines are every line but those in the masks of X's cards,
 and the count n_X(y) of avoiding lines holding a card y is the popcount of
 y's mask within them. CA2 fails where some count equals the number of
-avoiding lines, CA3 where some count is 0, CA4 where the counts differ. The
-lines are distinct and lie outside X, so a card with count n lies in exactly
-|avoid| - n candidate b-sets; CA5 is read off the same counts,
-m_X = |avoid_X| - n_X, and fails at exactly the c-sets where CA4 does. Until
-CA2 and CA3 both have their witness, the sweep takes one count per outside
-card. After that it counts only what CA4 needs: every avoiding line holds a
-cards, all outside X, so the v - c outside counts sum to a·|avoid_X|, and the
-only constant they can have is n = a·|avoid_X| / (v - c). Where v - c does
-not divide a·|avoid_X|, X violates CA4 without a count; otherwise the counts
-are read until one differs from n. The sweep records, per c-set, its constant
-or, where the counts differ, the c-set alone; the CA4 and CA5 verdicts share
-that list of violating c-sets, so a report takes O(C(v, c)) small entries. A
+avoiding lines, CA3 where some count is 0, CA4 where the counts differ.
+Every avoiding line holds a cards, all outside X, so the v - c outside counts
+sum to a·|avoid_X|. The lines are distinct and lie outside X, so a card with
+count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off the
+same counts and fails at exactly the c-sets where CA4 does, and its constant
+m_X = |avoid_X| - n_X is n_X·b/a, computed from CA4's. Until CA2 and CA3
+both have their witness, the sweep takes one count per outside card. After
+that it counts only what CA4 needs: the only constant the counts can have is
+n = a·|avoid_X| / (v - c). Where v - c does not divide a·|avoid_X|, X
+violates CA4 without a count; otherwise the counts are read until one
+differs from n. The sweep records, per c-set, its constant or, where the
+counts differ, the c-set alone; the CA4 and CA5 verdicts share that list of
+violating c-sets, so a report takes O(C(v, c)) small entries. A
 ``CountVerdict`` builds a witness's (card, count) pairs from the per-card
 masks only when it is read. ``cathy_card_counts`` takes the same popcounts
 for one c-set.
-``_covers`` is the early-exit reading of CA2-CA3 over
-precomputed c-set masks. ``is_good`` is "no clashing pair and ``_covers``".
-Enumeration clears CA1 during its search and picks its last line by the
-per-c-set conditions ``_covers`` tests (it calls ``_covers`` only on a
-one-line announcement); a test holds it to the leaf-by-leaf ``_covers`` search.
+``is_good`` is the early exit of the same pair pass and sweep: it stops at the
+first clashing pair, then at the first c-set with an outside card held by
+every avoiding line (CA2) or by none (CA3). Both are charged
+C(k, 2) + C(v, c)·(v - c). Enumeration clears CA1 during its search and
+picks its last line by the same CA2-CA3 conditions, read line by line.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .guard import comb_within, require_work
 from .model import (
@@ -272,11 +273,12 @@ def _outside(per_card: list, xs: CardSet) -> list:
     return per_card
 
 
-def _prepare(ann: Announcement, params: Parameters, max_work: int | None, per_c_set: int) -> tuple[int, ...]:
-    """Validate the lines, charge C(k, 2) line pairs plus per_c_set steps per c-set, return the line masks."""
+def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tuple[int, ...]:
+    """Validate the lines, charge C(k, 2) line pairs plus v - c counts per c-set, return the line masks."""
     masks = check_fit(ann, params.a, params.v)
-    c_sets = comb_within(params.v, params.c, max_work, "axiom check", per_c_set)
-    require_work(comb(len(masks), 2) + c_sets * per_c_set, max_work, "axiom check")
+    outside = params.v - params.c
+    c_sets = comb_within(params.v, params.c, max_work, "axiom check", outside)
+    require_work(comb(len(masks), 2) + c_sets * outside, max_work, "axiom check")
     return masks
 
 
@@ -292,32 +294,6 @@ def _clash(m1: int, m2: int, v: int, b: int) -> int:
     return free if free.bit_count() >= b else 0
 
 
-def _c_set_masks(v: int, c: int) -> Iterator[tuple[CardSet, int, int]]:
-    """Each c-set with its mask and the mask of the cards outside it."""
-    omega = (1 << v) - 1
-    for xs in combinations(range(v), c):
-        xm = to_mask(xs)
-        yield xs, xm, omega & ~xm
-
-
-def _covers(masks: Sequence[int], c_set_masks: Iterable[tuple[CardSet, int, int]]) -> bool:
-    """CA2 and CA3 on line masks: every c-set's avoiding lines share no card and cover the rest.
-
-    Exits at the first failing c-set. The running intersection starts from
-    the outside cards, which every avoiding line lies within; with no
-    avoiding line it stays nonempty, but CA3 fails there anyway.
-    """
-    for _, xm, rest in c_set_masks:
-        common, union = rest, 0
-        for m in masks:
-            if not m & xm:
-                common &= m
-                union |= m
-        if common or union != rest:
-            return False
-    return True
-
-
 def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> AxiomReport:
     """Decide CA1-CA5 exhaustively: CA1 over line pairs, CA2-CA5 over all c-sets.
 
@@ -327,7 +303,7 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     found elsewhere.
     """
     a, b, c, v = params.a, params.b, params.c, params.v
-    masks = _prepare(ann, params, max_work, v - c)
+    masks = _prepare(ann, params, max_work)
 
     ca1 = AxiomVerdict(True)
     least = 0
@@ -348,7 +324,6 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     ca2 = AxiomVerdict(True)
     ca3 = AxiomVerdict(True)
     n_constants: dict[CardSet, int] = {}
-    m_constants: dict[CardSet, int] = {}
     violating: list[CardSet] = []
     cards = card_masks(ann, a, v)
     every = (1 << len(masks)) - 1
@@ -380,7 +355,6 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
             violating.append(xs)
         else:
             n_constants[xs] = n
-            m_constants[xs] = total - n
 
     found = tuple(violating)
     return AxiomReport(
@@ -389,15 +363,28 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
         ca2=ca2,
         ca3=ca3,
         ca4=CountVerdict(n_constants, found, partial(_uneven_counts, cards, every, False)),
-        ca5=CountVerdict(m_constants, found, partial(_uneven_counts, cards, every, True)),
+        ca5=CountVerdict(
+            {x: n * b // a for x, n in n_constants.items()}, found, partial(_uneven_counts, cards, every, True)
+        ),
     )
 
 
 def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> bool:
-    """True iff CA1, CA2 and CA3 all hold: the early-exit reading of check_axioms."""
-    masks = _prepare(ann, params, max_work, len(ann))
-    clash = any(_clash(m1, m2, params.v, params.b) for m1, m2 in combinations(masks, 2))
-    return not clash and _covers(masks, _c_set_masks(params.v, params.c))
+    """True iff CA1, CA2 and CA3 all hold: check_axioms' pair pass and sweep, stopped at the first failure."""
+    v, c = params.v, params.c
+    masks = _prepare(ann, params, max_work)
+    if any(_clash(m1, m2, v, params.b) for m1, m2 in combinations(masks, 2)):
+        return False
+    cards = card_masks(ann, params.a, v)
+    every = (1 << len(masks)) - 1
+    for xs, inside in zip(combinations(range(v), c), combinations(cards, c)):
+        avoid = _avoiding(every, inside)
+        for lines in _outside(list(cards), xs):
+            # A card in every avoiding line fails CA2, an outside card in none
+            # fails CA3; with no avoiding line, the first outside card is both.
+            if (held := lines & avoid) == avoid or not held:
+                return False
+    return True
 
 
 def axiom_report_json(report: AxiomReport) -> dict:

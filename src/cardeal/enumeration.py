@@ -5,12 +5,17 @@ pairwise pass the axiom kernel's CA1 clash rule (no b-set avoids two of
 them): the hand plus a (k-1)-clique of the compatibility graph on the pool
 of lines that do not clash with the hand. The search intersects candidate
 sets with each chosen line's bitset of compatible later lines, built the
-first time a branch needs a line after it, so k = 1 and k = 2 test no pair
-of pool lines. The last line is picked without testing each leaf: for each
-c-set the first k - 1 lines fail under CA2-CA3, it must avoid the c-set and
-the cards its avoiding lines share, and hold the outside cards they miss.
-With one bitset per card over the pool these are ANDs on the candidate set,
-which leave exactly the good completions, in pool order. No isomorph
+first time a branch needs a line after it, so k = 2 tests no pair of pool
+lines. The last line is picked without testing each leaf: for each c-set
+the first k - 1 lines fail under CA2-CA3, it must avoid the c-set and the
+cards its avoiding lines share, and hold the outside cards they miss. With
+one bitset per card over the pool these are ANDs on the candidate set,
+which leave exactly the good completions, in pool order. This filter is
+the library's only line-major reading of CA2-CA3: the chosen lines change
+at every node, so it reads them one by one rather than through per-card
+masks. k = 1 needs no search: v - a = b + c >= c, so some c-set misses the
+hand, which is then that c-set's only avoiding line; its cards are shared,
+CA2 fails, and no one-line announcement is good. No isomorph
 rejection: at desk scale the exhaustive search is the ground truth
 everything else is tested against.
 
@@ -51,7 +56,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .axioms import _c_set_masks, _clash, _covers
+from .axioms import _clash
 from .guard import comb_within, require_work
 from .model import Announcement, CardSet, Parameters, card_set, from_mask, to_mask
 
@@ -116,10 +121,11 @@ def _reference_lines(params: Parameters, k: int) -> tuple[tuple[tuple[CardSet, .
 def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:
     """The direct search: every good k-line announcement containing ``hand``, canonically ordered."""
     a, v, b = params.a, params.v, params.b
-    hand_mask = to_mask(hand)
-    c_set_masks = tuple(_c_set_masks(v, params.c))
     if k == 1:
-        return (Announcement((hand,)),) if _covers([hand_mask], c_set_masks) else ()
+        return ()  # no one-line announcement is good (see the module docstring)
+    hand_mask = to_mask(hand)
+    omega = (1 << v) - 1
+    c_set_masks = [(xm, omega & ~xm) for xm in map(to_mask, combinations(range(v), params.c))]
     pool = [
         m for m in map(to_mask, combinations(range(v), a))
         if m != hand_mask and not _clash(m, hand_mask, v, b)
@@ -139,15 +145,15 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
     def last_lines(candidates: int, chosen: list[int]) -> list[Announcement]:
         """The good announcements made of ``chosen`` and one line from ``candidates``.
 
-        ``_covers`` fails a c-set X on ``chosen`` when X's avoiding lines share
-        a card or miss an outside card. A last line holding a card of X leaves
+        CA2-CA3 fail a c-set X on ``chosen`` when X's avoiding lines share a
+        card or miss an outside card. A last line holding a card of X leaves
         that as it is; one avoiding X must miss the shared cards and hold the
         missed ones. A passing X passes whatever the last line is.
         """
         if not candidates:
             return []
         avoid = hold = 0
-        for _, xm, rest in c_set_masks:
+        for xm, rest in c_set_masks:
             common, union = rest, 0
             for m in chosen:
                 if not m & xm:

@@ -161,22 +161,25 @@ def test_work_guard(five_hand, p331, monkeypatch):
 
 
 def test_work_estimate_is_pairs_plus_c_set_sweep(five_hand, p331):
-    # C(5, 2) line pairs for CA1, then 7 c-sets: check_axioms counts each
-    # c-set's 6 outside cards (10 + 42 = 52), is_good tests its 5 lines (10 + 35 = 45)
+    # C(5, 2) line pairs for CA1, then 7 c-sets whose 6 outside cards are
+    # each counted once: 10 + 42 = 52, for check_axioms and is_good alike.
     with pytest.raises(WorkLimitExceeded):
         check_axioms(five_hand, p331, max_work=51)
     with pytest.raises(WorkLimitExceeded):
-        is_good(five_hand, p331, max_work=44)
+        is_good(five_hand, p331, max_work=51)
     assert check_axioms(five_hand, p331, max_work=52).good
-    assert is_good(five_hand, p331, max_work=45)
+    assert is_good(five_hand, p331, max_work=52)
 
 
 def test_single_line_sweep_is_charged_per_outside_card():
     # One line on 45 cards, but C(45, 3) = 14,190 c-sets of 42 outside cards
-    # each: 595,980 steps, not the 14,190 that one step per line would charge.
+    # each: 595,980 steps, not the 14,190 that one step per line would charge,
+    # for check_axioms and is_good alike.
     with pytest.raises(WorkLimitExceeded, match="595980"):
         check_axioms(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=100_000)
-    assert is_good(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=100_000) is False
+    with pytest.raises(WorkLimitExceeded, match="595980"):
+        is_good(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=100_000)
+    assert is_good(Announcement(((0, 1),)), Parameters(2, 40, 3), max_work=595_980) is False
 
 
 PEAK_PROBE = """

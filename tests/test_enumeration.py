@@ -1,6 +1,7 @@
 from collections import Counter
 from itertools import combinations
 from math import comb
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 
@@ -14,9 +15,9 @@ from cardeal import (
     parse_announcement,
     triple_point,
 )
-from cardeal.axioms import _c_set_masks, _clash, _covers
+from cardeal.axioms import _clash
 from cardeal.enumeration import _good_containing, _reference_lines, _relabelled
-from cardeal.model import from_mask, to_mask
+from cardeal.model import CardSet, from_mask, to_mask
 
 # The twelve five-line announcements containing 012 whose most frequent card
 # is 0, and the six containing 135 with most frequent card 0.
@@ -224,6 +225,32 @@ def test_relabelled_lists_match_the_direct_search_at_431_k7(hand):
     assert anns == list(_good_containing(params, hand, 7))
 
 
+def _c_set_masks(v: int, c: int) -> Iterator[tuple[CardSet, int, int]]:
+    """Each c-set with its mask and the mask of the cards outside it."""
+    omega = (1 << v) - 1
+    for xs in combinations(range(v), c):
+        xm = to_mask(xs)
+        yield xs, xm, omega & ~xm
+
+
+def _covers(masks: Sequence[int], c_set_masks: Iterable[tuple[CardSet, int, int]]) -> bool:
+    """CA2 and CA3 on line masks: every c-set's avoiding lines share no card and cover the rest.
+
+    Exits at the first failing c-set. The running intersection starts from
+    the outside cards, which every avoiding line lies within; with no
+    avoiding line it stays nonempty, but CA3 fails there anyway.
+    """
+    for _, xm, rest in c_set_masks:
+        common, union = rest, 0
+        for m in masks:
+            if not m & xm:
+                common &= m
+                union |= m
+        if common or union != rest:
+            return False
+    return True
+
+
 def _leaf_checked_search(params, hand, k):
     """Oracle: the clique search that tests every k-line leaf with ``_covers``, canonically ordered."""
     v, b = params.v, params.b
@@ -279,19 +306,15 @@ def test_last_line_filter_matches_the_leaf_checked_search(params, ks, hands):
             assert list(_good_containing(params, hand, k)) == _leaf_checked_search(params, hand, k), (hand, k)
 
 
-def test_only_a_one_line_search_calls_covers(monkeypatch):
-    calls = 0
-
-    def counting_covers(*args):
-        nonlocal calls
-        calls += 1
-        return _covers(*args)
-
-    monkeypatch.setattr("cardeal.enumeration._covers", counting_covers)
-    for params, k, found in [(Parameters(4, 3, 1), 5, 0), (Parameters(3, 3, 1), 5, 60), (Parameters(3, 3, 1), 1, 0)]:
-        calls = 0
-        assert len(_good_containing(params, tuple(range(params.a)), k)) == found
-        assert calls == (k == 1), (params, k)
+def test_no_one_line_announcement_is_good():
+    # v - a = b + c >= c, so some c-set misses the hand; the hand is then its
+    # only avoiding line and shares its cards, so CA2 fails. The search
+    # returns no one-line announcement without testing one.
+    for abc in [(3, 3, 1), (4, 3, 1), (3, 4, 2), (2, 1, 2)]:
+        params = Parameters(*abc)
+        hand = tuple(range(params.a))
+        assert _good_containing(params, hand, 1) == (), abc
+        assert is_good(Announcement((hand,)), params) is False, abc
 
 
 @pytest.mark.parametrize("params, ks", RELABEL_GRID)

@@ -30,6 +30,7 @@ from cardeal import (
 from cardeal.designs import binary_design
 from cardeal.guard import DEFAULT_MAX_WORK
 from cardeal.axioms import (
+    AXIOM_NAMES,
     AmbiguityWitness,
     AxiomReport,
     AxiomVerdict,
@@ -211,6 +212,42 @@ def test_kernel_matches_oracle_on_binary_designs():
         moved = first[:-1] + (min(set(range(params.v)) - set(first)),)
         corpus += [(params, design), (params, Announcement.of([*design.lines, moved]))]
     _assert_kernel_matches_oracle_on_both_sides_of_ca1(corpus)
+
+
+def _boolean_quadruples(v):
+    """SQS(v) for v a power of two: the 4-sets of 0..v-1 whose cards XOR to 0."""
+    return Announcement.of([q for q in combinations(range(v), 4) if not q[0] ^ q[1] ^ q[2] ^ q[3]])
+
+
+SQS16 = _boolean_quadruples(16)
+
+# Many lines that pass CA1, so is_good reaches its CA2-CA3 sweep with k far
+# above v - c; each row names the axioms the announcement fails. Only
+# "sqs16-through-0-or-15" fails CA2 without CA3, and only "sqs16-avoiding-15"
+# and "binary4-853" fail CA3 without CA2.
+DESIGN_FIXTURES = {
+    "sqs16": (SQS16, (4, 11, 1), ()),
+    "sqs16-minus-first-line": (Announcement(SQS16.lines[1:]), (4, 11, 1), ("ca4", "ca5")),
+    "sqs16-through-0": (Announcement.of(l for l in SQS16.lines if 0 in l), (4, 11, 1), ("ca2", "ca3", "ca4", "ca5")),
+    "sqs16-through-0-or-15": (
+        Announcement.of(l for l in SQS16.lines if 0 in l or 15 in l), (4, 11, 1), ("ca2", "ca4", "ca5")
+    ),
+    "sqs16-avoiding-15": (Announcement.of(l for l in SQS16.lines if 15 not in l), (4, 11, 1), ("ca3", "ca4", "ca5")),
+    "sqs8": (_boolean_quadruples(8), (4, 3, 1), ()),
+    "binary4-871": (binary_design(4), (8, 7, 1), ()),
+    "binary4-862": (binary_design(4), (8, 6, 2), ()),
+    "binary4-853": (binary_design(4), (8, 5, 3), ("ca3", "ca4", "ca5")),
+}
+
+
+@pytest.mark.parametrize("name", DESIGN_FIXTURES)
+def test_is_good_matches_oracle_on_many_line_designs(name):
+    ann, abc, failing = DESIGN_FIXTURES[name]
+    params = Parameters(*abc)
+    report = check_axioms(ann, params)
+    assert tuple(axiom for axiom in AXIOM_NAMES if not report.passed(axiom)) == failing
+    expected = not {"ca1", "ca2", "ca3"} & set(failing)
+    assert is_good(ann, params) == oracle_is_good(ann, params) == report.good == expected
 
 
 def _every_announcement(abc, sizes):
