@@ -26,21 +26,28 @@ lexicographic order. The least b-subset of a set is its b-prefix (its b
 smallest cards), and the b-prefix of the lesser of two sets is the lesser of
 their b-prefixes. So the pass keeps only the least clashing free mask and
 takes its b-prefix once, at the end.
-For CA2-CA5, ``check_axioms`` sweeps every c-set X. It reads the per-card
-masks of ``model.card_masks`` (bit i of card y's mask set iff line i holds
-y): the avoiding lines are every line but those in the masks of X's cards,
-and the count n_X(y) of avoiding lines holding a card y is the popcount of
-y's mask within them. CA2 fails where some count equals the number of
-avoiding lines, CA3 where some count is 0, CA4 where the counts differ.
+Both kernels start in ``_prepare``: it checks the lines once, charges the
+guard, and only then builds the line masks and the per-card masks (bit i of
+card y's mask set iff line i holds y) in the one loop of
+``model.build_masks``.
+For CA2-CA5, ``check_axioms`` sweeps every c-set X. It first complements
+each card's mask within the k lines, giving the lines avoiding that card;
+the lines avoiding X are the AND of its c cards' complements, and the count
+n_X(y) of avoiding lines holding a card y is the popcount of y's mask within
+them. CA2 fails where some outside count equals the number of avoiding
+lines, CA3 where some is 0, CA4 where they differ.
 Every avoiding line holds a cards, all outside X, so the v - c outside counts
 sum to a·|avoid_X|. The lines are distinct and lie outside X, so a card with
 count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off the
 same counts and fails at exactly the c-sets where CA4 does, and its constant
 m_X = |avoid_X| - n_X is n_X·b/a, computed from CA4's. Until CA2 and CA3
-both have their witness, the sweep takes one count per outside card. After
-that it counts only what CA4 needs: the only constant the counts can have is
-n = a·|avoid_X| / (v - c). Where v - c does not divide a·|avoid_X|, X
-violates CA4 without a count; otherwise the counts are read until one
+both have their witness, the sweep counts every card of the deck. X's own
+c cards count 0, so the maximum is the outside cards', the outside counts
+are constant iff all v - c of them reach it, and an outside card counts 0
+iff more than c cards do. After that it counts only what CA4 needs: the
+only constant the counts can have is n = a·|avoid_X| / (v - c). Where
+v - c does not divide a·|avoid_X|, X violates CA4 without a count;
+otherwise the counts are read, X's own cards skipped by index, until one
 differs from n. The sweep records, per c-set, its constant or, where the
 counts differ, the c-set alone; the CA4 and CA5 verdicts share that list of
 violating c-sets, so a report takes O(C(v, c)) small entries. A
@@ -49,18 +56,21 @@ masks only when it is read. ``cathy_card_counts`` takes the same popcounts
 for one c-set.
 ``is_good`` is the early exit of the same pair pass and sweep: it stops at the
 first clashing pair, then at the first c-set with an outside card held by
-every avoiding line (CA2) or by none (CA3). Both are charged
-C(k, 2) + C(v, c)·(v - c). Enumeration clears CA1 during its search and
-picks its last line by the same CA2-CA3 conditions, read line by line.
+every avoiding line (CA2) or by none (CA3), skipping X's own cards by index.
+Both are charged C(k, 2) + C(v, c)·(v - c), a count for every outside card
+of every c-set, before any mask is built. Enumeration clears CA1 during its
+search and picks its last line by the same CA2-CA3 conditions, read line by
+line.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from math import comb
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .guard import comb_within, require_work
@@ -68,9 +78,9 @@ from .model import (
     Announcement,
     CardSet,
     Parameters,
-    card_masks,
+    build_masks,
     card_set,
-    check_fit,
+    check_lines,
     format_card_set,
     from_mask,
     to_mask,
@@ -172,6 +182,7 @@ class CountVerdict:
 
 
 AXIOM_NAMES = ("ca1", "ca2", "ca3", "ca4", "ca5")
+_PASS = AxiomVerdict(True)
 
 
 @dataclass(frozen=True)
@@ -210,7 +221,8 @@ def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[Ca
     One candidate per avoiding line: the rest of the deck once x and that
     line are removed. Duplicates are dropped and the result is sorted.
     """
-    masks = check_fit(ann, params.a, params.v)
+    check_lines(ann, params.a, params.v)
+    masks = build_masks(ann, params.v)[0]
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
@@ -238,7 +250,8 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
     """Occurrences of every deck card among the lines avoiding x; cards of x map to 0.
 
     The popcounts of the per-card masks that ``check_axioms`` reads."""
-    cards = card_masks(ann, params.a, params.v)
+    check_lines(ann, params.a, params.v)
+    cards = build_masks(ann, params.v)[1]
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
@@ -247,39 +260,29 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
 
 def _card_counts(cards: Sequence[int], every: int, xs: CardSet) -> tuple[int, list[int]]:
     """The number of lines avoiding xs, and how many of them hold each deck card."""
-    avoid = _avoiding(every, (cards[card] for card in xs))
+    avoid = every
+    for x in xs:
+        avoid &= ~cards[x]
     return avoid.bit_count(), [(lines & avoid).bit_count() for lines in cards]
 
 
 def _uneven_counts(cards: Sequence[int], every: int, ca5: bool, xs: CardSet) -> tuple[tuple[int, int], ...]:
     """(card, count) for each card outside xs: n_X for CA4, or m_X = |avoid_X| - n_X for CA5."""
     total, ns = _card_counts(cards, every, xs)
-    if ca5:
-        ns = [total - n for n in ns]
-    return tuple(zip(_outside(list(range(len(cards))), xs), _outside(ns, xs)))
+    return tuple((y, total - n if ca5 else n) for y, n in enumerate(ns) if y not in xs)
 
 
-def _avoiding(every: int, inside: Iterable[int]) -> int:
-    """The mask of lines avoiding a card set: ``every`` line but those in an ``inside`` card's mask."""
-    for lines in inside:
-        every &= ~lines
-    return every
+def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Validate the lines, charge C(k, 2) line pairs plus v - c counts per c-set, then build the masks.
 
-
-def _outside(per_card: list, xs: CardSet) -> list:
-    """``per_card``, one entry per deck card, with the entries of the cards in xs deleted in place."""
-    for x in reversed(xs):
-        del per_card[x]
-    return per_card
-
-
-def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tuple[int, ...]:
-    """Validate the lines, charge C(k, 2) line pairs plus v - c counts per c-set, return the line masks."""
-    masks = check_fit(ann, params.a, params.v)
+    Returns the line masks and the per-card masks; nothing is built before
+    the lines pass ``check_lines`` and the charge is within ``max_work``.
+    """
+    check_lines(ann, params.a, params.v)
     outside = params.v - params.c
     c_sets = comb_within(params.v, params.c, max_work, "axiom check", outside)
-    require_work(comb(len(masks), 2) + c_sets * outside, max_work, "axiom check")
-    return masks
+    require_work(comb(len(ann), 2) + c_sets * outside, max_work, "axiom check")
+    return build_masks(ann, params.v)
 
 
 def _clash(m1: int, m2: int, v: int, b: int) -> int:
@@ -303,9 +306,9 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     found elsewhere.
     """
     a, b, c, v = params.a, params.b, params.c, params.v
-    masks = _prepare(ann, params, max_work)
+    masks, cards = _prepare(ann, params, max_work)
 
-    ca1 = AxiomVerdict(True)
+    ca1 = _PASS
     least = 0
     for m1, m2 in combinations(masks, 2):
         # Of two sets the lesser holds the least card where they differ.
@@ -321,34 +324,37 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
         lines = tuple(line for line, m in zip(ann.lines, masks) if not m & prefix)
         ca1 = AxiomVerdict(False, AmbiguityWitness(from_mask(prefix), lines))
 
-    ca2 = AxiomVerdict(True)
-    ca3 = AxiomVerdict(True)
+    ca2 = ca3 = _PASS
     n_constants: dict[CardSet, int] = {}
     violating: list[CardSet] = []
-    cards = card_masks(ann, a, v)
     every = (1 << len(masks)) - 1
-    for xs, inside in zip(combinations(range(v), c), combinations(cards, c)):
-        avoid = _avoiding(every, inside)
+    outs = [every ^ lines for lines in cards]  # the lines avoiding each card
+    for xs, avoiding in zip(combinations(range(v), c), combinations(outs, c)):
+        avoid = reduce(and_, avoiding)
         total = avoid.bit_count()
         n = None
         if ca2.passed or ca3.passed:
-            # One count per outside card: CA2 and CA3 read the extremes.
-            ns = [(lines & avoid).bit_count() for lines in _outside(list(cards), xs)]
-            low, high = min(ns), max(ns)
-            if low == high:
-                n = low
+            # One count per card. X's own c cards count 0, so the maximum is
+            # the outside cards', the counts are constant iff all v - c
+            # outside cards reach it, and an outside card counts 0 iff more
+            # than c cards do.
+            ns = [(lines & avoid).bit_count() for lines in cards]
+            high = max(ns)
+            if not high or ns.count(high) == v - c:
+                n = high
             if ca2.passed and total and high == total:
                 common = tuple(y for y, lines in enumerate(cards) if lines & avoid == avoid)
                 ca2 = AxiomVerdict(False, CommonCardWitness(xs, common))
-            if ca3.passed and not low:
+            if ca3.passed and ns.count(0) > c:
                 missing = tuple(y for y, lines in enumerate(cards) if not lines & avoid and y not in xs)
                 ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, missing))
         elif not a * total % (v - c):
             # The v - c outside counts sum to a * total, so n is the only
             # constant they can have; the first count that differs refutes it.
             n = a * total // (v - c)
-            for lines in _outside(list(cards), xs):
-                if (lines & avoid).bit_count() != n:
+            for y, lines in enumerate(cards):
+                # X's own cards count 0, which differs from n unless n is 0.
+                if (lines & avoid).bit_count() != n and y not in xs:
                     n = None
                     break
         if n is None:
@@ -372,17 +378,18 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
 def is_good(ann: Announcement, params: Parameters, *, max_work: int | None = None) -> bool:
     """True iff CA1, CA2 and CA3 all hold: check_axioms' pair pass and sweep, stopped at the first failure."""
     v, c = params.v, params.c
-    masks = _prepare(ann, params, max_work)
+    masks, cards = _prepare(ann, params, max_work)
     if any(_clash(m1, m2, v, params.b) for m1, m2 in combinations(masks, 2)):
         return False
-    cards = card_masks(ann, params.a, v)
     every = (1 << len(masks)) - 1
-    for xs, inside in zip(combinations(range(v), c), combinations(cards, c)):
-        avoid = _avoiding(every, inside)
-        for lines in _outside(list(cards), xs):
+    outs = [every ^ lines for lines in cards]
+    for xs, avoiding in zip(combinations(range(v), c), combinations(outs, c)):
+        avoid = reduce(and_, avoiding)
+        for y, lines in enumerate(cards):
             # A card in every avoiding line fails CA2, an outside card in none
             # fails CA3; with no avoiding line, the first outside card is both.
-            if (held := lines & avoid) == avoid or not held:
+            # X's own cards are in none, and are skipped.
+            if ((held := lines & avoid) == avoid or not held) and y not in xs:
                 return False
     return True
 

@@ -3,12 +3,12 @@
 A collection of equally sized lines on v points is a t-design when every
 t-subset of the points lies in the same number of lines; that number is the
 covalency. Every entry point passes one gate, ``_fit``, which states the
-tuple-size rule and builds masks only through ``model.card_masks``: one mask
-per point, with bit i set iff line i holds the point. One scanner, ``_scan``,
-then tries all C(v, t) t-subsets with early exit on the first mismatch (at
-desk scale both feasible and the most trustworthy oracle), after charging
-C(v, t) * max(t, 1) to the work guard: the count for a t-subset is the
-popcount of the AND of its t points' masks.
+tuple-size rule and builds masks only through ``model.build_masks``, after
+``model.check_lines``: one mask per point, with bit i set iff line i holds
+the point. One scanner, ``_scan``, then tries all C(v, t) t-subsets with
+early exit on the first mismatch (at desk scale both feasible and the most
+trustworthy oracle), after charging C(v, t) * max(t, 1) to the work guard:
+the count for a t-subset is the popcount of the AND of its t points' masks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import log10
 from typing import Iterable
 
 from .guard import comb_within, require_log10_work, require_work
-from .model import Announcement, CardSet, card_masks, card_set
+from .model import Announcement, CardSet, build_masks, card_set, check_lines
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,9 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
         raise ValueError(f"tuple size {t} out of range for block size {size}")
     if ann is None:
         return (), 0
-    cards = card_masks(ann, size, max(pts, default=-1) + 1)
+    v = max(pts, default=-1) + 1
+    check_lines(ann, size, v)
+    cards = build_masks(ann, v)[1]
     return tuple(cards[p] for p in pts), len(ann)
 
 

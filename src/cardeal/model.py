@@ -5,15 +5,17 @@ are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
 as dictionary keys. The ``Announcement`` constructor alone enforces the
 announcement invariant. ``check_lines`` checks an announcement's line size
-and card range. Two functions alone turn lines into masks, each after those
-checks, so an absurd card label never reaches a mask: ``check_fit`` builds
-one mask per line (bit y set iff the line holds card y) and ``card_masks``
-its transpose, one mask per card (bit i set iff line i holds the card).
+and card range. One function alone turns lines into masks, ``build_masks``,
+and every caller runs those checks first, so an absurd card label never
+reaches a mask: one loop over the lines builds both the line masks (bit y
+set iff the line holds card y) and their transpose, the per-card masks (bit
+i set iff line i holds the card).
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
 deck has at most ten cards ("012 034 056") and comma-separated decimals
-otherwise ("0,2,11 3,4,12"). The JSON form is
+otherwise ("0,2,11 3,4,12"); a card is ASCII decimal digits and nothing
+else. The JSON form is
 ``{"params": [a, b, c], "lines": [[0, 1, 2], ...]}``; a bare array of arrays
 is accepted as well. Parsing always canonicalises (cards sorted within a
 line, lines sorted lexicographically), so ``parse`` after ``format`` is the
@@ -26,6 +28,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 CardSet = tuple[int, ...]
@@ -100,8 +103,7 @@ class Announcement:
     """One or more distinct, equally sized lines in canonical order.
 
     The constructor rejects anything else with ValueError; equality,
-    hashing and repr use ``lines`` alone. Masks come from ``check_fit`` and
-    ``card_masks``.
+    hashing and repr use ``lines`` alone. Masks come from ``build_masks``.
     """
 
     lines: tuple[CardSet, ...]
@@ -160,29 +162,29 @@ def check_lines(ann: Announcement, size: int, v: int) -> None:
     """Refuse lines without ``size`` cards, or with a card of v or more; reads ``lines`` alone."""
     if ann.block_size != size:
         raise ValueError(f"lines have {ann.block_size} cards, expected {size}")
-    if (top := max(line[-1] for line in ann.lines)) >= v:
+    if (top := max(map(itemgetter(-1), ann.lines))) >= v:
         raise ValueError(f"card {top} out of range for deck size {v}")
 
 
-def check_fit(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
-    """The line masks, built only once ``check_lines`` passes: the one builder of line masks."""
-    check_lines(ann, size, v)
-    return tuple(map(to_mask, ann.lines))
+def build_masks(ann: Announcement, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The line masks and the per-card masks, built in one loop over the lines.
 
-
-def card_masks(ann: Announcement, size: int, v: int) -> tuple[int, ...]:
-    """The per-card masks, built only once ``check_lines`` passes: entry y has bit i set iff line i holds y.
-
-    The one builder of per-card masks; a count of lines holding a card set is
-    the popcount of an AND of its entries.
+    Line mask i has bit y set iff line i holds card y; per-card mask y has
+    bit i set iff line i holds y, so a count of lines holding a card set is
+    the popcount of an AND of its entries. The one builder of both; callers
+    run ``check_lines`` first, so an absurd card label never reaches a mask.
     """
-    check_lines(ann, size, v)
+    line_masks = []
     cards = [0] * v
-    for i, line in enumerate(ann.lines):
-        bit = 1 << i
+    bit = 1
+    for line in ann.lines:
+        mask = 0
         for card in line:
+            mask |= 1 << card
             cards[card] |= bit
-    return tuple(cards)
+        line_masks.append(mask)
+        bit <<= 1
+    return tuple(line_masks), tuple(cards)
 
 
 def format_card_set(cards: Iterable[int], v: int) -> str:
@@ -201,14 +203,12 @@ def parse_card_set(text: str, v: int) -> CardSet:
 def _token_cards(token: str, v: int) -> list[int]:
     if not token:
         raise AnnouncementParseError("empty card set")
-    try:
-        if "," in token:
-            return [int(part) for part in token.split(",")]
-        if v <= 10:
-            return [int(ch) for ch in token]
-        return [int(token)]
-    except ValueError:
-        raise AnnouncementParseError(f"cannot read cards from {token!r}") from None
+    parts = token.split(",") if "," in token else token if v <= 10 else (token,)
+    # ASCII decimal digits only: int() alone also reads signs, underscores,
+    # spaces and non-ASCII digits.
+    if not (token.isascii() and token.replace(",", "").isdigit() and all(parts)):
+        raise AnnouncementParseError(f"cannot read cards from {token!r}")
+    return list(map(int, parts))
 
 
 def parse_announcement(text: str, params: Parameters) -> Announcement:
@@ -226,22 +226,31 @@ def parse_announcement(text: str, params: Parameters) -> Announcement:
     if stripped[0] in "{[":
         lines = _json_lines(stripped, params)
     else:
+        a, v = params.a, params.v
         lines = []
         for index, token in enumerate(stripped.split()):
-            cards = _token_cards(token, params.v)
-            lines.append(_checked_line(cards, params, index, token))
+            cards = _token_cards(token, v)
+            line = tuple(sorted(cards))
+            # Text cards are nonnegative integers, so one test covers size,
+            # range and duplicates; where it fails, _checked_line raises the
+            # error that names the fault.
+            if len(line) != a or line[-1] >= v or len(set(line)) != a:
+                _checked_line(cards, params, index, token)
+            lines.append(line)
     return _canonical(lines, params)
 
 
-def _checked_line(cards: list[int], params: Parameters, index: int, shown: str) -> CardSet:
-    where = f"line {index} ({shown!r})"
+def _checked_line(cards: list, params: Parameters, index: int, raw: str | list) -> CardSet:
+    """``cards`` as a line of ``params.a`` cards below ``params.v``, else an error naming line ``index`` by ``raw``."""
     try:
         line = card_set(cards, params.v)
+        if len(line) == params.a:
+            return line
+        problem = f"expected {params.a} cards, got {len(line)}"
     except ValueError as exc:
-        raise AnnouncementParseError(f"{where}: {exc}") from None
-    if len(line) != params.a:
-        raise AnnouncementParseError(f"{where}: expected {params.a} cards, got {len(line)}")
-    return line
+        problem = str(exc)
+    shown = raw if isinstance(raw, str) else json.dumps(raw)
+    raise AnnouncementParseError(f"line {index} ({shown!r}): {problem}")
 
 
 def _json_lines(text: str, params: Parameters) -> list[CardSet]:
@@ -264,18 +273,19 @@ def _json_lines(text: str, params: Parameters) -> list[CardSet]:
     for index, raw in enumerate(data):
         if not isinstance(raw, list):
             raise AnnouncementParseError(f"line {index}: expected an array of cards")
-        lines.append(_checked_line(list(raw), params, index, json.dumps(raw)))
+        lines.append(_checked_line(list(raw), params, index, raw))
     return lines
 
 
 def _canonical(lines: list[CardSet], params: Parameters) -> Announcement:
-    seen = set()
-    for index, line in enumerate(lines):
-        if line in seen:
-            raise AnnouncementParseError(
-                f"line {index} ({format_card_set(line, params.v)!r}): duplicate line"
-            )
-        seen.add(line)
+    if len(set(lines)) != len(lines):
+        seen = set()
+        for index, line in enumerate(lines):
+            if line in seen:
+                raise AnnouncementParseError(
+                    f"line {index} ({format_card_set(line, params.v)!r}): duplicate line"
+                )
+            seen.add(line)
     if not lines:
         raise AnnouncementParseError("announcement has no lines")
     return Announcement(tuple(sorted(lines)))

@@ -23,8 +23,10 @@ from cardeal import (
     is_good,
     lines_avoiding,
 )
+from cardeal import axioms, model
 from cardeal.axioms import AXIOM_NAMES, CountVerdict, axiom_report_json
 from cardeal.guard import resolve_max_work
+from cardeal.model import check_lines
 
 
 def test_lines_avoiding_five_hand(five_hand):
@@ -169,6 +171,34 @@ def test_work_estimate_is_pairs_plus_c_set_sweep(five_hand, p331):
         is_good(five_hand, p331, max_work=51)
     assert check_axioms(five_hand, p331, max_work=52).good
     assert is_good(five_hand, p331, max_work=52)
+
+
+@pytest.mark.parametrize("text", ["012 034 056 135 246", "012 034 056 135 146 236 245", "012 013"])
+def test_lines_are_checked_once_per_kernel_call(text, p331, monkeypatch):
+    # The five- and seven-line fixtures pass CA1 and reach the c-set sweep;
+    # "012 013" fails CA1 at its one pair.
+    checked = []
+
+    def counting(ann, size, v):
+        checked.append(ann)
+        return check_lines(ann, size, v)
+
+    monkeypatch.setattr(model, "check_lines", counting)
+    monkeypatch.setattr(axioms, "check_lines", counting)
+    ann = cardeal.parse_announcement(text, p331)
+    check_axioms(ann, p331)
+    assert checked == [ann]
+    is_good(ann, p331)
+    assert checked == [ann, ann]
+
+
+@pytest.mark.parametrize("kernel", [check_axioms, is_good])
+def test_absurd_label_is_refused_before_the_masks_are_built(kernel, p331, monkeypatch):
+    built = []
+    monkeypatch.setattr(axioms, "build_masks", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="out of range"):
+        kernel(Announcement(((0, 1, 10**9),)), p331)
+    assert built == []
 
 
 def test_single_line_sweep_is_charged_per_outside_card():

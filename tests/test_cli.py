@@ -104,6 +104,24 @@ def test_verify_malformed_json_exit_2(text):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--params", "3,8,1", "--announcement", "0,1_0,2"],
+        ["verify", "--params", "3,3,1", "--announcement", "0,+1,2"],
+        ["verify", "--params", "3,3,1", "--announcement",
+         "\u0660\u0661\u0662 \u0660\u0663\u0664 \u0660\u0665\u0666 \u0661\u0663\u0665 \u0662\u0664\u0666"],
+        ["enumerate", "--params", "3,3,1", "--hand", "\u0660\u0661\u0662"],
+        ["analyze", "--protocol", "uniform60", "--announcement", "012 034 056 135 246", "--observer", "\u0665"],
+    ],
+)
+def test_card_text_that_is_not_ascii_decimal_exit_2(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot read cards from")
+
+
 def test_bad_max_work_variable_exit_2():
     proc = run_process(
         "verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246",

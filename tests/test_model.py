@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,7 @@ from cardeal import (
     parse_announcement,
     posterior_lines,
 )
-from cardeal.model import announcement_json, check_fit, format_card_set, parse_card_set, to_mask
+from cardeal.model import announcement_json, build_masks, format_card_set, parse_card_set, to_mask
 
 
 def test_parameters_derive_deck_size():
@@ -102,6 +103,48 @@ def test_parse_rejects_bad_input(text, p331):
         parse_announcement(text, p331)
 
 
+# Each malformed input's exact error, recorded before the parser tested each
+# text line once: duplicate cards and lines, wrong sizes, out-of-range and
+# unreadable cards in digit and comma form, empty text and JSON faults.
+PARSE_ERRORS = json.loads((Path(__file__).parent / "data" / "parse_errors_golden.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS, ids=lambda case: f"{case['parse']}:{case['text'][:24]}")
+def test_parse_error_messages_are_unchanged(case):
+    params = Parameters(*case["params"])
+    with pytest.raises(ValueError) as exc:
+        if case["parse"] == "announcement":
+            parse_announcement(case["text"], params)
+        else:
+            parse_card_set(case["text"], params.v)
+    assert [type(exc.value).__name__, str(exc.value)] == case["error"]
+
+
+# Card text is ASCII decimal digits and commas; int() alone read each of these.
+NOT_ASCII_DECIMAL = [
+    ((3, 8, 1), "0,1_0,2", "0,1_0,2"),  # an underscore: card 10
+    ((3, 3, 1), "0,+1,2", "0,+1,2"),  # a sign
+    ((3, 3, 1), "0,-1,2", "0,-1,2"),  # a sign, once refused as a negative card
+    # Arabic-Indic digits: the five-line fixture "012 034 056 135 246".
+    ((3, 3, 1), "\u0660\u0661\u0662 \u0660\u0663\u0664 \u0660\u0665\u0666 \u0661\u0663\u0665 \u0662\u0664\u0666",
+     "\u0660\u0661\u0662"),
+    ((3, 3, 1), "\uff10\uff11\uff12", "\uff10\uff11\uff12"),  # fullwidth digits
+]
+
+
+@pytest.mark.parametrize("params, text, token", NOT_ASCII_DECIMAL)
+def test_card_text_takes_ascii_decimal_digits_only(params, text, token):
+    with pytest.raises(AnnouncementParseError) as exc:
+        parse_announcement(text, Parameters(*params))
+    assert str(exc.value) == f"cannot read cards from {token!r}"
+
+
+@pytest.mark.parametrize("text, v", [("\u0663", 7), ("0, 1", 12), ("1_1", 12), ("0,-1", 7), ("0,+1", 12)])
+def test_card_set_text_takes_ascii_decimal_digits_only(text, v):
+    with pytest.raises(AnnouncementParseError, match="cannot read cards from"):
+        parse_card_set(text, v)
+
+
 def test_format_canonical_ordering(p331):
     ann = Announcement.of([(0, 3, 4), (0, 1, 2)])
     assert format_announcement(ann, p331) == "012 034"
@@ -126,7 +169,9 @@ announcements331 = st.sets(lines331, min_size=1, max_size=8).map(Announcement.of
 @given(announcements331)
 def test_parse_format_round_trip(ann):
     params = Parameters(3, 3, 1)
-    assert check_fit(ann, 3, 7) == tuple(to_mask(line) for line in ann.lines)
+    masks, cards = build_masks(ann, 7)
+    assert masks == tuple(to_mask(line) for line in ann.lines)
+    assert cards == tuple(sum(1 << i for i, line in enumerate(ann.lines) if y in line) for y in range(7))
     assert Announcement(ann.lines) == ann
     assert parse_announcement(format_announcement(ann, params), params) == ann
     assert parse_announcement(json.dumps(announcement_json(ann, params)), params) == ann
