@@ -35,10 +35,14 @@ hand h gets the reference list relabelled by the permutation that sends
 order. A permutation of the deck maps a-sets, b-sets and c-sets onto
 themselves and preserves every intersection, so it maps the announcements
 containing 0..a-1 that satisfy CA1-CA3 one-to-one onto those containing h.
-Re-sorting the cards of each relabelled line, then the lines, then the list
-gives the canonical order the direct search of h yields; that search stays
-as the test oracle. A call relabels each of the C(v, a) lines once, no more
-steps than the pool filter it is charged for.
+The reference list keeps each announcement as the ranks of its lines in the
+lex order of the a-sets, so a relabelling is a permutation of ranks. Lex
+order on lines is rank order, and all the announcements have k lines, so
+sorting each one's relabelled ranks, then the list, gives the canonical
+order the direct search of h yields; that search stays as the test oracle.
+The lines mapped back from sorted ranks are canonical by construction and
+are not checked again. A call finds the image of each of the C(v, a) lines
+once, no more steps than the pool filter it is charged for.
 
 A relabelling also maps each card's line count to its image, so it carries
 the triple point (the card in strictly more lines than any other). The
@@ -77,8 +81,8 @@ def enumerate_good_announcements(
 
 
 def _announcement(lines: tuple[CardSet, ...], point: int | None) -> Announcement:
-    """The announcement of ``lines`` with ``point`` set as its triple point, which it must be."""
-    ann = Announcement(lines)
+    """The announcement of relabelled ``lines`` with ``point`` set as its triple point, which it must be."""
+    ann = Announcement._trusted(lines)
     object.__setattr__(ann, "triple_point", point)  # fills the cached_property; the class is frozen
     return ann
 
@@ -102,20 +106,34 @@ def _relabelled(
     n = sum(comb(a, i) * comb(v - a, a - i) for i in range(max(0, 2 * a - v), a - params.c))
     work = filter_tests + (comb(n, 2) if k >= 3 else 0) + comb_within(n, k - 1, max_work, what)
     require_work(work, max_work, what)
-    # Each line's image is sorted once per call, and the announcements share it.
+    lines, rank = _ranked_lines(v, a)
     image = (*hand, *(card for card in range(v) if card not in hand))
-    relabel = {line: tuple(sorted([image[card] for card in line])) for line in combinations(range(v), a)}
-    # The lines of distinct announcements differ, so the sort never compares two points.
-    return sorted(
-        (tuple(sorted([relabel[line] for line in lines])), None if point is None else image[point])
-        for lines, point in _reference_lines(params, k)
+    # combinations(image, a) yields the image of each line in rank order, so
+    # perm[r] is the rank of line r's image.
+    perm = list(map(rank.__getitem__, map(frozenset, combinations(image, a))))
+    # The ranks of distinct announcements differ, so the sort never compares two points.
+    relabelled = sorted(
+        (tuple(sorted([perm[r] for r in ranks])), None if point is None else image[point])
+        for ranks, point in _reference_lines(params, k)
     )
+    return [(tuple([lines[r] for r in ranks]), point) for ranks, point in relabelled]
 
 
 @lru_cache(maxsize=None)
-def _reference_lines(params: Parameters, k: int) -> tuple[tuple[tuple[CardSet, ...], int | None], ...]:
-    """The lines and triple point of every good k-line announcement containing the hand 0..a-1."""
-    return tuple((ann.lines, ann.triple_point) for ann in _good_containing(params, tuple(range(params.a)), k))
+def _ranked_lines(v: int, a: int) -> tuple[tuple[CardSet, ...], dict[frozenset[int], int]]:
+    """The a-sets of 0..v-1 in lex order, and each one's rank in that order keyed by its cards."""
+    lines = tuple(combinations(range(v), a))
+    return lines, {frozenset(line): r for r, line in enumerate(lines)}
+
+
+@lru_cache(maxsize=None)
+def _reference_lines(params: Parameters, k: int) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+    """The line ranks and triple point of every good k-line announcement containing the hand 0..a-1."""
+    rank = _ranked_lines(params.v, params.a)[1]
+    return tuple(
+        (tuple([rank[frozenset(line)] for line in ann.lines]), ann.triple_point)
+        for ann in _good_containing(params, tuple(range(params.a)), k)
+    )
 
 
 def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:

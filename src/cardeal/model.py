@@ -3,8 +3,11 @@
 A deck of ``v`` cards is the set ``{0, ..., v-1}``. Card sets (hands, lines)
 are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
-as dictionary keys. The ``Announcement`` constructor alone enforces the
-announcement invariant. ``check_lines`` checks an announcement's line size
+as dictionary keys. The ``Announcement`` constructor enforces the
+announcement invariant. One private builder, ``Announcement._trusted``,
+skips those checks for lines canonical by construction, and it has two
+callers: the parser, once it has checked every line, and enumeration, for
+relabelled lines. ``check_lines`` checks an announcement's line size
 and card range. One function alone turns lines into masks, ``build_masks``,
 and every caller runs those checks first, so an absurd card label never
 reaches a mask: one loop over the lines builds both the line masks (bit y
@@ -129,6 +132,17 @@ class Announcement:
     @classmethod
     def of(cls, lines: Iterable[Iterable[int]]) -> "Announcement":
         return cls(tuple(sorted(card_set(line) for line in lines)))
+
+    @classmethod
+    def _trusted(cls, lines: tuple[CardSet, ...]) -> "Announcement":
+        """The announcement of ``lines``, which the caller built to pass the constructor's checks.
+
+        Never reads ``__dict__``: on CPython 3.11 that materialises the
+        instance dict and slows every later attribute read.
+        """
+        ann = object.__new__(cls)
+        object.__setattr__(ann, "lines", lines)
+        return ann
 
     @property
     def block_size(self) -> int:
@@ -278,6 +292,7 @@ def _json_lines(text: str, params: Parameters) -> list[CardSet]:
 
 
 def _canonical(lines: list[CardSet], params: Parameters) -> Announcement:
+    """Parsed ``lines``, each already checked for size, range and distinct cards, as an announcement."""
     if len(set(lines)) != len(lines):
         seen = set()
         for index, line in enumerate(lines):
@@ -288,7 +303,7 @@ def _canonical(lines: list[CardSet], params: Parameters) -> Announcement:
             seen.add(line)
     if not lines:
         raise AnnouncementParseError("announcement has no lines")
-    return Announcement(tuple(sorted(lines)))
+    return Announcement._trusted(tuple(sorted(lines)))
 
 
 def format_announcement(ann: Announcement, params: Parameters) -> str:

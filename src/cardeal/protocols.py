@@ -324,7 +324,10 @@ def protocol_json(proto: Protocol) -> dict:
 
 
 def protocol_from_json(data: dict) -> Protocol:
-    """Inverse of ``protocol_json``; each distinct announcement text is parsed once per call."""
+    """Inverse of ``protocol_json``; each distinct announcement text is parsed once per call.
+
+    Refuses two table keys that name one hand ("012" and "210").
+    """
     params = Parameters(*data["params"])
     _check_request(data["kind"], params, data.get("point"))
     expected = _class_weights_json(data["kind"], params)
@@ -338,11 +341,13 @@ def protocol_from_json(data: dict) -> Protocol:
             parsed[text] = parse_announcement(text, params)
         return parsed[text]
 
-    table = {
-        parse_card_set(hand_text, params.v): tuple(
-            (announcement(entry["announcement"]), _fraction_from_json(entry["p"]))
-            for entry in entries
+    table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
+    key_of: dict[CardSet, str] = {}
+    for hand_text, entries in data["table"].items():
+        hand = parse_card_set(hand_text, params.v)
+        if key_of.setdefault(hand, hand_text) != hand_text:
+            raise ValueError(f"table keys {key_of[hand]!r} and {hand_text!r} both name hand {hand}")
+        table[hand] = tuple(
+            (announcement(entry["announcement"]), _fraction_from_json(entry["p"])) for entry in entries
         )
-        for hand_text, entries in data["table"].items()
-    }
     return Protocol(kind=data["kind"], params=params, table=table, point=data.get("point"))

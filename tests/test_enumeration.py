@@ -16,7 +16,7 @@ from cardeal import (
     triple_point,
 )
 from cardeal.axioms import _clash
-from cardeal.enumeration import _good_containing, _reference_lines, _relabelled
+from cardeal.enumeration import _good_containing, _ranked_lines, _reference_lines, _relabelled
 from cardeal.model import CardSet, from_mask, to_mask
 
 # The twelve five-line announcements containing 012 whose most frequent card
@@ -88,7 +88,9 @@ def test_triple_point_matches_the_counter_oracle(p331, seven_hand):
         for ann in enumerate_good_announcements(p331, hand, k)
     ]
     assert len(anns) == 3570
-    anns += [Announcement(lines) for lines, _ in _reference_lines(Parameters(4, 3, 1), 7)]
+    by_rank = _ranked_lines(8, 4)[0]  # the reference list keeps each line by its rank
+    reference = _reference_lines(Parameters(4, 3, 1), 7)
+    anns += [Announcement(tuple(by_rank[r] for r in ranks)) for ranks, _ in reference]
     # Ties: every card thrice (the Fano plane), a single line, every card once, two cards ahead.
     ties = ([(0, 1, 2)], [(0, 1, 2), (3, 4, 5)], [(0, 1, 2), (0, 1, 3)])
     anns += [seven_hand, *(Announcement.of(lines) for lines in ties)]
@@ -340,6 +342,25 @@ def test_one_search_per_params_and_line_count(p331):
         assert len(enumerate_good_announcements(p331, hand, 5)) == 60
     assert _reference_lines.cache_info().currsize == 1
 
+
+def test_canonical_lines_skip_the_constructor_check(p331, monkeypatch):
+    # Relabelled and parsed lines are canonical by construction, so neither
+    # path runs the checks; the public constructor still does.
+    checked = []
+    post_init = Announcement.__post_init__
+
+    def counting(ann):
+        checked.append(ann.lines)
+        post_init(ann)
+
+    enumerate_good_announcements(p331, (0, 1, 2), 5)  # the reference search builds checked announcements
+    monkeypatch.setattr(Announcement, "__post_init__", counting)
+    assert len(enumerate_good_announcements(p331, (1, 3, 5), 5)) == 60
+    parsed = parse_announcement("135 210 034 056 246", p331)
+    assert parse_announcement("[[1, 3, 5], [0, 1, 2]]", p331).lines == ((0, 1, 2), (1, 3, 5))
+    assert checked == []
+    Announcement(parsed.lines)
+    assert checked == [parsed.lines]
 
 def test_callers_get_their_own_lists(p331):
     first = enumerate_good_announcements(p331, (1, 3, 5), 5)

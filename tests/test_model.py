@@ -177,6 +177,32 @@ def test_parse_format_round_trip(ann):
     assert parse_announcement(json.dumps(announcement_json(ann, params)), params) == ann
 
 
+@st.composite
+def parse_inputs(draw):
+    """Text or JSON for lines of shuffled cards at a small deal; some repeat a card or a line."""
+    params = Parameters(*draw(st.sampled_from([(3, 3, 1), (4, 3, 1), (2, 2, 3), (5, 5, 2)])))
+    card = st.integers(0, params.v - 1)
+    line = st.lists(card, min_size=params.a, max_size=params.a, unique=draw(st.booleans()))
+    lines = draw(st.lists(line, min_size=1, max_size=6))
+    form = draw(st.sampled_from(["text", "array", "object"]))
+    if form == "text":
+        sep = "" if params.v <= 10 and draw(st.booleans()) else ","
+        return " \n".join(sep.join(map(str, cards)) for cards in lines), params
+    if form == "array":
+        return json.dumps(lines), params
+    return json.dumps({"params": [params.a, params.b, params.c], "lines": lines}), params
+
+
+@given(parse_inputs())
+def test_parsed_announcements_pass_the_constructor(case):
+    text, params = case
+    try:
+        ann = parse_announcement(text, params)
+    except AnnouncementParseError:
+        return
+    assert Announcement(ann.lines) == ann
+
+
 def test_card_set_text_round_trip():
     assert parse_card_set("135", 7) == (1, 3, 5)
     assert parse_card_set("0,12", 16) == (0, 12)

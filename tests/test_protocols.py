@@ -413,3 +413,12 @@ def test_protocol_from_json_refuses_non_text_announcement(value, uniform60):
     _entries_of(data, "012 034 056 135 246")[0]["announcement"] = value
     with pytest.raises(AnnouncementParseError, match="announcement must be text"):
         protocol_from_json(data)
+
+
+def test_protocol_from_json_refuses_two_keys_for_one_hand(uniform60, fact1):
+    data = protocol_json(fact1)
+    data["table"]["210"] = protocol_json(uniform60)["table"]["012"]
+    with pytest.raises(ValueError, match="table keys '012' and '210' both name hand \\(0, 1, 2\\)"):
+        protocol_from_json(data)
+    del data["table"]["012"]  # one spelling alone is read as before
+    assert protocol_from_json(data).table[(0, 1, 2)] == uniform60.table[(0, 1, 2)]
