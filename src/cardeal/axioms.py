@@ -222,7 +222,7 @@ def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[Ca
     line are removed. Duplicates are dropped and the result is sorted.
     """
     check_lines(ann, params.a, params.v)
-    masks = build_masks(ann, params.v)[0]
+    masks = build_masks(ann.lines, params.v)[0]
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
@@ -251,7 +251,7 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
 
     The popcounts of the per-card masks that ``check_axioms`` reads."""
     check_lines(ann, params.a, params.v)
-    cards = build_masks(ann, params.v)[1]
+    cards = build_masks(ann.lines, params.v)[1]
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
@@ -282,7 +282,7 @@ def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tup
     outside = params.v - params.c
     c_sets = comb_within(params.v, params.c, max_work, "axiom check", outside)
     require_work(comb(len(ann), 2) + c_sets * outside, max_work, "axiom check")
-    return build_masks(ann, params.v)
+    return build_masks(ann.lines, params.v)
 
 
 def _clash(m1: int, m2: int, v: int, b: int) -> int:

@@ -160,11 +160,11 @@ def _verify_text(payload: dict) -> str:
         if name in _WITNESS_TEXT:
             shown = "pass" if verdict["pass"] else f"FAIL  X={w['x']} {_WITNESS_TEXT[name](w)}"
         elif verdict["pass"]:
-            constants = verdict["n" if name == "ca4" else "m"]
-            if len(values := set(constants.values())) == 1:
-                shown = f"pass  constant {values.pop()} for every c-set"
-            else:
-                shown = "pass  " + ", ".join(f"{x}->{n}" for x, n in constants.items())
+            # One constant: for c-sets X, X' = X - x + y and N(z) the lines avoiding X - x that hold z,
+            # n_X - n_X' = N(y) - N(x) = a·(N(y) - N(x))/(v - c) by the count sum n_X·(v - c) = a·|avoid_X|,
+            # which is 0 as a < v - c; single swaps join all c-sets, and CA5's m_X = n_X·b/a follows.
+            constant = next(iter(verdict["n" if name == "ca4" else "m"].values()))
+            shown = f"pass  constant {constant} for every c-set"
         else:
             counts = " ".join(f"{card}:{count}" for card, count in w["counts"].items())
             shown = f"FAIL  X={w['x']} counts {counts}; violating c-sets: {' '.join(verdict['violating'])}"

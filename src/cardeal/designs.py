@@ -50,7 +50,7 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
         return (), 0
     v = max(pts, default=-1) + 1
     check_lines(ann, size, v)
-    cards = build_masks(ann, v)[1]
+    cards = build_masks(ann.lines, v)[1]
     return tuple(cards[p] for p in pts), len(ann)
 
 

@@ -10,13 +10,15 @@ lines. The last line is picked without testing each leaf: for each c-set
 the first k - 1 lines fail under CA2-CA3, it must avoid the c-set and the
 cards its avoiding lines share, and hold the outside cards they miss. With
 one bitset per card over the pool these are ANDs on the candidate set,
-which leave exactly the good completions, in pool order. This filter is
-the library's only line-major reading of CA2-CA3: the chosen lines change
-at every node, so it reads them one by one rather than through per-card
-masks. k = 1 needs no search: v - a = b + c >= c, so some c-set misses the
-hand, which is then that c-set's only avoiding line; its cards are shared,
-CA2 fails, and no one-line announcement is good. No isomorph
-rejection: at desk scale the exhaustive search is the ground truth
+which leave exactly the good completions, in pool order. This filter is the
+library's only line-major reading of CA2-CA3: the chosen lines change at
+every node, so it reads them one by one rather than through per-card masks.
+The pool's masks come from ``model.build_masks``; the search returns each
+good announcement as the sorted ranks of its lines in the lex order of the
+a-sets, and builds none. k = 1 needs no search: v - a = b + c >= c, so some
+c-set misses the hand, which is then that c-set's only avoiding line; its
+cards are shared, CA2 fails, and no one-line announcement is good. No
+isomorph rejection: at desk scale the exhaustive search is the ground truth
 everything else is tested against.
 
 The work guard charges the search, not the raw candidate space. A line
@@ -35,18 +37,18 @@ hand h gets the reference list relabelled by the permutation that sends
 order. A permutation of the deck maps a-sets, b-sets and c-sets onto
 themselves and preserves every intersection, so it maps the announcements
 containing 0..a-1 that satisfy CA1-CA3 one-to-one onto those containing h.
-The reference list keeps each announcement as the ranks of its lines in the
-lex order of the a-sets, so a relabelling is a permutation of ranks. Lex
-order on lines is rank order, and all the announcements have k lines, so
-sorting each one's relabelled ranks, then the list, gives the canonical
-order the direct search of h yields; that search stays as the test oracle.
+The reference list keeps the search's rank tuples as they are, so a
+relabelling is a permutation of ranks. Lex order on lines is rank order,
+and all the announcements have k lines, so sorting each one's relabelled
+ranks, then the list, gives the canonical order the direct search of h
+yields; that search stays as the test oracle.
 The lines mapped back from sorted ranks are canonical by construction and
 are not checked again. A call finds the image of each of the C(v, a) lines
 once, no more steps than the pool filter it is charged for.
 
 A relabelling also maps each card's line count to its image, so it carries
 the triple point (the card in strictly more lines than any other). The
-reference list stores each announcement's point beside its lines, counted
+reference list stores each announcement's point beside its ranks, counted
 once per (params, k), and ``_relabelled`` hands out both images. The
 protocol tables sort a hand's announcements by that point without counting
 cards or building an announcement per entry, and every announcement built
@@ -62,7 +64,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .axioms import _clash
 from .guard import comb_within, require_work
-from .model import Announcement, CardSet, Parameters, card_set, from_mask, to_mask
+from .model import Announcement, CardSet, Parameters, build_masks, card_set, from_mask, to_mask
 
 
 def enumerate_good_announcements(
@@ -77,14 +79,7 @@ def enumerate_good_announcements(
     Canonically ordered and duplicate-free. Refuses instances whose search
     (see the module docstring) would exceed the work limit.
     """
-    return [_announcement(lines, point) for lines, point in _relabelled(params, hand, k, max_work)]
-
-
-def _announcement(lines: tuple[CardSet, ...], point: int | None) -> Announcement:
-    """The announcement of relabelled ``lines`` with ``point`` set as its triple point, which it must be."""
-    ann = Announcement._trusted(lines)
-    object.__setattr__(ann, "triple_point", point)  # fills the cached_property; the class is frozen
-    return ann
+    return [Announcement._trusted(lines, point) for lines, point in _relabelled(params, hand, k, max_work)]
 
 
 def _relabelled(
@@ -129,28 +124,26 @@ def _ranked_lines(v: int, a: int) -> tuple[tuple[CardSet, ...], dict[frozenset[i
 @lru_cache(maxsize=None)
 def _reference_lines(params: Parameters, k: int) -> tuple[tuple[tuple[int, ...], int | None], ...]:
     """The line ranks and triple point of every good k-line announcement containing the hand 0..a-1."""
-    rank = _ranked_lines(params.v, params.a)[1]
+    lines = _ranked_lines(params.v, params.a)[0]
     return tuple(
-        (tuple([rank[frozenset(line)] for line in ann.lines]), ann.triple_point)
-        for ann in _good_containing(params, tuple(range(params.a)), k)
+        (ranks, Announcement._trusted(tuple([lines[r] for r in ranks])).triple_point)
+        for ranks in _good_containing(params, tuple(range(params.a)), k)
     )
 
 
-def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announcement, ...]:
-    """The direct search: every good k-line announcement containing ``hand``, canonically ordered."""
+def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[tuple[int, ...], ...]:
+    """The direct search: the line ranks of every good k-line announcement containing ``hand``, canonically ordered."""
     a, v, b = params.a, params.v, params.b
     if k == 1:
         return ()  # no one-line announcement is good (see the module docstring)
+    lines = _ranked_lines(v, a)[0]
+    rank = {to_mask(line): r for r, line in enumerate(lines)}
     hand_mask = to_mask(hand)
     omega = (1 << v) - 1
     c_set_masks = [(xm, omega & ~xm) for xm in map(to_mask, combinations(range(v), params.c))]
-    pool = [
-        m for m in map(to_mask, combinations(range(v), a))
-        if m != hand_mask and not _clash(m, hand_mask, v, b)
-    ]
+    pool_lines = [lines[r] for m, r in rank.items() if m != hand_mask and not _clash(m, hand_mask, v, b)]
+    pool, holding = build_masks(pool_lines, v)  # holding[y]: bit j set iff pool line j holds card y
     rows: dict[int, int] = {}
-    # holding[y]: bit j set iff pool line j holds card y.
-    holding = [int("".join("1" if m >> y & 1 else "0" for m in reversed(pool)) or "0", 2) for y in range(v)]
 
     def compatible_after(i: int) -> int:
         """Bit j set iff pool line j comes after line i and does not clash with it; built on first use."""
@@ -160,8 +153,8 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
             rows[i] = int(bits or "0", 2) << (i + 1)
         return rows[i]
 
-    def last_lines(candidates: int, chosen: list[int]) -> list[Announcement]:
-        """The good announcements made of ``chosen`` and one line from ``candidates``.
+    def last_lines(candidates: int, chosen: list[int]) -> list[tuple[int, ...]]:
+        """The line ranks of the good announcements made of ``chosen`` and one line from ``candidates``.
 
         CA2-CA3 fail a c-set X on ``chosen`` when X's avoiding lines share a
         card or miss an outside card. A last line holding a card of X leaves
@@ -187,14 +180,15 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[Announc
         for y in from_mask(hold):
             candidates &= holding[y]
         bits = bin(candidates)[:1:-1]
+        ranks = [rank[m] for m in chosen]
         ends = []
         i = -1
         for _ in range(bits.count("1")):
             i = bits.index("1", i + 1)
-            ends.append(Announcement(tuple(sorted(map(from_mask, [*chosen, pool[i]])))))
+            ends.append(tuple(sorted([*ranks, rank[pool[i]]])))
         return ends
 
-    def extend(candidates: int, chosen: list[int]) -> Iterator[Announcement]:
+    def extend(candidates: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
         """The good announcements that extend ``chosen`` by lines from ``candidates``, two or more of them."""
         need = k - len(chosen)
         # Picks run in ascending order and a clique grows only by later lines, so

@@ -5,14 +5,14 @@ are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
 as dictionary keys. The ``Announcement`` constructor enforces the
 announcement invariant. One private builder, ``Announcement._trusted``,
-skips those checks for lines canonical by construction, and it has two
-callers: the parser, once it has checked every line, and enumeration, for
-relabelled lines. ``check_lines`` checks an announcement's line size
-and card range. One function alone turns lines into masks, ``build_masks``,
-and every caller runs those checks first, so an absurd card label never
-reaches a mask: one loop over the lines builds both the line masks (bit y
-set iff the line holds card y) and their transpose, the per-card masks (bit
-i set iff line i holds the card).
+skips those checks for lines canonical by construction (parsed, or
+relabelled by enumeration) and alone sets a triple point it is given.
+``check_lines`` checks an announcement's line size and card range. One
+function alone turns lines into masks, ``build_masks``: it takes a sequence
+of lines, an announcement's (checked first, so an absurd card label never
+reaches a mask) or the enumeration search's pool, and one loop builds both
+the line masks (bit y set iff the line holds card y) and their transpose,
+the per-card masks (bit i set iff line i holds the card).
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
@@ -32,9 +32,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 CardSet = tuple[int, ...]
+_UNCOUNTED = object()  # ``Announcement._trusted`` without a triple point
 
 
 class AnnouncementParseError(ValueError):
@@ -134,14 +135,20 @@ class Announcement:
         return cls(tuple(sorted(card_set(line) for line in lines)))
 
     @classmethod
-    def _trusted(cls, lines: tuple[CardSet, ...]) -> "Announcement":
+    def _trusted(cls, lines: tuple[CardSet, ...], point: int | None | object = _UNCOUNTED) -> "Announcement":
         """The announcement of ``lines``, which the caller built to pass the constructor's checks.
 
-        Never reads ``__dict__``: on CPython 3.11 that materialises the
-        instance dict and slows every later attribute read.
+        ``point``, if given, is the lines' triple point, which ``triple_point``
+        reads without counting: ``enumerate_good_announcements`` and
+        ``protocols.build_protocol`` give the relabelled one, while the parser
+        and enumeration's reference list leave it to be counted. A sentinel
+        default, unlike ``*point``, costs nothing per build. Reading ``__dict__``
+        would materialise the instance dict, slowing later reads on CPython 3.11.
         """
         ann = object.__new__(cls)
         object.__setattr__(ann, "lines", lines)
+        if point is not _UNCOUNTED:
+            object.__setattr__(ann, "triple_point", point)  # fills the cached_property; the class is frozen
         return ann
 
     @property
@@ -154,15 +161,12 @@ class Announcement:
     def __len__(self) -> int:
         return len(self.lines)
 
-    def __contains__(self, line: object) -> bool:
-        return line in self.lines
-
     @cached_property
     def triple_point(self) -> int | None:
         """The card occurring in strictly more lines than every other card, if any.
 
-        Counted at first read and kept. Enumeration sets it instead on the
-        announcements it builds, from the point it relabels.
+        Counted at first read and kept. ``_trusted`` sets it instead on the
+        announcements enumeration builds, from the point it relabels.
         """
         counts: dict[int, int] = {}
         for line in self.lines:
@@ -180,18 +184,19 @@ def check_lines(ann: Announcement, size: int, v: int) -> None:
         raise ValueError(f"card {top} out of range for deck size {v}")
 
 
-def build_masks(ann: Announcement, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The line masks and the per-card masks, built in one loop over the lines.
+def build_masks(lines: Sequence[CardSet], v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The line masks and the per-card masks of ``lines``, built in one loop over them.
 
     Line mask i has bit y set iff line i holds card y; per-card mask y has
     bit i set iff line i holds y, so a count of lines holding a card set is
-    the popcount of an AND of its entries. The one builder of both; callers
-    run ``check_lines`` first, so an absurd card label never reaches a mask.
+    the popcount of an AND of its entries. The one builder of both, for an
+    announcement's lines, after ``check_lines`` so an absurd card label never
+    reaches a mask, and for the enumeration search's pool.
     """
     line_masks = []
     cards = [0] * v
     bit = 1
-    for line in ann.lines:
+    for line in lines:
         mask = 0
         for card in line:
             mask |= 1 << card

@@ -25,6 +25,8 @@ from cardeal import (
 )
 from cardeal import axioms, model
 from cardeal.axioms import AXIOM_NAMES, CountVerdict, axiom_report_json
+from cardeal.cli import _verify_text
+from cardeal.designs import binary_design
 from cardeal.guard import resolve_max_work
 from cardeal.model import check_lines
 
@@ -82,6 +84,7 @@ def test_count_verdicts_compare_every_count(five_hand, seven_hand, p331):
     ca4 = report.ca4
     assert CountVerdict(ca4.constants, ca4.violating, report.ca5.counts_outside) != ca4
     assert ca4.violation_for((0, 1)) is None and ca4.violation_for((9,)) is None
+    assert (ca4 == 5) is False  # __eq__ declines a non-verdict, and Python falls back to identity
 
 
 def test_seven_hand_verdicts(seven_hand, p331):
@@ -359,6 +362,40 @@ def test_constant_count_independent_of_single_observer_card(ann):
         assert len(set(report.ca4.constants.values())) == 1
         sizes = {len(lines_avoiding(ann, x)) for x in report.ca4.constants}
         assert len(sizes) == 1
+
+
+def _every_announcement(params: Parameters):
+    lines = list(combinations(range(params.v), params.a))
+    for chosen in range(1, 1 << len(lines)):
+        yield Announcement(tuple(line for i, line in enumerate(lines) if chosen >> i & 1))
+
+
+@pytest.mark.parametrize(
+    "params, anns",
+    [
+        (Parameters(8, 6, 2), lambda params: [binary_design(4)]),
+        (Parameters(2, 2, 2), _every_announcement),
+        (Parameters(2, 1, 3), _every_announcement),
+    ],
+    ids=["binary-n4-862", "every-222", "every-213"],
+)
+def test_a_passing_ca4_has_one_constant_when_c_exceeds_1(params, anns):
+    # The verify text prints one constant for a passing CA4 and CA5, by the
+    # argument beside it in cli._verify_text, which holds for every c. Each
+    # deal here has exactly one CA4 pass: the binary design, and the
+    # announcement of all 15 lines.
+    passes = []
+    for ann in anns(params):
+        report = check_axioms(ann, params)
+        if report.ca4.passed:
+            passes.append(report)
+            assert len(set(report.ca4.constants.values())) == 1
+            assert len(set(report.ca5.constants.values())) == 1
+    assert len(passes) == 1
+    (n,), (m,) = set(passes[0].ca4.constants.values()), set(passes[0].ca5.constants.values())
+    text = _verify_text(axiom_report_json(passes[0]))
+    assert f"CA4: pass  constant {n} for every c-set" in text
+    assert f"CA5: pass  constant {m} for every c-set" in text
 
 
 @settings(deadline=None)

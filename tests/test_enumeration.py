@@ -188,6 +188,12 @@ def test_pool_pairs_are_tested_only_for_lines_the_search_extends(monkeypatch):
     _reference_lines.cache_clear()
 
 
+def _searched(params: Parameters, hand: CardSet, k: int) -> list[Announcement]:
+    """The direct search's announcements, their lines read off its rank tuples and re-checked by the constructor."""
+    by_rank = _ranked_lines(params.v, params.a)[0]
+    return [Announcement(tuple(by_rank[r] for r in ranks)) for ranks in _good_containing(params, hand, k)]
+
+
 RELABEL_GRID = [
     (Parameters(3, 3, 1), range(2, 8)),
     (Parameters(3, 2, 2), range(2, 5)),
@@ -203,7 +209,7 @@ def test_relabelled_lists_match_the_direct_search(params, ks):
     # (4,2,1) runs to k = 7, its first k with good announcements (6 per hand).
     for k in ks:
         for hand in combinations(range(params.v), params.a):
-            assert enumerate_good_announcements(params, hand, k) == list(_good_containing(params, hand, k))
+            assert enumerate_good_announcements(params, hand, k) == _searched(params, hand, k)
 
 
 @pytest.mark.parametrize("params, ks", RELABEL_GRID)
@@ -224,7 +230,7 @@ def test_relabelled_lists_match_the_direct_search_at_431_k7(hand):
     params = Parameters(4, 3, 1)
     anns = enumerate_good_announcements(params, hand, 7)
     assert len(anns) == 8064
-    assert anns == list(_good_containing(params, hand, 7))
+    assert anns == _searched(params, hand, 7)
 
 
 def _c_set_masks(v: int, c: int) -> Iterator[tuple[CardSet, int, int]]:
@@ -305,7 +311,7 @@ def test_last_line_filter_matches_the_leaf_checked_search(params, ks, hands):
     # avoid term forbids y.
     for k in ks:
         for hand in hands:
-            assert list(_good_containing(params, hand, k)) == _leaf_checked_search(params, hand, k), (hand, k)
+            assert _searched(params, hand, k) == _leaf_checked_search(params, hand, k), (hand, k)
 
 
 def test_no_one_line_announcement_is_good():
@@ -344,8 +350,9 @@ def test_one_search_per_params_and_line_count(p331):
 
 
 def test_canonical_lines_skip_the_constructor_check(p331, monkeypatch):
-    # Relabelled and parsed lines are canonical by construction, so neither
-    # path runs the checks; the public constructor still does.
+    # The search yields line ranks, and relabelled and parsed lines are
+    # canonical by construction, so no path runs the checks, not even a cold
+    # search; the public constructor still does.
     checked = []
     post_init = Announcement.__post_init__
 
@@ -353,7 +360,7 @@ def test_canonical_lines_skip_the_constructor_check(p331, monkeypatch):
         checked.append(ann.lines)
         post_init(ann)
 
-    enumerate_good_announcements(p331, (0, 1, 2), 5)  # the reference search builds checked announcements
+    _reference_lines.cache_clear()
     monkeypatch.setattr(Announcement, "__post_init__", counting)
     assert len(enumerate_good_announcements(p331, (1, 3, 5), 5)) == 60
     parsed = parse_announcement("135 210 034 056 246", p331)

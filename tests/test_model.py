@@ -148,6 +148,8 @@ def test_card_set_text_takes_ascii_decimal_digits_only(text, v):
 def test_format_canonical_ordering(p331):
     ann = Announcement.of([(0, 3, 4), (0, 1, 2)])
     assert format_announcement(ann, p331) == "012 034"
+    # ``in`` on an announcement asks about its lines, through ``__iter__``.
+    assert (0, 1, 2) in ann and (0, 1, 3) not in ann
 
 
 def test_format_seven_hand(seven_hand, p331):
@@ -169,7 +171,7 @@ announcements331 = st.sets(lines331, min_size=1, max_size=8).map(Announcement.of
 @given(announcements331)
 def test_parse_format_round_trip(ann):
     params = Parameters(3, 3, 1)
-    masks, cards = build_masks(ann, 7)
+    masks, cards = build_masks(ann.lines, 7)
     assert masks == tuple(to_mask(line) for line in ann.lines)
     assert cards == tuple(sum(1 << i for i, line in enumerate(ann.lines) if y in line) for y in range(7))
     assert Announcement(ann.lines) == ann
