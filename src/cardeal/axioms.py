@@ -25,7 +25,8 @@ two holds the least card where they differ; among b-sets that is the
 lexicographic order. The least b-subset of a set is its b-prefix (its b
 smallest cards), and the b-prefix of the lesser of two sets is the lesser of
 their b-prefixes. So the pass keeps only the least clashing free mask and
-takes its b-prefix once, at the end.
+takes its b-prefix once, at the end: the first b cards ``model.from_mask``
+reads off it.
 Both kernels start in ``_prepare``: it checks the lines once, charges the
 guard, and only then builds the line masks and the per-card masks (bit i of
 card y's mask set iff line i holds y) in the one loop of
@@ -317,12 +318,10 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     if least:
         # The least violating b-set is the b-prefix of the least clashing free
         # mask (see the module docstring).
-        prefix = 0
-        for _ in range(b):
-            prefix |= least & -least
-            least &= least - 1
-        lines = tuple(line for line, m in zip(ann.lines, masks) if not m & prefix)
-        ca1 = AxiomVerdict(False, AmbiguityWitness(from_mask(prefix), lines))
+        prefix = from_mask(least)[:b]
+        avoided = to_mask(prefix)
+        lines = tuple(line for line, m in zip(ann.lines, masks) if not m & avoided)
+        ca1 = AxiomVerdict(False, AmbiguityWitness(prefix, lines))
 
     ca2 = ca3 = _PASS
     n_constants: dict[CardSet, int] = {}

@@ -118,7 +118,11 @@ def _parse_params(text: str) -> Parameters:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--params needs three comma-separated counts, got {text!r}")
-    return Parameters(int(parts[0]), int(parts[1]), int(parts[2]))
+    # ASCII decimal digits only, as for card text: int() alone also reads
+    # signs, underscores, spaces and non-ASCII digits.
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"--params counts must be ASCII decimal digits, got {text!r}")
+    return Parameters(*map(int, parts))
 
 
 def _read_announcement(args, params: Parameters) -> Announcement:

@@ -4,11 +4,13 @@ A collection of equally sized lines on v points is a t-design when every
 t-subset of the points lies in the same number of lines; that number is the
 covalency. Every entry point passes one gate, ``_fit``, which states the
 tuple-size rule and builds masks only through ``model.build_masks``, after
-``model.check_lines``: one mask per point, with bit i set iff line i holds
-the point. One scanner, ``_scan``, then tries all C(v, t) t-subsets with
-early exit on the first mismatch (at desk scale both feasible and the most
-trustworthy oracle), after charging C(v, t) * max(t, 1) to the work guard:
-the count for a t-subset is the popcount of the AND of its t points' masks.
+``model.check_lines`` and once every line card is found among the points (a
+card between two points would count for none): one mask per point, with bit
+i set iff line i holds the point. One scanner, ``_scan``, then tries all
+C(v, t) t-subsets with early exit on the first mismatch (at desk scale both
+feasible and the most trustworthy oracle), after charging C(v, t) * max(t, 1)
+to the work guard: the count for a t-subset is the popcount of the AND of
+its t points' masks.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
         return (), 0
     v = max(pts, default=-1) + 1
     check_lines(ann, size, v)
+    # A card between two points is in range, yet no point would count it.
+    if len(pts) < v and (stray := set().union(*ann.lines).difference(pts)):
+        raise ValueError(f"line card {min(stray)} is not one of the points")
     cards = build_masks(ann.lines, v)[1]
     return tuple(cards[p] for p in pts), len(ann)
 

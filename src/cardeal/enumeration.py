@@ -13,13 +13,15 @@ one bitset per card over the pool these are ANDs on the candidate set,
 which leave exactly the good completions, in pool order. This filter is the
 library's only line-major reading of CA2-CA3: the chosen lines change at
 every node, so it reads them one by one rather than through per-card masks.
-The pool's masks come from ``model.build_masks``; the search returns each
-good announcement as the sorted ranks of its lines in the lex order of the
-a-sets, and builds none. k = 1 needs no search: v - a = b + c >= c, so some
-c-set misses the hand, which is then that c-set's only avoiding line; its
-cards are shared, CA2 fails, and no one-line announcement is good. No
-isomorph rejection: at desk scale the exhaustive search is the ground truth
-everything else is tested against.
+The pool's masks come from ``model.build_masks``, and ``model.from_mask``,
+the one set-bit walk, reads pool indices off the candidate bitsets, one
+step per candidate: a branch's start lines, and the good last lines. The
+search returns each good announcement as the sorted ranks of its lines in
+the lex order of the a-sets, and builds none. k = 1 needs no search:
+v - a = b + c >= c, so some c-set misses the hand, which is then that
+c-set's only avoiding line; its cards are shared, CA2 fails, and no
+one-line announcement is good. No isomorph rejection: at desk scale the
+exhaustive search is the ground truth everything else is tested against.
 
 The work guard charges the search, not the raw candidate space. A line
 clashes with the hand iff it shares a - c or more cards with it, so the pool
@@ -49,10 +51,11 @@ once, no more steps than the pool filter it is charged for.
 A relabelling also maps each card's line count to its image, so it carries
 the triple point (the card in strictly more lines than any other). The
 reference list stores each announcement's point beside its ranks, counted
-once per (params, k), and ``_relabelled`` hands out both images. The
-protocol tables sort a hand's announcements by that point without counting
-cards or building an announcement per entry, and every announcement built
-here carries its point, so ``triple_point`` reads it without counting.
+once per (params, k), and ``enumerate_good_announcements`` builds each
+relabelled announcement with the image of its point, the one form in which
+this module hands out announcements. ``triple_point`` reads that point
+without counting, so the protocol tables split a hand's announcements by it
+without counting a card.
 """
 
 from __future__ import annotations
@@ -76,19 +79,10 @@ def enumerate_good_announcements(
 ) -> list[Announcement]:
     """All k-line announcements containing ``hand`` that satisfy CA1-CA3.
 
-    Canonically ordered and duplicate-free. Refuses instances whose search
-    (see the module docstring) would exceed the work limit.
-    """
-    return [Announcement._trusted(lines, point) for lines, point in _relabelled(params, hand, k, max_work)]
-
-
-def _relabelled(
-    params: Parameters, hand: Iterable[int], k: int, max_work: int | None
-) -> list[tuple[tuple[CardSet, ...], int | None]]:
-    """The lines and triple point of every good k-line announcement containing ``hand``.
-
-    The reference hand's list relabelled onto ``hand``, in canonical order,
-    charged to the guard as the search it stands for.
+    Canonically ordered and duplicate-free: the reference hand's list
+    relabelled onto ``hand``, each announcement carrying its triple point.
+    Refuses instances whose search (see the module docstring) would exceed
+    the work limit, whether or not that search is cached.
     """
     hand = card_set(hand, params.v)
     if len(hand) != params.a:
@@ -111,7 +105,7 @@ def _relabelled(
         (tuple(sorted([perm[r] for r in ranks])), None if point is None else image[point])
         for ranks, point in _reference_lines(params, k)
     )
-    return [(tuple([lines[r] for r in ranks]), point) for ranks, point in relabelled]
+    return [Announcement._trusted(tuple([lines[r] for r in ranks]), point) for ranks, point in relabelled]
 
 
 @lru_cache(maxsize=None)
@@ -179,24 +173,16 @@ def _good_containing(params: Parameters, hand: CardSet, k: int) -> tuple[tuple[i
             candidates &= ~holding[y]
         for y in from_mask(hold):
             candidates &= holding[y]
-        bits = bin(candidates)[:1:-1]
         ranks = [rank[m] for m in chosen]
-        ends = []
-        i = -1
-        for _ in range(bits.count("1")):
-            i = bits.index("1", i + 1)
-            ends.append(tuple(sorted([*ranks, rank[pool[i]]])))
-        return ends
+        return [tuple(sorted([*ranks, rank[pool[i]]])) for i in from_mask(candidates)]
 
     def extend(candidates: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
         """The good announcements that extend ``chosen`` by lines from ``candidates``, two or more of them."""
         need = k - len(chosen)
         # Picks run in ascending order and a clique grows only by later lines, so
         # the last need - 1 candidates cannot start a branch.
-        bits = bin(candidates)[:1:-1]
-        i = -1
-        for _ in range(bits.count("1") - need + 1):
-            i = bits.index("1", i + 1)
+        starts = from_mask(candidates)
+        for i in starts[: len(starts) - need + 1]:
             later, grown = candidates & compatible_after(i), [*chosen, pool[i]]
             yield from extend(later, grown) if need > 2 else last_lines(later, grown)
 

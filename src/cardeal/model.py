@@ -6,7 +6,10 @@ All values are immutable and hashable, so they can be shared freely and used
 as dictionary keys. The ``Announcement`` constructor enforces the
 announcement invariant. One private builder, ``Announcement._trusted``,
 skips those checks for lines canonical by construction (parsed, or
-relabelled by enumeration) and alone sets a triple point it is given.
+relabelled by enumeration) and alone sets a triple point it is given; only
+the parser and ``enumeration`` call it. ``from_mask`` is the one set-bit
+walk: it steps by the lowest set bit, one step per set bit, and reads both
+cards off card masks and pool indices off the enumeration search's bitsets.
 ``check_lines`` checks an announcement's line size and card range. One
 function alone turns lines into masks, ``build_masks``: it takes a sequence
 of lines, an announcement's (checked first, so an absurd card label never
@@ -92,13 +95,12 @@ def to_mask(cards: Iterable[int]) -> int:
 
 
 def from_mask(mask: int) -> CardSet:
+    """The set bits of a nonnegative ``mask`` in ascending order; one step per set bit."""
     out = []
-    card = 0
     while mask:
-        if mask & 1:
-            out.append(card)
-        mask >>= 1
-        card += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -139,11 +141,13 @@ class Announcement:
         """The announcement of ``lines``, which the caller built to pass the constructor's checks.
 
         ``point``, if given, is the lines' triple point, which ``triple_point``
-        reads without counting: ``enumerate_good_announcements`` and
-        ``protocols.build_protocol`` give the relabelled one, while the parser
-        and enumeration's reference list leave it to be counted. A sentinel
-        default, unlike ``*point``, costs nothing per build. Reading ``__dict__``
-        would materialise the instance dict, slowing later reads on CPython 3.11.
+        reads without counting. One caller gives it:
+        ``enumerate_good_announcements``, which hands out every relabelled
+        announcement, the protocol tables' included, with its relabelled
+        point. The parser and enumeration's reference list leave it to be
+        counted. A sentinel default, unlike ``*point``, costs nothing per
+        build. Reading ``__dict__`` would materialise the instance dict,
+        slowing later reads on CPython 3.11.
         """
         ann = object.__new__(cls)
         object.__setattr__(ann, "lines", lines)
@@ -166,7 +170,8 @@ class Announcement:
         """The card occurring in strictly more lines than every other card, if any.
 
         Counted at first read and kept. ``_trusted`` sets it instead on the
-        announcements enumeration builds, from the point it relabels.
+        announcements ``enumerate_good_announcements`` builds, from the point
+        it relabels.
         """
         counts: dict[int, int] = {}
         for line in self.lines:

@@ -122,6 +122,17 @@ def test_card_text_that_is_not_ascii_decimal_exit_2(argv):
     assert proc.stderr.startswith("error: cannot read cards from")
 
 
+@pytest.mark.parametrize("text", ["\u0663,\u0663,\u0661", "+3,3,1_0", "3, 3,1", "3,3,-1", "3,\uff13,1"])
+@pytest.mark.parametrize(
+    "argv", [["verify", "--announcement", "012 034 056 135 246"], ["enumerate", "--hand", "012", "--count"]]
+)
+def test_params_take_ascii_decimal_digits_only(capsys, text, argv):
+    # int() would read these as (3,3,1), (3,3,10), (3,3,1), a negative count and (3,3,1).
+    code, out, err = run(capsys, argv[0], "--params", text, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: --params counts must be ASCII decimal digits, got {text!r}\n"
+
+
 def test_bad_max_work_variable_exit_2():
     proc = run_process(
         "verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246",

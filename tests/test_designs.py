@@ -83,6 +83,18 @@ def test_covalency_gate_refuses_bad_points():
         covalency_over([(0, 1, 2)], [-1, 0, 1, 2], 1)
 
 
+@pytest.mark.parametrize(
+    "lines, card",
+    [
+        ([(0, 1), (1, 2)], 1),  # between two points: in range, yet no point counts it
+        ([(0, 5)], 5),  # above the largest point
+    ],
+)
+def test_covalency_gate_refuses_line_cards_that_are_not_points(lines, card):
+    with pytest.raises(ValueError, match=f"card {card} "):
+        covalency_over(lines, [0, 2], 1)
+
+
 def test_covalency_gate_refuses_absurd_cards_before_building_masks():
     # a line card of 10**8 would otherwise make a 12 MB mask
     with pytest.raises(ValueError, match="out of range"):

@@ -16,7 +16,7 @@ from cardeal import (
     triple_point,
 )
 from cardeal.axioms import _clash
-from cardeal.enumeration import _good_containing, _ranked_lines, _reference_lines, _relabelled
+from cardeal.enumeration import _good_containing, _ranked_lines, _reference_lines
 from cardeal.model import CardSet, from_mask, to_mask
 
 # The twelve five-line announcements containing 012 whose most frequent card
@@ -212,19 +212,6 @@ def test_relabelled_lists_match_the_direct_search(params, ks):
             assert enumerate_good_announcements(params, hand, k) == _searched(params, hand, k)
 
 
-@pytest.mark.parametrize("params, ks", RELABEL_GRID)
-def test_relabelling_carries_the_triple_point(params, ks):
-    # The relabelled point is the image of the reference point; it must be the
-    # point counted afresh on the relabelled lines, which come in the public order.
-    for k in ks:
-        for hand in combinations(range(params.v), params.a):
-            entries = _relabelled(params, hand, k, None)
-            listed = enumerate_good_announcements(params, hand, k)
-            assert [lines for lines, _ in entries] == [ann.lines for ann in listed]
-            for lines, point in entries:
-                assert point == triple_point(Announcement(lines)), (hand, lines)
-
-
 @pytest.mark.parametrize("hand", [(0, 1, 4, 5), (3, 5, 6, 7)])
 def test_relabelled_lists_match_the_direct_search_at_431_k7(hand):
     params = Parameters(4, 3, 1)
@@ -327,12 +314,17 @@ def test_no_one_line_announcement_is_good():
 
 @pytest.mark.parametrize("params, ks", RELABEL_GRID)
 def test_enumerated_announcements_carry_their_triple_point(params, ks):
-    # The point is set from the relabelled reference point, not counted.
+    # The point is set from the relabelled reference point, not counted. It
+    # must be the point counted afresh on the lines, which the public
+    # constructor accepts (each list canonically ordered) and counts anew.
     for k in ks:
         for hand in combinations(range(params.v), params.a):
-            for ann in enumerate_good_announcements(params, hand, k):
+            listed = enumerate_good_announcements(params, hand, k)
+            assert [ann.lines for ann in listed] == sorted(ann.lines for ann in listed)
+            for ann in listed:
                 assert "triple_point" in vars(ann)
-                assert ann.triple_point == _counter_triple_point(ann), (hand, ann.lines)
+                counted = triple_point(Announcement(ann.lines))
+                assert ann.triple_point == counted == _counter_triple_point(ann), (hand, ann.lines)
 
 
 def test_warm_reference_search_does_not_bypass_the_guard(p331):

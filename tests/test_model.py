@@ -24,7 +24,7 @@ from cardeal import (
     parse_announcement,
     posterior_lines,
 )
-from cardeal.model import announcement_json, build_masks, format_card_set, parse_card_set, to_mask
+from cardeal.model import announcement_json, build_masks, format_card_set, from_mask, parse_card_set, to_mask
 
 
 def test_parameters_derive_deck_size():
@@ -210,6 +210,35 @@ def test_card_set_text_round_trip():
     assert parse_card_set("0,12", 16) == (0, 12)
     assert format_card_set((1, 3, 5), 7) == "135"
     assert format_card_set((0, 12), 16) == "0,12"
+
+
+def _shift_walk(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask`` by the shift loop, one step per bit position: the oracle for ``from_mask``."""
+    out = []
+    card = 0
+    while mask:
+        if mask & 1:
+            out.append(card)
+        mask >>= 1
+        card += 1
+    return tuple(out)
+
+
+def test_from_mask_matches_the_shift_loop_on_single_bits_and_dense_masks():
+    single = [1 << i for i in range(301)]
+    dense = [(1 << n) - 1 for n in (1, 2, 7, 63, 64, 65, 300)] + [((1 << 300) - 1) ^ (1 << 150)]
+    for mask in [0, *single, *dense]:
+        cards = from_mask(mask)
+        assert cards == _shift_walk(mask), mask
+        assert to_mask(cards) == mask
+
+
+@given(st.integers(0, 1 << 300) | st.sets(st.integers(0, 299), min_size=10, max_size=10).map(to_mask))
+def test_from_mask_matches_the_shift_loop_on_random_masks(mask):
+    # Random 301-bit masks are dense; ten bits among 300 are wide and sparse.
+    cards = from_mask(mask)
+    assert cards == _shift_walk(mask)
+    assert to_mask(cards) == mask
 
 
 def test_announcement_constructor_invariants():
