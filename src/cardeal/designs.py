@@ -6,11 +6,12 @@ covalency. Every entry point passes one gate, ``_fit``, which states the
 tuple-size rule and builds masks only through ``model.build_masks``, after
 ``model.check_lines`` and once every line card is found among the points (a
 card between two points would count for none): one mask per point, with bit
-i set iff line i holds the point. One scanner, ``_scan``, then tries all
-C(v, t) t-subsets with early exit on the first mismatch (at desk scale both
-feasible and the most trustworthy oracle), after charging C(v, t) * max(t, 1)
-to the work guard: the count for a t-subset is the popcount of the AND of
-its t points' masks.
+i set iff line i holds the point. Sparse points are renumbered by their
+position first, so the masks number the points, not the largest label. One
+scanner, ``_scan``, then tries all C(v, t) t-subsets with early exit on the
+first mismatch (at desk scale both feasible and the most trustworthy
+oracle), after charging C(v, t) * max(t, 1) to the work guard: the count for
+a t-subset is the popcount of the AND of its t points' masks.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ class DesignProfile:
 def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple[tuple[int, ...], int]:
     """Each point's mask (bit i set iff line i holds it), in point order, and the number of lines.
 
-    Built once the lines fit the points and 0 <= t <= block size. An empty
-    residual has no block size, so it bounds t from below only, and no masks."""
+    Built once the lines fit the points and 0 <= t <= block size, one mask
+    per point however large the labels. An empty residual has no block size,
+    so it bounds t from below only, and no masks."""
     pts = card_set(points)
     ann = Announcement.of(lines) if (lines := tuple(lines)) else None
     size = ann.block_size if ann else None
@@ -52,11 +54,14 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
         return (), 0
     v = max(pts, default=-1) + 1
     check_lines(ann, size, v)
-    # A card between two points is in range, yet no point would count it.
-    if len(pts) < v and (stray := set().union(*ann.lines).difference(pts)):
-        raise ValueError(f"line card {min(stray)} is not one of the points")
-    cards = build_masks(ann.lines, v)[1]
-    return tuple(cards[p] for p in pts), len(ann)
+    lines = ann.lines
+    if len(pts) < v:  # sparse points: a card's mask is indexed by its position among them
+        # A card between two points is in range, yet no point would count it.
+        if stray := set().union(*lines).difference(pts):
+            raise ValueError(f"line card {min(stray)} is not one of the points")
+        position = {p: j for j, p in enumerate(pts)}
+        lines = [tuple(map(position.__getitem__, line)) for line in lines]
+    return build_masks(lines, len(pts))[1], len(ann)
 
 
 def _scan(columns: tuple[int, ...], k: int, t: int, max_work: int | None) -> int | None:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -99,6 +100,18 @@ def test_covalency_gate_refuses_absurd_cards_before_building_masks():
     # a line card of 10**8 would otherwise make a 12 MB mask
     with pytest.raises(ValueError, match="out of range"):
         covalency_over([(0, 1), (1, 2), (0, 10**8)], range(3), 1)
+
+
+def test_sparse_points_get_one_mask_each():
+    # Masks are indexed by a point's position: sized by the largest label,
+    # these two points took 15.4 MiB.
+    tracemalloc.start()
+    try:
+        assert covalency_over([(0, 10**6)], [0, 10**6], 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_empty_residual_is_vacuously_constant():

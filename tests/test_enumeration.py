@@ -428,3 +428,66 @@ def test_ca_filtered_count_equals_structural_count(p331):
         if sorted(counts.values(), reverse=True) == [3, 2, 2, 2, 2, 2, 2]:
             structural += 1
     assert structural == len(enumerate_good_announcements(p331, hand, 5)) == 60
+
+
+SPLIT_GRID = [
+    (Parameters(3, 3, 1), range(2, 8)),
+    (Parameters(4, 3, 1), range(3, 8)),
+    (Parameters(4, 2, 1), range(2, 8)),
+    (Parameters(3, 2, 2), range(2, 7)),
+    (Parameters(2, 3, 2), range(2, 7)),
+]
+
+
+@pytest.mark.parametrize("params, ks", SPLIT_GRID)
+def test_orbit_split_matches_the_direct_search(params, ks):
+    # The reference list is built from one search per orbit of pool lines; the
+    # direct search through the hand alone is its oracle, order included.
+    hand = tuple(range(params.a))
+    lines = _ranked_lines(params.v, params.a)[0]
+    for k in ks:
+        _reference_lines.cache_clear()
+        split = _reference_lines(params, k)
+        assert [ranks for ranks, _ in split] == list(_good_containing(params, hand, k)), k
+        for ranks, point in split:
+            assert point == triple_point(Announcement(tuple(lines[r] for r in ranks))), (k, ranks)
+
+
+def test_orbit_counts_satisfy_orbit_stabiliser_at_431_k7():
+    # Sym(H) x Sym(deck - H) is transitive on the pool lines sharing i cards
+    # with H = 0123; f_i counts the good announcements holding H and the
+    # representative R_i. Each of the 8,064 announcements through H has six
+    # other lines, so the orbits' sizes weight the f_i to 6 * 8064.
+    params, hand, k = Parameters(4, 3, 1), (0, 1, 2, 3), 7
+    reps = [(4, 5, 6, 7), (0, 4, 5, 6), (0, 1, 4, 5)]
+    f = [len(_good_containing(params, hand, k, rep)) for rep in reps]
+    assert f == [288, 810, 976]
+    through = sum(comb(4, i) * comb(4, 4 - i) * f_i for i, f_i in enumerate(f))
+    assert divmod(through, k - 1) == (8064, 0)
+
+
+@pytest.mark.parametrize("abc", [(4, 6, 2), (5, 4, 2)])
+def test_no_good_six_line_announcement_at_c2(abc):
+    # The direct searches took several seconds each; the orbit split a tenth of one.
+    params = Parameters(*abc)
+    assert enumerate_good_announcements(params, range(params.a), 6, max_work=10**11) == []
+
+
+@pytest.mark.parametrize(
+    "abc, k, n",
+    [
+        ((4, 4, 1), 7, comb(4, 0) * comb(5, 4) + comb(4, 1) * comb(5, 3) + comb(4, 2) * comb(5, 2)),
+        ((4, 6, 2), 6, comb(4, 0) * comb(8, 4) + comb(4, 1) * comb(8, 3)),
+    ],
+)
+def test_split_keeps_the_direct_searchs_charge(abc, k, n, monkeypatch):
+    # The charge still sizes the direct search over the n-line pool, so the
+    # split is refused where the direct search was: about 1.6e9 and 1.8e10
+    # steps, above the default 1e8, before any search is cached.
+    monkeypatch.delenv("CARDEAL_MAX_WORK", raising=False)
+    params = Parameters(*abc)
+    charge = comb(params.v, params.a) - 1 + comb(n, 2) + comb(n, k - 1)
+    _reference_lines.cache_clear()
+    with pytest.raises(WorkLimitExceeded, match=f"needs about {charge} steps"):
+        enumerate_good_announcements(params, range(params.a), k)
+    assert _reference_lines.cache_info().currsize == 0
