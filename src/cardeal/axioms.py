@@ -220,16 +220,14 @@ def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[Ca
     """The receiver hands the eavesdropper holding x considers possible.
 
     One candidate per avoiding line: the rest of the deck once x and that
-    line are removed. Duplicates are dropped and the result is sorted.
+    line are removed, distinct as the lines are. The result is sorted.
     """
     check_lines(ann, params.a, params.v)
-    masks = build_masks(ann.lines, params.v)[0]
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
-    xm = to_mask(xs)
-    candidates = {((1 << params.v) - 1) & ~(xm | m) for m in masks if m & xm == 0}
-    return sorted(from_mask(mask) for mask in candidates)
+    rest = ((1 << params.v) - 1) & ~to_mask(xs)
+    return sorted(from_mask(rest & ~to_mask(line)) for line in lines_avoiding(ann, xs))
 
 
 def bob_infer(ann: Announcement, bob_hand: Iterable[int]) -> CardSet:

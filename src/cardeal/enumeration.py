@@ -6,23 +6,26 @@ them): the hand plus a (k-1)-clique of the compatibility graph on the pool
 of lines that do not clash with the hand, or, given a second fixed line, the
 two plus a (k-2)-clique of the pool clashing with neither. The search
 intersects candidate sets with each chosen line's bitset of compatible later
-lines, built the first time a branch needs a line after it, so k = 2 tests
-no pair of pool lines. The last line is picked without testing each leaf:
-for each c-set the first k - 1 lines fail under CA2-CA3, it must avoid the
-c-set and the cards its avoiding lines share, and hold the outside cards
-they miss. With one bitset per card over the pool these are ANDs on the
-candidate set, which leave exactly the good completions, in pool order. This
-filter is the library's only line-major reading of CA2-CA3: the chosen lines
-change at every node, so it reads them one by one rather than through
-per-card masks. The pool's masks come from ``model.build_masks``, and
-``model.from_mask``, the one set-bit walk, reads pool indices off the
-candidate bitsets, one step per candidate: a branch's start lines, and the
-good last lines. The search returns each good announcement as the sorted
-ranks of its lines in the lex order of the a-sets, and builds none. k = 1
-needs no search: v - a = b + c >= c, so some c-set misses the hand, which is
-then that c-set's only avoiding line; its cards are shared, CA2 fails, and
-no one-line announcement is good. The direct search, through the hand alone,
-is the ground truth the orbit split below is tested against.
+lines, built the first time a branch needs a line after it, so k = 3, whose
+orbit searches below fix two lines, tests no pair of pool lines. The last
+line is picked without testing each leaf: for each c-set the first k - 1
+lines fail under CA2-CA3, it must avoid the c-set and the cards its avoiding
+lines share, and hold the outside cards they miss. With one bitset per card
+over the pool these are ANDs on the candidate set, which leave exactly the
+good completions, in pool order. This filter is the library's only
+line-major reading of CA2-CA3: the chosen lines change at every node, so it
+reads them one by one rather than through per-card masks. The pool's masks
+come from ``model.build_masks``, and ``model.from_mask``, the one set-bit
+walk, reads pool indices off the candidate bitsets, one step per candidate:
+a branch's start lines, and the good last lines. The search returns each
+good announcement as the sorted ranks of its lines in the lex order of the
+a-sets, and builds none. Through the hand alone, it is the test oracle of
+the orbit split below.
+
+No announcement of k <= 2 lines is good, so those need no search. Take a
+line L and a c-set X avoiding L: a card of the other line outside L, if any,
+and c - 1 of the b + c - 1 other cards outside L. Then L, X's only avoiding
+line, holds a < a + b = v - c of X's outside cards, so CA3 fails.
 
 The work guard charges the search, not the raw candidate space. A line
 clashes with the hand iff it shares a - c or more cards with it, so the pool
@@ -37,38 +40,36 @@ over-counts by more; it is kept so that no request is admitted or refused
 differently. The guard is charged on every call, so a request is admitted or
 refused alike whether or not its search is cached.
 
-Only the reference hand H = 0..a-1 is searched, once per (params, k), and
-for k >= 3 by one search per orbit of pool lines rather than one over the
-whole pool. The stabiliser of H, Sym(H) x Sym(deck - H), maps good
-announcements through H onto good announcements through H, and it is
-transitive on the pool lines sharing i cards with H, for each i from
-max(0, 2a - v) to a - c - 1 (a line takes a - i of the v - a other cards).
-Orbit i's representative R_i is the first i cards of H and the first a - i
-other cards. One search lists S_i, the good announcements holding H and R_i.
-For each line L of orbit i, the permutation g_L sends H to itself and R_i to
-L, each in order: the first i cards to L's cards in H, the rest of H to the
+Only the reference hand H = 0..a-1 is searched, once per (params, k) with
+k >= 3, by one search per orbit of pool lines rather than one over the whole
+pool. The stabiliser of H, Sym(H) x Sym(deck - H), maps good announcements
+through H onto good announcements through H, and it is transitive on the
+pool lines sharing i cards with H, for each i from max(0, 2a - v) to
+a - c - 1 (a line takes a - i of the v - a other cards). Orbit i's
+representative R_i is the first i cards of H and the first a - i other
+cards. One search lists S_i, the good announcements holding H and R_i. For
+each line L of orbit i, the permutation g_L sends H to itself and R_i to L,
+each in order: the first i cards to L's cards in H, the rest of H to the
 rest of H, a..2a-i-1 to L's other cards, the other cards to the other cards.
 So g_L maps S_i onto the good announcements holding H and L. Each good
 announcement A through H has a least line L besides H, and g_L(B) = A for
 exactly one B in S_i. The least-line rule therefore lists each announcement
 once: g_L(B) is kept exactly when L is its least line besides H, and the
-kept ones are sorted into canonical order. Each L maps only the ranks S_i
-uses, and over all L the rule tests k - 1 images of each announcement kept.
-k = 2 takes the direct search.
+kept ones are sorted into canonical order. Over all L the rule tests k - 1
+images of each announcement kept.
 
 Any other hand h gets the reference list relabelled by the permutation that
 sends 0..a-1 to h in order and the remaining cards to the remaining cards in
 order. A permutation of the deck maps a-sets, b-sets and c-sets onto
 themselves and preserves every intersection, so it maps the announcements
 containing 0..a-1 that satisfy CA1-CA3 one-to-one onto those containing h.
-The reference list keeps the search's rank tuples as they are, so a
-relabelling is a permutation of ranks. Lex order on lines is rank order, and
-all the announcements have k lines, so sorting each one's relabelled ranks,
-then the list, gives the canonical order the direct search of h yields; that
-search stays as the test oracle. The lines mapped back from sorted ranks are
-canonical by construction and are not checked again. A call finds the image
-of each of the C(v, a) lines once, no more steps than the pool filter it is
-charged for.
+The reference list keeps the search's rank tuples, so a relabelling, like
+each g_L above, maps ranks and points through one rank map of the C(v, a)
+lines, as many steps as the charged pool filter. Lex order on lines is rank
+order, and all the announcements have k lines, so sorting each one's
+relabelled ranks, then the list, gives the canonical order the direct search
+of h yields. The lines mapped back from sorted ranks are canonical by
+construction and are not checked again.
 
 A relabelling also maps each card's line count to its image, so it carries
 the triple point (the card in strictly more lines than any other). The
@@ -90,6 +91,8 @@ from typing import Iterable, Iterator, Sequence
 from .axioms import _clash
 from .guard import comb_within, require_work
 from .model import Announcement, CardSet, Parameters, build_masks, card_set, from_mask, to_mask
+
+Entry = tuple[tuple[int, ...], int | None]  # an announcement's line ranks and its triple point
 
 
 def enumerate_good_announcements(
@@ -113,22 +116,30 @@ def enumerate_good_announcements(
         raise ValueError(f"line count must be a positive integer, got {k!r}")
     a, v, what = params.a, params.v, "announcement enumeration"
     filter_tests = comb_within(v, a, max_work, what) - 1
-    # A line sharing i cards with the hand takes a - i of the v - a others, so i >= 2a - v.
-    n = sum(comb(a, i) * comb(v - a, a - i) for i in range(max(0, 2 * a - v), a - params.c))
+    n = sum(comb(a, i) * comb(v - a, a - i) for i in _shared_counts(params))
     work = filter_tests + (comb(n, 2) if k >= 3 else 0) + comb_within(n, k - 1, max_work, what)
     require_work(work, max_work, what)
-    lines, rank = _ranked_lines(v, a)
+    lines = _ranked_lines(v, a)[0]
     image = (*hand, *(card for card in range(v) if card not in hand))
-    # combinations(bits, a) yields the mask of each line's image in rank
-    # order, so perm[r] is the rank of line r's image.
-    bits = [1 << card for card in image]
-    perm = list(map(rank.__getitem__, map(sum, combinations(bits, a))))
     # The ranks of distinct announcements differ, so the sort never compares two points.
-    relabelled = sorted(
-        (tuple(sorted([perm[r] for r in ranks])), None if point is None else image[point])
-        for ranks, point in _reference_lines(params, k)
-    )
+    relabelled = sorted(_carried(_reference_lines(params, k), _rank_map(image, a), image))
     return [Announcement._trusted(tuple([lines[r] for r in ranks]), point) for ranks, point in relabelled]
+
+
+def _shared_counts(params: Parameters) -> range:
+    """The i for which some pool line shares i cards with the hand: i < a - c, and a - i <= v - a."""
+    return range(max(0, 2 * params.a - params.v), params.a - params.c)
+
+
+def _rank_map(image: Sequence[int], a: int) -> list[int]:
+    """perm[r] is the rank of line r's image under y -> image[y]: the a-subsets of bits sum to its mask, in order r."""
+    bits = [1 << card for card in image]
+    return list(map(_ranked_lines(len(image), a)[1].__getitem__, map(sum, combinations(bits, a))))
+
+
+def _carried(entries: Iterable[Entry], perm: list[int], image: Sequence[int]) -> list[Entry]:
+    """The entries' images under the card map ``image`` with rank map ``perm``: sorted ranks, mapped point."""
+    return [(tuple(sorted([perm[r] for r in ranks])), None if p is None else image[p]) for ranks, p in entries]
 
 
 @lru_cache(maxsize=None)
@@ -139,49 +150,39 @@ def _ranked_lines(v: int, a: int) -> tuple[tuple[CardSet, ...], dict[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _reference_lines(params: Parameters, k: int) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+def _reference_lines(params: Parameters, k: int) -> tuple[Entry, ...]:
     """The line ranks and triple point of every good k-line announcement containing the hand 0..a-1.
 
-    Canonically ordered: one search per orbit of pool lines, its results
-    carried onto the orbit's other lines (see the module docstring).
+    Canonically ordered: none for k <= 2, by proof, else one search per orbit carried onto its lines (module docstring).
     """
+    if k <= 2:
+        return ()
     a, v = params.a, params.v
     lines, rank = _ranked_lines(v, a)
     hand = tuple(range(a))
-    if k <= 2:
-        return tuple((ranks, _counted_point(lines, ranks)) for ranks in _good_containing(params, hand, k))
     found = []
-    for i in range(max(0, 2 * a - v), a - params.c):
+    for i in _shared_counts(params):
         rep = (*range(i), *range(a, 2 * a - i))
+        rep_rank = rank[to_mask(rep)]
         held = _good_containing(params, hand, k, rep)
         if not held:
             continue
-        points = [_counted_point(lines, ranks) for ranks in held]
-        # Each announcement's other lines, and their span: one bit per rank they use.
-        fixed = {0, rank[to_mask(rep)]}
-        rests = [[r for r in ranks if r not in fixed] for ranks in held]
-        used = set().union(*rests)
+        entries = [(ranks, Announcement._trusted(tuple(map(lines.__getitem__, ranks))).triple_point) for ranks in held]
+        # The span of each announcement's lines besides the hand and rep: one bit per rank they use.
+        used = set().union(*held) - {0, rep_rank}
         bit = {r: 1 << j for j, r in enumerate(used)}
-        spans = [sum(map(bit.__getitem__, rest)) for rest in rests]
+        spans = [sum(bit.get(r, 0) for r in ranks) for ranks in held]
         for shared in combinations(hand, i):
             for new in combinations(range(a, v), a - i):
                 # g sends the hand to itself and rep to shared + new, both in order.
                 image = (*shared, *(h for h in hand if h not in shared), *new, *(y for y in range(a, v) if y not in new))
-                bits = [1 << card for card in image]
-                least = rank[to_mask((*shared, *new))]
-                mapped = {u: rank[sum(map(bits.__getitem__, lines[u]))] for u in used}
-                below = sum(bit[u] for u, r in mapped.items() if r < least)
-                for rest, span, point in zip(rests, spans, points):
-                    if not span & below:  # shared + new is the image's least line besides the hand
-                        ranks = tuple(sorted([0, least, *map(mapped.__getitem__, rest)]))
-                        found.append((ranks, None if point is None else image[point]))
-    found.sort()
-    return tuple(found)
-
-
-def _counted_point(lines: tuple[CardSet, ...], ranks: tuple[int, ...]) -> int | None:
-    """The triple point of the lines of rank ``ranks``, counted."""
-    return Announcement._trusted(tuple([lines[r] for r in ranks])).triple_point
+                perm = _rank_map(image, a)
+                least = perm[rep_rank]
+                below = sum(bit[u] for u in used if perm[u] < least)
+                # Kept where shared + new is the image's least line besides the hand; most lines keep none.
+                if kept := [e for e, span in zip(entries, spans) if not span & below]:
+                    found += _carried(kept, perm, image)
+    return tuple(sorted(found))
 
 
 def _good_containing(
@@ -189,8 +190,8 @@ def _good_containing(
 ) -> tuple[tuple[int, ...], ...]:
     """The line ranks of every good k-line announcement containing ``hand``, and ``second`` if given, in canonical order.
 
-    Without ``second``, the direct search. With it, a line not clashing with
-    the hand and k >= 3, the search of that line's orbit.
+    Without ``second``, the direct search, run only as the tests' oracle. With
+    it, a line not clashing with the hand and k >= 3, the search of its orbit.
     """
     a, v, b = params.a, params.v, params.b
     if k == 1:

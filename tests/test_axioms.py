@@ -59,6 +59,23 @@ def test_bob_sets_empty_when_nothing_avoids(p331):
     assert bob_sets(ann, (0,), p331) == []
 
 
+def test_bob_sets_match_the_mask_construction(p331):
+    # The oracle builds each candidate from the line masks, complementing x and
+    # an avoiding line's mask within the deck, and drops duplicates. Every
+    # observer card of every good (3,3,1) announcement of 5, 6 and 7 lines.
+    omega = (1 << p331.v) - 1
+    for k in (5, 6, 7):
+        hands = combinations(range(7), 3)
+        anns = {ann for hand in hands for ann in cardeal.enumerate_good_announcements(p331, hand, k)}
+        assert len(anns) == {5: 420, 6: 210, 7: 30}[k]
+        for ann in anns:
+            masks = model.build_masks(ann.lines, p331.v)[0]
+            for x in combinations(range(p331.v), p331.c):
+                xm = model.to_mask(x)
+                candidates = {omega & ~(xm | m) for m in masks if not m & xm}
+                assert bob_sets(ann, x, p331) == sorted(map(model.from_mask, candidates)), (ann.lines, x)
+
+
 def test_five_hand_verdicts(five_hand, p331):
     report = check_axioms(five_hand, p331)
     assert report.ca1.passed and report.ca2.passed and report.ca3.passed

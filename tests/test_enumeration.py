@@ -312,6 +312,54 @@ def test_no_one_line_announcement_is_good():
         assert is_good(Announcement((hand,)), params) is False, abc
 
 
+# Every deal with a, b, c >= 1 on at most nine cards.
+SMALL_DEALS = [Parameters(a, b, c) for a in range(1, 8) for b in range(1, 8) for c in range(1, 8) if a + b + c <= 9]
+
+
+def test_no_announcement_of_one_or_two_lines_through_the_hand_is_good():
+    # The proof that answers k <= 2 without a search: some c-set avoids one
+    # line and meets the other, and that line alone misses its outside cards.
+    for params in SMALL_DEALS:
+        hand = tuple(range(params.a))
+        assert is_good(Announcement((hand,)), params) is False, params
+        for line in combinations(range(params.v), params.a):
+            if line != hand:
+                assert is_good(Announcement((hand, line)), params) is False, (params, line)
+
+
+def test_one_and_two_lines_are_answered_without_a_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError(f"searched {args}")
+
+    monkeypatch.setattr("cardeal.enumeration._good_containing", no_search)
+    _reference_lines.cache_clear()
+    for params in SMALL_DEALS:
+        for k in (1, 2):
+            assert enumerate_good_announcements(params, range(params.a), k) == [], (params, k)
+    _reference_lines.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "params, ks, orbits", [(Parameters(3, 3, 1), range(3, 8), 2), (Parameters(4, 3, 1), range(5, 8), 3)]
+)
+def test_production_searches_only_through_a_second_line(params, ks, orbits, monkeypatch):
+    # One search per orbit of pool lines, each through the hand and the
+    # orbit's representative; the direct search runs only in the tests.
+    seconds = []
+
+    def recording(deal, hand, k, second=None):
+        seconds.append(second)
+        return _good_containing(deal, hand, k, second)
+
+    monkeypatch.setattr("cardeal.enumeration._good_containing", recording)
+    for k in ks:
+        _reference_lines.cache_clear()
+        seconds.clear()
+        enumerate_good_announcements(params, range(params.a), k)
+        assert len(seconds) == orbits and None not in seconds, (k, seconds)
+    _reference_lines.cache_clear()
+
+
 @pytest.mark.parametrize("params, ks", RELABEL_GRID)
 def test_relabelling_carries_the_triple_point(params, ks):
     # The relabelled point is the image of the reference point; it must be the
