@@ -210,8 +210,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sample(args) -> int:
     params = PAPER_PARAMS
     require_work(args.n, args.max_work, "sampling")
-    proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     hand = parse_card_set(args.hand, params.v)
+    proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     for ann in sample_many(proto, hand, args.seed, args.n):
         print(format_announcement(ann, params))
     return EXIT_OK
@@ -219,12 +219,12 @@ def _cmd_sample(args) -> int:
 
 def _cmd_analyze(args) -> int:
     params = PAPER_PARAMS
-    proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     if args.observer is not None and args.announcement is None:
         raise ValueError("--observer needs --announcement")
-    if args.announcement is not None:
-        ann = parse_announcement(args.announcement, params)
-        observer = parse_card_set(args.observer, params.v) if args.observer else ()
+    ann = None if args.announcement is None else parse_announcement(args.announcement, params)
+    observer = parse_card_set(args.observer, params.v) if args.observer else ()
+    proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
+    if ann is not None:
         table = posterior_lines(proto, ann, observer)
         if args.format == "json":
             print(json.dumps(posterior_json(table, params), indent=2))

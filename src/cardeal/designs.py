@@ -6,12 +6,13 @@ covalency. Every entry point passes one gate, ``_fit``, which states the
 tuple-size rule and builds masks only through ``model.build_masks``, after
 ``model.check_lines`` and once every line card is found among the points (a
 card between two points would count for none): one mask per point, with bit
-i set iff line i holds the point. Sparse points are renumbered by their
-position first, so the masks number the points, not the largest label. One
-scanner, ``_scan``, then tries all C(v, t) t-subsets with early exit on the
-first mismatch (at desk scale both feasible and the most trustworthy
-oracle), after charging C(v, t) * max(t, 1) to the work guard: the count for
-a t-subset is the popcount of the AND of its t points' masks.
+i set iff line i holds the point. Every point set takes one path: each line
+card is renumbered by its position among the points, so the masks number the
+points, not the largest label. One scanner, ``_scan``, then tries all
+C(v, t) t-subsets with early exit on the first mismatch (at desk scale both
+feasible and the most trustworthy oracle), after charging C(v, t) * max(t, 1)
+to the work guard: the count for a t-subset is the popcount of the AND of its
+t points' masks.
 """
 
 from __future__ import annotations
@@ -52,16 +53,13 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
         raise ValueError(f"tuple size {t} out of range for block size {size}")
     if ann is None:
         return (), 0
-    v = max(pts, default=-1) + 1
-    check_lines(ann, size, v)
-    lines = ann.lines
-    if len(pts) < v:  # sparse points only: a card's mask is indexed by its position among them
-        # Renumbering dense points too slowed binary n=4 design_profile 164-179 -> 181-193 µs on 2 vCPUs.
-        # A card between two points is in range, yet no point would count it.
-        if stray := set().union(*lines).difference(pts):
-            raise ValueError(f"line card {min(stray)} is not one of the points")
-        position = {p: j for j, p in enumerate(pts)}
-        lines = [tuple(map(position.__getitem__, line)) for line in lines]
+    check_lines(ann, size, max(pts, default=-1) + 1)
+    position = {p: j for j, p in enumerate(pts)}
+    try:
+        lines = [tuple(map(position.__getitem__, line)) for line in ann.lines]
+    except KeyError:  # a card between two points is in range, yet no point would count it
+        stray = set().union(*ann.lines).difference(pts)
+        raise ValueError(f"line card {min(stray)} is not one of the points") from None
     return build_masks(lines, len(pts))[1], len(ann)
 
 

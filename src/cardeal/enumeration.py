@@ -168,17 +168,15 @@ def _reference_lines(params: Parameters, k: int) -> tuple[Entry, ...]:
         if not held:
             continue
         entries = [(ranks, Announcement._trusted(tuple(map(lines.__getitem__, ranks))).triple_point) for ranks in held]
-        # The span of each announcement's lines besides the hand and rep: one bit per rank they use.
-        used = set().union(*held) - {0, rep_rank}
-        bit = {r: 1 << j for j, r in enumerate(used)}
-        spans = [sum(bit.get(r, 0) for r in ranks) for ranks in held]
+        # The span of each announcement's lines besides the hand (rank 0) and rep: one bit per rank.
+        spans = [sum(1 << r for r in ranks) & ~(1 | 1 << rep_rank) for ranks in held]
         for shared in combinations(hand, i):
             for new in combinations(range(a, v), a - i):
                 # g sends the hand to itself and rep to shared + new, both in order.
                 image = (*shared, *(h for h in hand if h not in shared), *new, *(y for y in range(a, v) if y not in new))
                 perm = _rank_map(image, a)
                 least = perm[rep_rank]
-                below = sum(bit[u] for u in used if perm[u] < least)
+                below = sum(1 << u for u, r in enumerate(perm) if r < least)
                 # Kept where shared + new is the image's least line besides the hand; most lines keep none.
                 if kept := [e for e, span in zip(entries, spans) if not span & below]:
                     found += _carried(kept, perm, image)

@@ -106,7 +106,7 @@ def from_mask(mask: int) -> CardSet:
 
 @dataclass(frozen=True)
 class Announcement:
-    """One or more distinct, equally sized lines in canonical order.
+    """One or more distinct, equally sized, nonempty lines in canonical order.
 
     The constructor rejects anything else with ValueError; equality,
     hashing and repr use ``lines`` alone. Masks come from ``build_masks``.
@@ -119,6 +119,8 @@ class Announcement:
         if not isinstance(lines, tuple) or not lines:
             raise ValueError("an announcement needs a nonempty tuple of lines")
         size = len(lines[0])
+        if not size:
+            raise ValueError("an announcement's lines need at least one card")
         prev = None
         for line in lines:
             if not isinstance(line, tuple) or len(line) != size:

@@ -52,7 +52,6 @@ from .model import (
     CardSet,
     Parameters,
     card_set,
-    check_lines,
     enumerate_ksets,
     format_announcement,
     format_card_set,
@@ -274,12 +273,11 @@ def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> Valida
 def _unsafe(ann: Announcement, params: Parameters, max_work: int | None) -> str | None:
     """Why ``ann`` is not a safe announcement at ``params``, or None if it is good."""
     try:
-        check_lines(ann, params.a, params.v)
+        good = is_good(ann, params, max_work=max_work)
     except ValueError as exc:
+        # Raised by check_lines alone: validate_protocol resolved max_work, the only other source, before its loop.
         return f"announcement {ann.lines} does not fit {params}: {exc}"
-    if is_good(ann, params, max_work=max_work):
-        return None
-    return f"announcement {ann.lines} is not good"
+    return None if good else f"announcement {ann.lines} is not good"
 
 
 def _fraction_json(value: Fraction) -> dict:

@@ -165,6 +165,24 @@ def test_analyze_obeys_callers_limit():
     assert "class balance before observing: 3/5" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "--protocol", "uniform60", "--hand", "9"], "card 9 out of range"),
+        (["analyze", "--protocol", "uniform60", "--observer", "0"], "--observer needs --announcement"),
+        (["analyze", "--protocol", "uniform60", "--announcement", "01"], "expected 3 cards, got 2"),
+    ],
+)
+def test_sample_and_analyze_read_arguments_before_building_a_protocol(argv, message, capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a protocol was built before every argument was read")
+
+    monkeypatch.setattr("cardeal.cli.build_protocol", unbuilt)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert message in err
+
+
 def test_verify_reads_stdin_and_file(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("012 034 056 135 246"))
     code, _, _ = run(capsys, "verify", "--params", "3,3,1", "--stdin", "--axioms", "ca1")

@@ -68,6 +68,7 @@ def test_covalency_rejects_oversized_tuples(five_hand):
         ([(0, 1, 2), (0, 1, 7)], 1),  # card above the largest point
         ([(0, 1, 2)], -1),
         ([(0, 1, 2)], 4),
+        ([()], 0),  # a line with no cards
     ],
 )
 def test_covalency_gate_refuses_bad_input(lines, t):

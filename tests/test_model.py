@@ -103,6 +103,11 @@ def test_parse_rejects_bad_input(text, p331):
         parse_announcement(text, p331)
 
 
+def test_parse_refuses_json_nested_too_deeply(p331):
+    with pytest.raises(AnnouncementParseError, match="nested too deeply"):
+        parse_announcement("[" * 5000, p331)
+
+
 # Each malformed input's exact error, recorded before the parser tested each
 # text line once: duplicate cards and lines, wrong sizes, out-of-range and
 # unreadable cards in digit and comma form, empty text and JSON faults.
@@ -260,6 +265,7 @@ def test_announcement_constructor_invariants():
         ((False, 1, 2), (0, 3, 4)),  # a bool is not a card
         ([0, 1, 2],),  # a line must be a tuple
         [(0, 1, 2)],  # so must the lines
+        ((),),  # a line with no cards
     ]:
         with pytest.raises(ValueError):
             Announcement(lines)
