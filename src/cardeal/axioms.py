@@ -41,20 +41,20 @@ Every avoiding line holds a cards, all outside X, so the v - c outside counts
 sum to a·|avoid_X|. The lines are distinct and lie outside X, so a card with
 count n lies in exactly |avoid| - n candidate b-sets; CA5 is read off the
 same counts and fails at exactly the c-sets where CA4 does, and its constant
-m_X = |avoid_X| - n_X is n_X·b/a, computed from CA4's. Until CA2 and CA3
-both have their witness, the sweep counts every card of the deck. X's own
-c cards count 0, so the maximum is the outside cards', the outside counts
-are constant iff all v - c of them reach it, and an outside card counts 0
-iff more than c cards do. After that it counts only what CA4 needs: the
-only constant the counts can have is n = a·|avoid_X| / (v - c). Where
-v - c does not divide a·|avoid_X|, X violates CA4 without a count;
-otherwise the counts are read, X's own cards skipped by index, until one
-differs from n. The sweep records, per c-set, its constant or, where the
-counts differ, the c-set alone; the CA4 and CA5 verdicts share that list of
-violating c-sets, so a report takes O(C(v, c)) small entries. A
-``CountVerdict`` builds a witness's (card, count) pairs from the per-card
-masks only when it is read. ``cathy_card_counts`` takes the same popcounts
-for one c-set.
+m_X = |avoid_X| - n_X is n_X·b/a, computed from CA4's. CA4, the 1-covalency
+of X's residual, has the one rule of ``designs._scan``: the only constant the
+counts can have is n = a·|avoid_X| / (v - c), so an indivisible sum violates
+CA4 uncounted, and otherwise X violates it iff some outside count differs
+from n. Until CA2 and CA3 both have their witness, the sweep keeps every
+card's count and reads the witnesses off that list; X's own c cards count
+0 <= n, so the outside counts all equal n iff none is above n, and an outside
+card counts 0 iff more than c cards do. After that it reads counts, X's own
+cards skipped by index, only until one differs from n. The sweep records, per
+c-set, its constant or, where the counts differ, the c-set alone; the CA4 and
+CA5 verdicts share that list of violating c-sets, so a report takes
+O(C(v, c)) small entries. A ``CountVerdict`` builds a witness's (card, count)
+pairs from the per-card masks only when it is read. ``cathy_card_counts``
+takes the same popcounts for one c-set.
 ``is_good`` is the early exit of the same pair pass and sweep: it stops at the
 first clashing pair, then at the first c-set with an outside card held by
 every avoiding line (CA2) or by none (CA3), skipping X's own cards by index.
@@ -250,10 +250,10 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
 
     The popcounts of the per-card masks that ``check_axioms`` reads."""
     check_lines(ann, params.a, params.v)
-    cards = build_masks(ann.lines, params.v)[1]
     xs = card_set(x, params.v)
     if len(xs) != params.c:
         raise ValueError(f"expected a {params.c}-set, got {xs}")
+    cards = build_masks(ann.lines, params.v)[1]
     return dict(enumerate(_card_counts(cards, (1 << len(ann)) - 1, xs)[1]))
 
 
@@ -329,32 +329,28 @@ def check_axioms(ann: Announcement, params: Parameters, *, max_work: int | None 
     for xs, avoiding in zip(combinations(range(v), c), combinations(outs, c)):
         avoid = reduce(and_, avoiding)
         total = avoid.bit_count()
-        n = None
+        # The outside counts sum to a * total: n is their only possible constant.
+        n, uneven = divmod(a * total, v - c)
         if ca2.passed or ca3.passed:
-            # One count per card. X's own c cards count 0, so the maximum is
-            # the outside cards', the counts are constant iff all v - c
-            # outside cards reach it, and an outside card counts 0 iff more
-            # than c cards do.
+            # One count per card. X's own c cards count 0 <= n, so the outside
+            # counts all equal n iff none is above n, and an outside card
+            # counts 0 iff more than c cards do.
             ns = [(lines & avoid).bit_count() for lines in cards]
-            high = max(ns)
-            if not high or ns.count(high) == v - c:
-                n = high
-            if ca2.passed and total and high == total:
-                common = tuple(y for y, lines in enumerate(cards) if lines & avoid == avoid)
+            uneven = uneven or max(ns) != n
+            if ca2.passed and total and total in ns:
+                common = tuple(y for y, n_y in enumerate(ns) if n_y == total)
                 ca2 = AxiomVerdict(False, CommonCardWitness(xs, common))
             if ca3.passed and ns.count(0) > c:
-                missing = tuple(y for y, lines in enumerate(cards) if not lines & avoid and y not in xs)
+                missing = tuple(y for y, n_y in enumerate(ns) if not n_y and y not in xs)
                 ca3 = AxiomVerdict(False, UncoveredCardWitness(xs, missing))
-        elif not a * total % (v - c):
-            # The v - c outside counts sum to a * total, so n is the only
-            # constant they can have; the first count that differs refutes it.
-            n = a * total // (v - c)
+        elif not uneven:
+            # The first outside count that differs from n refutes it; X's own
+            # cards count 0, which differs from n unless n is 0.
             for y, lines in enumerate(cards):
-                # X's own cards count 0, which differs from n unless n is 0.
                 if (lines & avoid).bit_count() != n and y not in xs:
-                    n = None
+                    uneven = True
                     break
-        if n is None:
+        if uneven:
             violating.append(xs)
         else:
             n_constants[xs] = n

@@ -211,6 +211,8 @@ def _cmd_sample(args) -> int:
     params = PAPER_PARAMS
     require_work(args.n, args.max_work, "sampling")
     hand = parse_card_set(args.hand, params.v)
+    if len(hand) != params.a:
+        raise ValueError(f"hand {hand} is not an {params.a}-set")
     proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     for ann in sample_many(proto, hand, args.seed, args.n):
         print(format_announcement(ann, params))
@@ -222,7 +224,7 @@ def _cmd_analyze(args) -> int:
     if args.observer is not None and args.announcement is None:
         raise ValueError("--observer needs --announcement")
     ann = None if args.announcement is None else parse_announcement(args.announcement, params)
-    observer = parse_card_set(args.observer, params.v) if args.observer else ()
+    observer = () if args.observer is None else parse_card_set(args.observer, params.v)
     proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
     if ann is not None:
         table = posterior_lines(proto, ann, observer)

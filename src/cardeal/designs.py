@@ -8,18 +8,18 @@ tuple-size rule and builds masks only through ``model.build_masks``, after
 card between two points would count for none): one mask per point, with bit
 i set iff line i holds the point. Every point set takes one path: each line
 card is renumbered by its position among the points, so the masks number the
-points, not the largest label. One scanner, ``_scan``, then tries all
-C(v, t) t-subsets with early exit on the first mismatch (at desk scale both
-feasible and the most trustworthy oracle), after charging C(v, t) * max(t, 1)
-to the work guard: the count for a t-subset is the popcount of the AND of its
-t points' masks.
+points, not the largest label. One scanner, ``_scan``, charges C(v, t) *
+max(t, 1) to the work guard and applies the kernel's CA4 rule: the k lines
+hold k·C(size, t) t-subsets, so an indivisible sum over C(v, t) refuses a
+constant unread; otherwise each count (the popcount of the AND of its t
+points' masks) is compared with the quotient until one differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import log10
+from math import comb, log10
 from typing import Iterable
 
 from .guard import comb_within, require_log10_work, require_work
@@ -40,19 +40,19 @@ class DesignProfile:
     strength: int
 
 
-def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple[tuple[int, ...], int]:
-    """Each point's mask (bit i set iff line i holds it), in point order, and the number of lines.
+def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple[tuple[int, ...], int, int]:
+    """Each point's mask (bit i set iff line i holds it), in point order, the line count and the block size.
 
     Built once the lines fit the points and 0 <= t <= block size, one mask
     per point however large the labels. An empty residual has no block size,
-    so it bounds t from below only, and no masks."""
+    so it bounds t from below only; it gets no masks and size 0."""
     pts = card_set(points)
     ann = Announcement.of(lines) if (lines := tuple(lines)) else None
     size = ann.block_size if ann else None
     if t < 0 or size is not None and t > size:
         raise ValueError(f"tuple size {t} out of range for block size {size}")
     if ann is None:
-        return (), 0
+        return (), 0, 0
     check_lines(ann, size, max(pts, default=-1) + 1)
     position = {p: j for j, p in enumerate(pts)}
     try:
@@ -60,27 +60,28 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
     except KeyError:  # a card between two points is in range, yet no point would count it
         stray = set().union(*ann.lines).difference(pts)
         raise ValueError(f"line card {min(stray)} is not one of the points") from None
-    return build_masks(lines, len(pts))[1], len(ann)
+    return build_masks(lines, len(pts))[1], len(ann), size
 
 
-def _scan(columns: tuple[int, ...], k: int, t: int, max_work: int | None) -> int | None:
+def _scan(columns: tuple[int, ...], k: int, size: int, t: int, max_work: int | None) -> int | None:
     """The count of lines holding each t-subset of the points if it is constant, else None.
 
-    A t-subset's count, charged max(t, 1) steps, is the popcount of the AND of its points' masks."""
+    A t-subset's count, charged max(t, 1) steps, is the popcount of the AND of
+    its points' masks; the only constant is k·C(size, t) over the t-subsets (0
+    for an empty residual, which may have no t-subsets)."""
     t_sets = comb_within(len(columns), t, max_work, "covalency scan", max(t, 1))
     require_work(t_sets * max(t, 1), max_work, "covalency scan")
+    n, uneven = divmod(k * comb(size, t), t_sets or 1)
+    if uneven:
+        return None
     every = (1 << k) - 1
-    expected = None
     for subset in combinations(columns, t):
         held = every
         for lines in subset:
             held &= lines
-        count = held.bit_count()
-        if expected is None:
-            expected = count
-        elif count != expected:
+        if held.bit_count() != n:
             return None
-    return 0 if expected is None else expected  # no t-subsets at all: vacuously constant
+    return n
 
 
 def covalency_over(
@@ -115,15 +116,15 @@ def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) ->
     scan stops at the first tuple size without a constant count and every
     larger size reads None, uncharged by the work guard.
     """
-    columns, k = _fit(ann, range(v), ann.block_size)
+    columns, k, size = _fit(ann, range(v), ann.block_size)
     table = []
-    for t in range(ann.block_size + 1):
-        value = _scan(columns, k, t, max_work)
+    for t in range(size + 1):
+        value = _scan(columns, k, size, t, max_work)
         if value is None:
             break
         table.append(value)
-    padded = tuple(table) + (None,) * (ann.block_size + 1 - len(table))
-    return DesignProfile(v, ann.block_size, padded, len(table) - 1)
+    padded = tuple(table) + (None,) * (size + 1 - len(table))
+    return DesignProfile(v, size, padded, len(table) - 1)
 
 
 def binary_design(n: int) -> Announcement:

@@ -221,6 +221,16 @@ def test_absurd_label_is_refused_before_the_masks_are_built(kernel, p331, monkey
     assert built == []
 
 
+@pytest.mark.parametrize("x", [(0, 1), (9,)])
+def test_cathy_card_counts_refuses_a_bad_set_before_the_masks_are_built(x, five_hand, p331, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("masks were built before x was checked")
+
+    monkeypatch.setattr(axioms, "build_masks", unbuilt)
+    with pytest.raises(ValueError):
+        cathy_card_counts(five_hand, x, p331)
+
+
 def test_single_line_sweep_is_charged_per_outside_card():
     # One line on 45 cards, but C(45, 3) = 14,190 c-sets of 42 outside cards
     # each: 595,980 steps, not the 14,190 that one step per line would charge,

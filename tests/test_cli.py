@@ -171,6 +171,9 @@ def test_analyze_obeys_callers_limit():
         (["sample", "--protocol", "uniform60", "--hand", "9"], "card 9 out of range"),
         (["analyze", "--protocol", "uniform60", "--observer", "0"], "--observer needs --announcement"),
         (["analyze", "--protocol", "uniform60", "--announcement", "01"], "expected 3 cards, got 2"),
+        (["analyze", "--protocol", "uniform60", "--announcement", "012 034 056 135 246", "--observer", ""],
+         "empty card set"),
+        (["sample", "--protocol", "uniform60", "--hand", "01"], "hand (0, 1) is not an 3-set"),
     ],
 )
 def test_sample_and_analyze_read_arguments_before_building_a_protocol(argv, message, capsys, monkeypatch):

@@ -122,6 +122,22 @@ def test_empty_residual_is_vacuously_constant():
         covalency_over([], range(7), -1)
 
 
+def test_indivisible_incidence_sum_is_refused_without_a_scan(five_hand, seven_hand, monkeypatch):
+    # k lines of size s hold k·C(s, t) t-subsets: 30·70 over C(16, 4) = 1820,
+    # 30·56 over C(16, 5) = 4368, 7·1 over C(7, 3) = 35 and 5·3 over 7 leave a
+    # remainder, so no constant count exists and no t-subset is read.
+    binary4 = binary_design(4)
+
+    def unscanned(*args):
+        raise AssertionError("t-subsets were scanned")
+
+    monkeypatch.setattr("cardeal.designs.combinations", unscanned)
+    assert covalency(binary4, 16, 4) is None
+    assert covalency(binary4, 16, 5) is None
+    assert covalency(seven_hand, 7, 3) is None
+    assert covalency(five_hand, 7, 1) is None
+
+
 def test_design_strength_examples(seven_hand, binary3):
     assert design_strength(seven_hand, 7) == 2
     assert design_strength(binary3, 8) == 3
