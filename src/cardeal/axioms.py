@@ -74,7 +74,7 @@ from math import comb
 from operator import and_
 from typing import Callable, Iterable, Sequence
 
-from .guard import comb_within, require_work
+from .guard import comb_within, require_work, resolve_max_work
 from .model import (
     Announcement,
     CardSet,
@@ -223,9 +223,7 @@ def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[Ca
     line are removed, distinct as the lines are. The result is sorted.
     """
     check_lines(ann, params.a, params.v)
-    xs = card_set(x, params.v)
-    if len(xs) != params.c:
-        raise ValueError(f"expected a {params.c}-set, got {xs}")
+    xs = card_set(x, params.v, params.c)
     rest = ((1 << params.v) - 1) & ~to_mask(xs)
     return sorted(from_mask(rest & ~to_mask(line)) for line in lines_avoiding(ann, xs))
 
@@ -250,9 +248,7 @@ def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -
 
     The popcounts of the per-card masks that ``check_axioms`` reads."""
     check_lines(ann, params.a, params.v)
-    xs = card_set(x, params.v)
-    if len(xs) != params.c:
-        raise ValueError(f"expected a {params.c}-set, got {xs}")
+    xs = card_set(x, params.v, params.c)
     cards = build_masks(ann.lines, params.v)[1]
     return dict(enumerate(_card_counts(cards, (1 << len(ann)) - 1, xs)[1]))
 
@@ -278,9 +274,9 @@ def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tup
     the lines pass ``check_lines`` and the charge is within ``max_work``.
     """
     check_lines(ann, params.a, params.v)
-    outside = params.v - params.c
-    c_sets = comb_within(params.v, params.c, max_work, "axiom check", outside)
-    require_work(comb(len(ann), 2) + c_sets * outside, max_work, "axiom check")
+    outside, limit = params.v - params.c, resolve_max_work(max_work)
+    c_sets = comb_within(params.v, params.c, limit, "axiom check", outside)
+    require_work(comb(len(ann), 2) + c_sets * outside, limit, "axiom check")
     return build_masks(ann.lines, params.v)
 
 

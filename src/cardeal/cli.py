@@ -18,7 +18,7 @@ from .axioms import AXIOM_NAMES, axiom_report_json, check_axioms
 from .bias import bias_report, bias_report_json, posterior_json, posterior_lines
 from .designs import binary_design, design_profile, profile_json
 from .enumeration import enumerate_good_announcements
-from .guard import WorkLimitExceeded, require_work
+from .guard import WorkLimitExceeded, require_work, resolve_max_work
 from .model import (
     Announcement,
     Parameters,
@@ -208,12 +208,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    params = PAPER_PARAMS
-    require_work(args.n, args.max_work, "sampling")
-    hand = parse_card_set(args.hand, params.v)
-    if len(hand) != params.a:
-        raise ValueError(f"hand {hand} is not an {params.a}-set")
-    proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
+    params, max_work = PAPER_PARAMS, resolve_max_work(args.max_work)
+    require_work(args.n, max_work, "sampling")
+    hand = parse_card_set(args.hand, params.v, params.a)
+    proto = build_protocol(args.protocol, params, args.point, max_work=max_work)
     for ann in sample_many(proto, hand, args.seed, args.n):
         print(format_announcement(ann, params))
     return EXIT_OK

@@ -2,7 +2,8 @@
 
 A collection of equally sized lines on v points is a t-design when every
 t-subset of the points lies in the same number of lines; that number is the
-covalency. Every entry point passes one gate, ``_fit``, which states the
+covalency. Every entry point passes one gate, ``_fit``, which takes an
+``Announcement`` as it is (raw lines are canonicalised), states the
 tuple-size rule and builds masks only through ``model.build_masks``, after
 ``model.check_lines`` and once every line card is found among the points (a
 card between two points would count for none): one mask per point, with bit
@@ -22,7 +23,7 @@ from itertools import combinations
 from math import comb, log10
 from typing import Iterable
 
-from .guard import comb_within, require_log10_work, require_work
+from .guard import comb_within, require_log10_work, require_work, resolve_max_work
 from .model import Announcement, CardSet, build_masks, card_set, check_lines
 
 
@@ -47,7 +48,8 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
     per point however large the labels. An empty residual has no block size,
     so it bounds t from below only; it gets no masks and size 0."""
     pts = card_set(points)
-    ann = Announcement.of(lines) if (lines := tuple(lines)) else None
+    if not isinstance(ann := lines, Announcement):
+        ann = Announcement.of(lines) if (lines := tuple(lines)) else None
     size = ann.block_size if ann else None
     if t < 0 or size is not None and t > size:
         raise ValueError(f"tuple size {t} out of range for block size {size}")
@@ -63,14 +65,14 @@ def _fit(lines: Iterable[Iterable[int]], points: Iterable[int], t: int) -> tuple
     return build_masks(lines, len(pts))[1], len(ann), size
 
 
-def _scan(columns: tuple[int, ...], k: int, size: int, t: int, max_work: int | None) -> int | None:
+def _scan(columns: tuple[int, ...], k: int, size: int, t: int, limit: int) -> int | None:
     """The count of lines holding each t-subset of the points if it is constant, else None.
 
     A t-subset's count, charged max(t, 1) steps, is the popcount of the AND of
     its points' masks; the only constant is k·C(size, t) over the t-subsets (0
     for an empty residual, which may have no t-subsets)."""
-    t_sets = comb_within(len(columns), t, max_work, "covalency scan", max(t, 1))
-    require_work(t_sets * max(t, 1), max_work, "covalency scan")
+    t_sets = comb_within(len(columns), t, limit, "covalency scan", max(t, 1))
+    require_work(t_sets * max(t, 1), limit, "covalency scan")
     n, uneven = divmod(k * comb(size, t), t_sets or 1)
     if uneven:
         return None
@@ -96,7 +98,7 @@ def covalency_over(
     The point set is explicit so that residual collections (lines avoiding a
     card) can be measured on the deck minus that card.
     """
-    return _scan(*_fit(lines, points, t), t, max_work)
+    return _scan(*_fit(lines, points, t), t, resolve_max_work(max_work))
 
 
 def covalency(ann: Announcement, v: int, t: int, *, max_work: int | None = None) -> int | None:
@@ -117,9 +119,9 @@ def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) ->
     larger size reads None, uncharged by the work guard.
     """
     columns, k, size = _fit(ann, range(v), ann.block_size)
-    table = []
+    limit, table = resolve_max_work(max_work), []
     for t in range(size + 1):
-        value = _scan(columns, k, size, t, max_work)
+        value = _scan(columns, k, size, t, limit)
         if value is None:
             break
         table.append(value)
@@ -137,9 +139,10 @@ def binary_design(n: int) -> Announcement:
     """
     if n < 3:
         raise ValueError(f"need at least 3 bits, got {n}")
-    require_log10_work((2 * n + 1) * log10(2), None, "binary construction")
+    limit = resolve_max_work()
+    require_log10_work((2 * n + 1) * log10(2), limit, "binary construction")
     size = 1 << n
-    require_work(2 * (size - 1) * size, None, "binary construction")
+    require_work(2 * (size - 1) * size, limit, "binary construction")
     lines = []
     for y in range(1, size):
         zero_side = tuple(x for x in range(size) if (x & y).bit_count() % 2 == 0)

@@ -89,7 +89,7 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .axioms import _clash
-from .guard import comb_within, require_work
+from .guard import comb_within, require_work, resolve_max_work
 from .model import Announcement, CardSet, Parameters, build_masks, card_set, from_mask, to_mask
 
 Entry = tuple[tuple[int, ...], int | None]  # an announcement's line ranks and its triple point
@@ -109,16 +109,14 @@ def enumerate_good_announcements(
     Refuses instances whose search (see the module docstring) would exceed
     the work limit, whether or not that search is cached.
     """
-    hand = card_set(hand, params.v)
-    if len(hand) != params.a:
-        raise ValueError(f"hand {hand} is not an {params.a}-set")
+    hand = card_set(hand, params.v, params.a)
     if type(k) is not int or k < 1:
         raise ValueError(f"line count must be a positive integer, got {k!r}")
-    a, v, what = params.a, params.v, "announcement enumeration"
-    filter_tests = comb_within(v, a, max_work, what) - 1
+    a, v, what, limit = params.a, params.v, "announcement enumeration", resolve_max_work(max_work)
+    filter_tests = comb_within(v, a, limit, what) - 1
     n = sum(comb(a, i) * comb(v - a, a - i) for i in _shared_counts(params))
-    work = filter_tests + (comb(n, 2) if k >= 3 else 0) + comb_within(n, k - 1, max_work, what)
-    require_work(work, max_work, what)
+    work = filter_tests + (comb(n, 2) if k >= 3 else 0) + comb_within(n, k - 1, limit, what)
+    require_work(work, limit, what)
     lines = _ranked_lines(v, a)[0]
     image = (*hand, *(card for card in range(v) if card not in hand))
     # The ranks of distinct announcements differ, so the sort never compares two points.

@@ -17,6 +17,7 @@ def resolve_max_work(value: int | None = None) -> int:
     """Explicit value if given, else the CARDEAL_MAX_WORK variable, else 10^8.
 
     A negative limit, from either source, is refused with a ValueError naming it.
+    Each request calls this once, where its first charge falls, and every charge takes the integer.
     """
     if value is not None:
         if value < 0:
@@ -46,20 +47,18 @@ def _refuse(needed: str, limit: int, what: str) -> None:
     )
 
 
-def require_work(estimate: int, max_work: int | None, what: str) -> None:
-    limit = resolve_max_work(max_work)
+def require_work(estimate: int, limit: int, what: str) -> None:
     if estimate > limit:
         _refuse(_readable(estimate), limit, what)
 
 
-def require_log10_work(log10_estimate: float, max_work: int | None, what: str) -> None:
+def require_log10_work(log10_estimate: float, limit: int, what: str) -> None:
     """Refuse an estimate known by its log10 once it is past both 10^12 and ten times the limit."""
-    limit = resolve_max_work(max_work)
     if log10_estimate > max(12.0, log10(limit + 1) + 1):
         _refuse(f"10^{log10_estimate:.1f}", limit, what)
 
 
-def comb_within(n: int, k: int, max_work: int | None, what: str, times: int = 1) -> int:
+def comb_within(n: int, k: int, limit: int, what: str, times: int = 1) -> int:
     """C(n, k), once C(n, k) * times is known not to be far above the limit.
 
     Past a bound n^j of 2^4096, j = min(k, n - k), C(n, k) >= 2^41 is first
@@ -69,5 +68,5 @@ def comb_within(n: int, k: int, max_work: int | None, what: str, times: int = 1)
         x = j / (n - j)  # in (0, 1], as j <= n / 2; 0.0 once n - j dwarfs j
         nats = j * (log(n) - log(j) + (log1p(x) / x if x else 1.0)) if j.bit_length() < 1000 else inf
         nats -= (log(2 * pi) + log(j) + log((n - j) / n)) / 2
-        require_log10_work(nats / log(10) + log10(times), max_work, what)
+        require_log10_work(nats / log(10) + log10(times), limit, what)
     return comb(n, k)

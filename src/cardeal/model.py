@@ -3,7 +3,9 @@
 A deck of ``v`` cards is the set ``{0, ..., v-1}``. Card sets (hands, lines)
 are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
-as dictionary keys. The ``Announcement`` constructor enforces the
+as dictionary keys. ``card_set``, which ``parse_card_set`` wraps, is the one
+gate for a caller's hand or c-set: sorted, distinct, in range and, given a
+size, of that size. The ``Announcement`` constructor enforces the
 announcement invariant. One private builder, ``Announcement._trusted``,
 skips those checks for lines canonical by construction (parsed, or
 relabelled by enumeration) and alone sets a triple point it is given; only
@@ -63,8 +65,8 @@ class Parameters:
         return self.a + self.b + self.c
 
 
-def card_set(cards: Iterable[int], v: int | None = None) -> CardSet:
-    """Sort a collection of cards, rejecting duplicates and out-of-range labels."""
+def card_set(cards: Iterable[int], v: int | None = None, size: int | None = None) -> CardSet:
+    """Sort a collection of cards, rejecting out-of-range labels, duplicates and, given ``size``, any other size."""
     out = tuple(cards)
     for card in out:
         if type(card) is not int or card < 0:
@@ -74,6 +76,8 @@ def card_set(cards: Iterable[int], v: int | None = None) -> CardSet:
     out = tuple(sorted(out))
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate card in {out}")
+    if size is not None and len(out) != size:
+        raise ValueError(f"expected a card set of size {size}, got {out}")
     return out
 
 
@@ -221,9 +225,9 @@ def format_card_set(cards: Iterable[int], v: int) -> str:
     return ",".join(str(card) for card in cards)
 
 
-def parse_card_set(text: str, v: int) -> CardSet:
-    """Parse one card set in compact text form (a single whitespace-free token)."""
-    return card_set(_token_cards(text.strip(), v), v)
+def parse_card_set(text: str, v: int, size: int | None = None) -> CardSet:
+    """Parse one card set in compact text form (a single whitespace-free token) through ``card_set``."""
+    return card_set(_token_cards(text.strip(), v), v, size)
 
 
 def _token_cards(token: str, v: int) -> list[int]:

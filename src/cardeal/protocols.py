@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 from .axioms import is_good
 from .enumeration import enumerate_good_announcements
-from .guard import comb_within, require_work
+from .guard import comb_within, require_work, resolve_max_work
 from .model import (
     Announcement,
     CardSet,
@@ -170,6 +170,7 @@ def build_protocol(
     """Materialise one of the named protocols for the paper's deal."""
     kind = kind.replace("-", "_")
     _check_request(kind, params, point)
+    max_work = resolve_max_work(max_work)  # once, for all the hands' enumerations
     shared: dict[tuple[CardSet, ...], Announcement] = {}  # one object per announcement, whatever its hands
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
     for hand in enumerate_ksets(params.v, params.a):
@@ -234,7 +235,7 @@ def validate_protocol(proto: Protocol, *, max_work: int | None = None) -> Valida
     """
     issues: list[ValidationIssue] = []
     params = proto.params
-    what = "protocol coverage check"
+    what, max_work = "protocol coverage check", resolve_max_work(max_work)
     require_work(comb_within(params.v, params.a, max_work, what), max_work, what)
     for hand in enumerate_ksets(params.v, params.a):
         if hand not in proto.table:
@@ -319,7 +320,7 @@ def protocol_json(proto: Protocol) -> dict:
 def protocol_from_json(data: dict) -> Protocol:
     """Inverse of ``protocol_json``; each distinct announcement text is parsed once per call.
 
-    Refuses two table keys that name one hand ("012" and "210").
+    Refuses a key that names no a-card hand ("01"), and two keys that name one hand ("012", "210").
     """
     params = Parameters(*data["params"])
     _check_request(data["kind"], params, data.get("point"))
@@ -337,7 +338,7 @@ def protocol_from_json(data: dict) -> Protocol:
     table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
     key_of: dict[CardSet, str] = {}
     for hand_text, entries in data["table"].items():
-        hand = parse_card_set(hand_text, params.v)
+        hand = parse_card_set(hand_text, params.v, params.a)
         if key_of.setdefault(hand, hand_text) != hand_text:
             raise ValueError(f"table keys {key_of[hand]!r} and {hand_text!r} both name hand {hand}")
         table[hand] = tuple(

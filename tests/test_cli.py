@@ -173,7 +173,7 @@ def test_analyze_obeys_callers_limit():
         (["analyze", "--protocol", "uniform60", "--announcement", "01"], "expected 3 cards, got 2"),
         (["analyze", "--protocol", "uniform60", "--announcement", "012 034 056 135 246", "--observer", ""],
          "empty card set"),
-        (["sample", "--protocol", "uniform60", "--hand", "01"], "hand (0, 1) is not an 3-set"),
+        (["sample", "--protocol", "uniform60", "--hand", "01"], "expected a card set of size 3, got (0, 1)"),
     ],
 )
 def test_sample_and_analyze_read_arguments_before_building_a_protocol(argv, message, capsys, monkeypatch):

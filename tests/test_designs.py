@@ -122,6 +122,18 @@ def test_empty_residual_is_vacuously_constant():
         covalency_over([], range(7), -1)
 
 
+def test_an_announcement_is_not_canonicalised_again(seven_hand, binary3, monkeypatch):
+    expected = (design_profile(binary3, 8), covalency(seven_hand, 7, 2))
+
+    def refuse(cls, lines):
+        raise AssertionError("Announcement.of was called")
+
+    monkeypatch.setattr(Announcement, "of", classmethod(refuse))
+    assert (design_profile(binary3, 8), covalency(seven_hand, 7, 2)) == expected
+    with pytest.raises(AssertionError, match="Announcement.of was called"):  # raw lines still are
+        covalency_over(seven_hand.lines, range(7), 2)
+
+
 def test_indivisible_incidence_sum_is_refused_without_a_scan(five_hand, seven_hand, monkeypatch):
     # k lines of size s hold k·C(s, t) t-subsets: 30·70 over C(16, 4) = 1820,
     # 30·56 over C(16, 5) = 4368, 7·1 over C(7, 3) = 35 and 5·3 over 7 leave a

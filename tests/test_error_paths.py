@@ -28,9 +28,9 @@ def _row_summing_to_a_sixtieth():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: bob_sets(FIVE, (0, 1), P331), r"expected a 1-set, got \(0, 1\)"),
-        (lambda: cathy_card_counts(FIVE, (), P331), r"expected a 1-set, got \(\)"),
-        (lambda: enumerate_good_announcements(P331, (0, 1), 5), r"hand \(0, 1\) is not an 3-set"),
+        (lambda: bob_sets(FIVE, (0, 1), P331), r"expected a card set of size 1, got \(0, 1\)"),
+        (lambda: cathy_card_counts(FIVE, (), P331), r"expected a card set of size 1, got \(\)"),
+        (lambda: enumerate_good_announcements(P331, (0, 1), 5), r"expected a card set of size 3, got \(0, 1\)"),
         (lambda: prior_point_in_hand(P331, 7), "point 7 out of range for deck size 7"),
         (lambda: sample_many(build_protocol("uniform60", P331), (0, 1, 2), 0, -1), "draw count must be nonnegative"),
         (_row_summing_to_a_sixtieth, r"distribution for \(0, 1, 2\) sums to 1/60"),

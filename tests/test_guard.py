@@ -1,12 +1,13 @@
-"""The work guard's log-sized refusals, checked in process against exact binomials."""
+"""The work guard: log-sized refusals checked in process against exact binomials, and one limit read per request."""
 
 import re
 from math import comb, log10
 
 import pytest
 
-from cardeal import WorkLimitExceeded
-from cardeal.guard import comb_within
+from cardeal import PAPER_PARAMS, WorkLimitExceeded, binary_design, build_protocol, design_profile, validate_protocol
+from cardeal import axioms, designs, enumeration, guard, protocols
+from cardeal.guard import ENV_VAR, comb_within, resolve_max_work
 
 HUGE = 2**4100
 
@@ -44,3 +45,33 @@ def test_log_sized_admission_returns_the_exact_binomial():
 def test_a_count_past_a_floats_range_is_refused_as_infinite():
     with pytest.raises(WorkLimitExceeded, match=r"10\^inf"):
         comb_within(2**1100, 2**1000, 10**8, "scan")
+
+
+@pytest.fixture(scope="module")
+def calls():
+    proto, binary4 = build_protocol("uniform60", PAPER_PARAMS), binary_design(4)
+    return {
+        "validate_protocol": lambda: validate_protocol(proto),
+        "build_protocol": lambda: build_protocol("uniform60", PAPER_PARAMS),
+        "design_profile": lambda: design_profile(binary4, 16),
+        "binary_design": lambda: binary_design(4),
+    }
+
+
+@pytest.mark.parametrize("name", ["validate_protocol", "build_protocol", "design_profile", "binary_design"])
+def test_a_request_reads_the_limit_once_and_sees_it_change(name, calls, monkeypatch):
+    reads = []
+
+    def counting(value=None):
+        reads.extend([value] if value is None else [])
+        return resolve_max_work(value)
+
+    for module in (guard, axioms, designs, enumeration, protocols):
+        monkeypatch.setattr(module, "resolve_max_work", counting)
+    monkeypatch.setenv(ENV_VAR, str(10**8))
+    calls[name]()
+    assert len(reads) == 1
+    monkeypatch.setenv(ENV_VAR, "40")  # each request charges more than 40 steps
+    with pytest.raises(WorkLimitExceeded):
+        calls[name]()
+    assert len(reads) == 2

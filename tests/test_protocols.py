@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
@@ -422,3 +423,11 @@ def test_protocol_from_json_refuses_two_keys_for_one_hand(uniform60, fact1):
         protocol_from_json(data)
     del data["table"]["012"]  # one spelling alone is read as before
     assert protocol_from_json(data).table[(0, 1, 2)] == uniform60.table[(0, 1, 2)]
+
+
+@pytest.mark.parametrize("key, hand", [("01", "(0, 1)"), ("0123", "(0, 1, 2, 3)")])
+def test_protocol_from_json_refuses_a_key_of_another_size(key, hand, uniform60):
+    data = protocol_json(uniform60)
+    data["table"][key] = data["table"]["012"]
+    with pytest.raises(ValueError, match=re.escape(f"expected a card set of size 3, got {hand}")):
+        protocol_from_json(data)
