@@ -11,12 +11,16 @@ announcer's actual hand:
 
 where weight is ``Protocol.hand_weight``: equal mass for the two hand
 classes under the literal fact2 reading, 1 otherwise. The protocol's
-``likelihoods`` index holds exactly these products per announcement, built
-once per protocol, as integer numerators over one protocol-wide
-denominator. A posterior is one column lookup, a disjointness test and an
-integer sum over the lines, and one exact ``Fraction`` per distinct weight
-(a row's lines share few); the bias report likewise sums integers and builds
-a ``Fraction`` only for each value it reports. No floating point enters any
+``likelihoods`` index holds exactly these products, built once per protocol
+as integer numerators over one protocol-wide denominator, and gives each
+announcement one row: the numerators aligned with its lines.
+``_line_weights`` alone reads the rows: it takes one, zeroes the lines that
+meet the observer and sums. Only the report's class balance reads the
+per-hand columns instead, as it counts every listed hand, untruthful
+entries included. The index also memoises every exact ratio
+``Fraction(w, total)`` it is asked for, so a posterior builds a ``Fraction``
+only for a ratio no earlier call on that protocol met, and the bias report
+takes its triple posteriors from the same memo. No floating point enters any
 probability.
 """
 
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .enumeration import classify_by_triple, enumerate_good_announcements
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
@@ -79,34 +83,43 @@ def posterior_lines(
 
     The observer set must be empty (outside observer) or a full c-set. Lines
     meeting the observer's cards get posterior exactly 0; the rest are the
-    normalised table weights of the hands they correspond to. Lines of equal
-    weight share one ``Fraction``, and every zero is one shared ``Fraction(0)``.
+    normalised table weights of the hands they correspond to. Each value is
+    the protocol's memoised ratio, so equal posteriors are one ``Fraction``
+    and every zero is one shared ``Fraction(0)``.
     """
     params = proto.params
     obs = card_set(observer, params.v)
     if len(obs) not in (0, params.c):
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
-    weights, total = _line_weights(proto, ann, set(obs))
-    values = {0: _ZERO}
-    posteriors = []
-    for line, w in zip(ann.lines, weights):
-        p = values.get(w)
-        if p is None:
-            p = values[w] = Fraction(w, total)
-        posteriors.append((line, p))
-    return PosteriorTable(ann, obs, tuple(posteriors))
+    weights, total = _line_weights(proto, ann, obs)
+    ratio = _ratios(proto, total, weights)
+    return PosteriorTable(ann, obs, tuple(zip(ann.lines, map(ratio.__getitem__, weights))))
 
 
-def _line_weights(proto: Protocol, ann: Announcement, seen: set[int]) -> tuple[list[int], int]:
-    """Each line's likelihood numerator, 0 where it meets ``seen``, and their sum, which must be positive."""
-    column = proto.likelihoods.columns.get(ann, {})
-    weights = [column.get(line, 0) if seen.isdisjoint(line) else 0 for line in ann.lines]
+def _line_weights(proto: Protocol, ann: Announcement, observer: CardSet) -> tuple[Sequence[int], int]:
+    """``ann``'s row of likelihood numerators, 0 where a line meets ``observer``, and its sum, which must be positive."""
+    weights = proto.likelihoods.rows.get(ann, ())
+    if observer:
+        seen = set(observer)
+        weights = [w if seen.isdisjoint(line) else 0 for line, w in zip(ann.lines, weights)]
     total = sum(weights)
     if total == 0:
         raise ValueError(
             "announcement is not produced by any hand consistent with the observer"
         )
     return weights, total
+
+
+def _ratios(proto: Protocol, total: int, weights: Iterable[int]) -> dict[int, Fraction]:
+    """The protocol's memo of ``Fraction(w, total)`` by w, holding every w in ``weights``."""
+    memo = proto.likelihoods.ratios
+    ratio = memo.get(total)
+    if ratio is None:
+        ratio = memo[total] = {0: _ZERO}
+    for w in weights:
+        if w not in ratio:
+            ratio[w] = Fraction(w, total)
+    return ratio
 
 
 def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
@@ -127,7 +140,7 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
     in_mass = 0
     columns = proto.likelihoods.columns
     for ann in proto.support():
-        weights, total = _line_weights(proto, ann, set())
+        weights, total = _line_weights(proto, ann, ())
         k = len(ann.lines)
         # |w/total - 1/k| = |k*w - total| / (k*total)
         deviation = Fraction(max(abs(k * w - total) for w in weights), k * total)
@@ -135,7 +148,7 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
         top = ann.triple_point
         if top is not None:
             held = sum(w for line, w in zip(ann.lines, weights) if top in line)
-            triple_in_hand[ann] = Fraction(held, total)
+            triple_in_hand[ann] = _ratios(proto, total, (held,))[held]
             in_mass += sum(w for hand, w in columns[ann].items() if top in hand)
     weight_den, hand_weights = common_denominator([proto.hand_weight(hand) for hand in proto.table])
     class_balance = Fraction(in_mass * weight_den, proto.likelihoods.denominator * sum(hand_weights))

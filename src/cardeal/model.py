@@ -190,7 +190,7 @@ class Announcement:
 def check_lines(ann: Announcement, size: int, v: int) -> None:
     """Refuse lines without ``size`` cards, or with a card of v or more; reads ``lines`` alone."""
     if ann.block_size != size:
-        raise ValueError(f"lines have {ann.block_size} cards, expected {size}")
+        raise ValueError(f"expected {size} cards, got {ann.block_size}")
     if (top := max(map(itemgetter(-1), ann.lines))) >= v:
         raise ValueError(f"card {top} out of range for deck size {v}")
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import accumulate
@@ -75,11 +75,19 @@ class Likelihoods:
     """A protocol's table indexed by announcement, in integers over one denominator.
 
     ``columns[ann][hand] / denominator`` is the hand's probability of
-    producing ``ann`` times its hand weight.
+    producing ``ann`` times its hand weight, for every hand that lists
+    ``ann``, truthful or not. ``rows[ann]`` holds the same numerators along
+    ``ann.lines``: entry i is ``columns[ann].get(ann.lines[i], 0)``.
+    ``ratios`` memoises the exact ratios posteriors and reports normalise:
+    ``ratios[total][w]`` is ``Fraction(w, total)``, built at first use, with
+    w = 0 the one shared ``Fraction(0)``. It lives and dies with the index
+    and takes no part in ``==`` or ``repr``.
     """
 
     denominator: int
     columns: dict[Announcement, dict[CardSet, int]]
+    rows: dict[Announcement, tuple[int, ...]]
+    ratios: dict[int, dict[int, Fraction]] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,11 @@ class Protocol:
         Repeated entries for one hand and announcement are summed, as sampling
         counts them. Every sum is kept as an integer numerator over one
         protocol-wide denominator, the lcm of the sums' own denominators, so
-        equal sums give equal indexes. A negative probability is refused with
-        ValueError naming its hand and announcement.
+        equal sums give equal indexes. Each announcement's column, keyed by
+        hand, is then read along its lines into its row, so a posterior reads
+        one integer tuple and hashes no line. The ratio memo starts empty and
+        fills as posteriors and reports run. A negative probability is
+        refused with ValueError naming its hand and announcement.
         """
         entries = [(hand, ann, p) for hand, dist in self.table.items() for ann, p in dist]
         prob_den, masses = common_denominator([p for _, _, p in entries])
@@ -131,7 +142,8 @@ class Protocol:
             for column in columns.values():
                 for hand in column:
                     column[hand] //= shared
-        return Likelihoods(denominator, columns)
+        rows = {ann: tuple(column.get(line, 0) for line in ann.lines) for ann, column in columns.items()}
+        return Likelihoods(denominator, columns, rows)
 
     def support(self) -> list[Announcement]:
         """Every announcement some hand can produce, canonically ordered."""

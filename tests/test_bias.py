@@ -139,7 +139,17 @@ POSTERIOR_JSON_DIGESTS = {
 }
 
 
-def test_posteriors_build_one_fraction_per_distinct_nonzero_value(protocols, monkeypatch):
+def fresh(proto):
+    """The same protocol with its index, and so its ratio memo, not yet built."""
+    return Protocol(proto.kind, proto.params, proto.table, proto.point)
+
+
+def sweep(proto):
+    """Every support announcement under every observer; the outcomes in order."""
+    return [outcome(posterior_lines, proto, ann, observer) for ann in proto.support() for observer in OBSERVERS]
+
+
+def test_posteriors_build_each_distinct_ratio_once_per_protocol(protocols, monkeypatch):
     built = 0
 
     def counting_fraction(*args):
@@ -149,14 +159,30 @@ def test_posteriors_build_one_fraction_per_distinct_nonzero_value(protocols, mon
 
     monkeypatch.setattr(cardeal.bias, "Fraction", counting_fraction)
     for name, proto in protocols.items():
+        proto, oracle = fresh(proto), table_likelihoods(proto)
+        # The (w, total) pairs the sweep meets, read off the Fraction oracle:
+        # over one common denominator, distinct Fraction pairs are distinct
+        # integer pairs.
+        ratios = set()
         for ann in proto.support():
             for observer in OBSERVERS:
-                built = 0
-                table = posterior_lines(proto, ann, observer)
-                distinct = {p for _, p in table.posteriors if p}
-                assert built == len(distinct), (name, ann, observer)
-                if name == "uniform60" and not observer:
-                    assert built == 1 < len(ann.lines)
+                weights = [
+                    oracle[ann].get(line, 0) if set(line).isdisjoint(observer) else 0 for line in ann.lines
+                ]
+                total = sum(weights)
+                ratios.update((w, total) for w in weights if w and total)
+        built = 0
+        first = sweep(proto)
+        assert built == len(ratios), name
+        built = 0
+        assert sweep(proto) == first and built == 0, name
+        for table in first:
+            if isinstance(table, PosteriorTable):
+                values = [p for _, p in table.posteriors]
+                assert all(p is q for p in values for q in values if p == q), (name, table)
+                assert all(p is cardeal.bias._ZERO for p in values if not p), (name, table)
+        if name == "uniform60":
+            assert len(ratios) < len(first)
 
 
 def test_posteriors_are_fractions_with_unchanged_json(protocols, p331):
@@ -204,6 +230,51 @@ def test_duplicate_entries_are_reported_and_summed(protocols, p331):
         assert posterior_lines(split, ann, observer) == posterior_lines(proto, ann, observer)
     assert dict(posterior_lines(split, ann).posteriors)[hand] == Fraction(1, 5)
     assert bias_report(split) == bias_report(proto)
+
+
+def assert_rows_match_oracles(proto):
+    for ann in proto.support():
+        for observer in OBSERVERS:
+            want = outcome(table_posterior_lines, proto, ann, observer)
+            assert outcome(posterior_lines, proto, ann, observer) == want, (ann, observer)
+    report = bias_report(proto)
+    assert (report.max_uniform_deviation, report.triple_in_hand, report.class_balance) == table_bias_figures(proto)
+
+
+def test_rows_skip_an_untruthful_entry_that_the_class_balance_counts(protocols, p331):
+    # Hand 012 lists an announcement without line 012: its column holds the
+    # entry, its row, read along the lines, does not.
+    data = protocol_json(protocols["uniform60"])
+    untruthful = next(e for e in data["table"]["456"] if "012" not in e["announcement"].split())
+    data["table"]["012"][-1] = untruthful
+    proto = protocol_from_json(data)
+    ann = parse_announcement(untruthful["announcement"], p331)
+    assert (0, 1, 2) in proto.likelihoods.columns[ann]
+    assert_rows_match_oracles(proto)
+    assert bias_report(proto).class_balance != Fraction(3, 5)
+
+
+def test_rows_sum_an_announcement_listed_twice(protocols, p331):
+    # Hand 012 lists its first announcement twice at full weight, so that
+    # line's row entry doubles and the posterior tilts towards it.
+    proto = protocols["fact1"]
+    hand = (0, 1, 2)
+    table = dict(proto.table)
+    table[hand] = (proto.table[hand][0], *proto.table[hand])
+    twice = Protocol(proto.kind, p331, table)
+    ann = proto.table[hand][0][0]
+    assert posterior_lines(twice, ann) != posterior_lines(proto, ann)
+    assert_rows_match_oracles(twice)
+
+
+def test_a_filled_ratio_memo_leaves_the_index_equal(protocols):
+    for name, proto in protocols.items():
+        swept = fresh(proto)
+        sweep(swept)
+        bias_report(swept)
+        assert swept.likelihoods.ratios and not fresh(proto).likelihoods.ratios, name
+        assert swept.likelihoods == fresh(proto).likelihoods, name
+        assert repr(swept.likelihoods) == repr(fresh(proto).likelihoods), name
 
 
 def test_uniform60_posterior_is_flat(protocols, p331):

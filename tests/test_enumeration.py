@@ -539,3 +539,13 @@ def test_split_keeps_the_direct_searchs_charge(abc, k, n, monkeypatch):
     with pytest.raises(WorkLimitExceeded, match=f"needs about {charge} steps"):
         enumerate_good_announcements(params, range(params.a), k)
     assert _reference_lines.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("k, charge", [(2, 56), (3, 496)])
+def test_small_k_charge_is_exact(k, charge, p331):
+    # Hand 012 at (3,3,1): 34 filter tests, C(22, 2) = 231 pair tests from
+    # k = 3 on, and C(22, k - 1) leaves over the 22-line pool: 34 + 22 at
+    # k = 2, 34 + 231 + 231 at k = 3.
+    with pytest.raises(WorkLimitExceeded, match=f"needs about {charge} steps"):
+        enumerate_good_announcements(p331, (0, 1, 2), k, max_work=charge - 1)
+    assert enumerate_good_announcements(p331, (0, 1, 2), k, max_work=charge) == []

@@ -341,7 +341,7 @@ def test_protocol_from_json_applies_the_request_rule(kind, point, edit, p331_mod
 @pytest.mark.parametrize(
     "lines, message",
     [
-        (((0, 1), (2, 3)), "lines have 2 cards, expected 3"),
+        (((0, 1), (2, 3)), "expected 3 cards, got 2"),
         (((0, 1, 2), (3, 4, 9)), "card 9 out of range for deck size 7"),
     ],
 )
