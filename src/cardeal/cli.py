@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-work",
         type=int,
         default=None,
-        help="override the complexity guard (default 10^8, or CARDEAL_MAX_WORK)",
+        help="work limit of the complexity guard (default 10^8)",
     )
 
     parser = argparse.ArgumentParser(
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="also report the design profile (covalencies and strength)")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_construct = sub.add_parser("construct", help="build a known announcement family")
+    p_construct = sub.add_parser("construct", parents=[common], help="build a known announcement family")
     p_construct.add_argument("family", choices=("binary",))
     p_construct.add_argument("--bits", type=int, required=True, help="bit count n >= 3")
     p_construct.add_argument("--format", choices=("text", "json"), default="text")
@@ -180,7 +180,7 @@ def _verify_text(payload: dict) -> str:
 
 
 def _cmd_construct(args) -> int:
-    ann = binary_design(args.bits)
+    ann = binary_design(args.bits, max_work=args.max_work)
     half = 1 << (args.bits - 1)
     params = Parameters(half, half - 1, 1)
     if args.format == "json":
@@ -211,7 +211,7 @@ def _cmd_sample(args) -> int:
     params, max_work = PAPER_PARAMS, resolve_max_work(args.max_work)
     require_work(args.n, max_work, "sampling")
     hand = parse_card_set(args.hand, params.v, params.a)
-    proto = build_protocol(args.protocol, params, args.point, max_work=max_work)
+    proto = build_protocol(args.protocol.replace("-", "_"), params, args.point, max_work=max_work)
     for ann in sample_many(proto, hand, args.seed, args.n):
         print(format_announcement(ann, params))
     return EXIT_OK
@@ -223,7 +223,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError("--observer needs --announcement")
     ann = None if args.announcement is None else parse_announcement(args.announcement, params)
     observer = () if args.observer is None else parse_card_set(args.observer, params.v)
-    proto = build_protocol(args.protocol, params, args.point, max_work=args.max_work)
+    proto = build_protocol(args.protocol.replace("-", "_"), params, args.point, max_work=args.max_work)
     if ann is not None:
         table = posterior_lines(proto, ann, observer)
         if args.format == "json":

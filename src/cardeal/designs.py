@@ -129,7 +129,7 @@ def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) ->
     return DesignProfile(v, size, padded, len(table) - 1)
 
 
-def binary_design(n: int) -> Announcement:
+def binary_design(n: int, *, max_work: int | None = None) -> Announcement:
     """The 2(2^n - 1) lines of size 2^(n-1) on 2^n points cut out by parity.
 
     Points are the n-bit vectors read as decimals. For every nonzero vector
@@ -139,7 +139,7 @@ def binary_design(n: int) -> Announcement:
     """
     if n < 3:
         raise ValueError(f"need at least 3 bits, got {n}")
-    limit = resolve_max_work()
+    limit = resolve_max_work(max_work)
     require_log10_work((2 * n + 1) * log10(2), limit, "binary construction")
     size = 1 << n
     require_work(2 * (size - 1) * size, limit, "binary construction")

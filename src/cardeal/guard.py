@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import os
 from math import comb, inf, log, log1p, log10, pi
 
 DEFAULT_MAX_WORK = 10**8
-ENV_VAR = "CARDEAL_MAX_WORK"
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -14,25 +12,15 @@ class WorkLimitExceeded(RuntimeError):
 
 
 def resolve_max_work(value: int | None = None) -> int:
-    """Explicit value if given, else the CARDEAL_MAX_WORK variable, else 10^8.
+    """The explicit value if given, else 10^8; a negative limit is refused with a ValueError.
 
-    A negative limit, from either source, is refused with a ValueError naming it.
     Each request calls this once, where its first charge falls, and every charge takes the integer.
     """
-    if value is not None:
-        if value < 0:
-            raise ValueError(f"the work limit (max_work, --max-work) must be nonnegative, got {value}")
-        return value
-    env = os.environ.get(ENV_VAR)
-    if env:
-        try:
-            limit = int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
-        if limit < 0:
-            raise ValueError(f"{ENV_VAR} must be nonnegative, got {env!r}")
-        return limit
-    return DEFAULT_MAX_WORK
+    if value is None:
+        return DEFAULT_MAX_WORK
+    if value < 0:
+        raise ValueError(f"the work limit (max_work, --max-work) must be nonnegative, got {value}")
+    return value
 
 
 def _readable(n: int) -> str:
@@ -43,7 +31,7 @@ def _readable(n: int) -> str:
 def _refuse(needed: str, limit: int, what: str) -> None:
     raise WorkLimitExceeded(
         f"{what} needs about {needed} steps, above the limit of {_readable(limit)}; "
-        f"raise --max-work or {ENV_VAR} to run it anyway"
+        "raise --max-work to run it anyway"
     )
 
 

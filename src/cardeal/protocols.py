@@ -180,7 +180,6 @@ def build_protocol(
     max_work: int | None = None,
 ) -> Protocol:
     """Materialise one of the named protocols for the paper's deal."""
-    kind = kind.replace("-", "_")
     _check_request(kind, params, point)
     max_work = resolve_max_work(max_work)  # once, for all the hands' enumerations
     shared: dict[tuple[CardSet, ...], Announcement] = {}  # one object per announcement, whatever its hands

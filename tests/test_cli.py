@@ -81,14 +81,14 @@ def test_verify_parse_error_exit_2(capsys):
     assert "duplicate line" in err
 
 
-def run_process(*argv, env=None, **options):
+def run_process(*argv, **options):
     """Run the CLI in a fresh interpreter, where an uncaught exception prints a traceback."""
     src = str(Path(cardeal.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "cardeal.cli", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        env={**os.environ, "PYTHONPATH": src},
         **options,
     )
 
@@ -133,33 +133,21 @@ def test_params_take_ascii_decimal_digits_only(capsys, text, argv):
     assert err == f"error: --params counts must be ASCII decimal digits, got {text!r}\n"
 
 
-def test_bad_max_work_variable_exit_2():
-    proc = run_process(
-        "verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246",
-        env={"CARDEAL_MAX_WORK": "abc"},
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "CARDEAL_MAX_WORK" in proc.stderr and "abc" in proc.stderr
-
-
-@pytest.mark.parametrize("source, named", [("option", "--max-work"), ("variable", "CARDEAL_MAX_WORK")])
-def test_negative_max_work_exit_2_naming_its_source(source, named, capsys, monkeypatch):
-    argv = ["verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246"]
-    if source == "option":
-        argv += ["--max-work", "-1"]
-    else:
-        monkeypatch.setenv("CARDEAL_MAX_WORK", "-1")
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("source, named", [("option", "--max-work")])
+def test_negative_max_work_exit_2_naming_its_source(source, named, capsys):
+    code, out, err = run(capsys, "verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246",
+                         "--max-work", "-1")
     assert code == 2 and not out
     assert named in err and "nonnegative" in err and "-1" in err
 
 
 def test_analyze_obeys_callers_limit():
-    proc = run_process(
-        "analyze", "--protocol", "uniform60", "--max-work", "1000000",
-        env={"CARDEAL_MAX_WORK": "40"},
-    )
+    # uniform60 is charged 7,580 steps to build: --max-work reaches the build's enumerations.
+    refused = run_process("analyze", "--protocol", "uniform60", "--max-work", "40")
+    assert refused.returncode == 2
+    assert "Traceback" not in refused.stderr
+    assert "announcement enumeration" in refused.stderr
+    proc = run_process("analyze", "--protocol", "uniform60", "--max-work", "1000000")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "class balance before observing: 3/5" in proc.stdout
@@ -224,10 +212,14 @@ def test_verify_profile_guard_exit_2():
 
 
 def test_construct_guard_exit_2():
-    proc = run_process("construct", "binary", "--bits", "3", env={"CARDEAL_MAX_WORK": "111"})
+    # 2(2^3-1)·2^3 = 112 steps for the 14 lines on 8 points.
+    proc = run_process("construct", "binary", "--bits", "3", "--max-work", "111")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "binary construction" in proc.stderr
+    proc = run_process("construct", "binary", "--bits", "3", "--max-work", "112")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 14
 
 
 def test_construct_guard_message_survives_a_huge_estimate():
@@ -302,13 +294,14 @@ def test_enumerate_special_point_honours_size_and_params(capsys, params, hand, s
     assert code == 2 and "out of range" in err
 
 
-def test_enumerate_guard_exit_2(capsys):
-    code, _, err = run(
-        capsys,
-        "enumerate", "--params", "3,3,1", "--hand", "012", "--max-work", "10",
-    )
+def test_enumerate_guard_exit_2(capsys, monkeypatch):
+    argv = ["enumerate", "--params", "3,3,1", "--hand", "012", "--count"]
+    code, _, err = run(capsys, *argv, "--max-work", "10")
     assert code == 2
-    assert "max-work" in err or "CARDEAL_MAX_WORK" in err
+    assert "max-work" in err
+    # The environment sets no limit: the search, charged more than 40 steps, runs at the default.
+    monkeypatch.setenv("CARDEAL_MAX_WORK", "40")
+    assert run(capsys, *argv)[:2] == (0, "60\n")
 
 
 def test_sample_is_seed_stable(capsys):

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardeal.cli import PROTOCOL_NAMES, main
-from cardeal.guard import DEFAULT_MAX_WORK, ENV_VAR
+from cardeal.guard import DEFAULT_MAX_WORK
 
 
 def fuzz(examples):
@@ -39,7 +39,6 @@ BAD_VALUES = ["", "3,3", "3,3,1,1", "a,b,c", "0,3,1", "-1", "٣", "ca6", "ca1,,c
 noise = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=8)
 stray = st.sampled_from(["--help", "--", "--format", "--count", "--stdin", "--profile", *BAD_VALUES]) | noise
 max_work = st.sampled_from([str(DEFAULT_MAX_WORK), "1000", "10", "0", "-1"])
-env_max_work = st.sampled_from([None, "", "0", "100", str(DEFAULT_MAX_WORK), "many"])
 card_token = st.text("0123456789,", min_size=1, max_size=6)
 
 json_value = st.recursive(
@@ -127,17 +126,13 @@ def announcement_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "announcement.txt"
 
 
-def assert_exit_code(argv, env, path, text=""):
-    """Run ``main`` with ``text`` on stdin and in ``path``, and CARDEAL_MAX_WORK set to ``env``."""
+def assert_exit_code(argv, path, text=""):
+    """Run ``main`` with ``text`` on stdin and in ``path``."""
     path.write_text(text, encoding="utf-8")
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         mp.setattr("sys.stdin", io.StringIO(text))
-        if env is None:
-            mp.delenv(ENV_VAR, raising=False)
-        else:
-            mp.setenv(ENV_VAR, env)
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -166,17 +161,17 @@ def verify_case(draw, path, content=None):
 
 
 @fuzz(70)
-@given(st.data(), env_max_work)
-def test_verify_exit_codes(announcement_file, data, env):
+@given(st.data())
+def test_verify_exit_codes(announcement_file, data):
     argv, text = data.draw(verify_case(str(announcement_file)))
-    assert_exit_code(argv, env, announcement_file, text)
+    assert_exit_code(argv, announcement_file, text)
 
 
 @fuzz(40)
 @given(st.data())
 def test_verify_loose_content_exit_codes(announcement_file, data):
     argv, text = data.draw(verify_case(str(announcement_file), loose_content))
-    assert_exit_code(argv, None, announcement_file, text)
+    assert_exit_code(argv, announcement_file, text)
 
 
 @fuzz(30)
@@ -184,12 +179,12 @@ def test_verify_loose_content_exit_codes(announcement_file, data):
     corrupted(
         options(
             {"--bits": st.sampled_from(["3", "4", "5", "2", "0", "-1"])},
-            **{"--format": st.sampled_from(["text", "json"])},
+            **{"--format": st.sampled_from(["text", "json"]), "--max-work": max_work},
         ).map(lambda argv: ["construct", "binary", *argv])
     )
 )
 def test_construct_exit_codes(announcement_file, argv):
-    assert_exit_code(argv, None, announcement_file)
+    assert_exit_code(argv, announcement_file)
 
 
 @st.composite
@@ -208,9 +203,9 @@ def enumerate_argv(draw):
 
 
 @fuzz(40)
-@given(enumerate_argv(), env_max_work)
-def test_enumerate_exit_codes(announcement_file, argv, env):
-    assert_exit_code(argv, env, announcement_file)
+@given(enumerate_argv())
+def test_enumerate_exit_codes(announcement_file, argv):
+    assert_exit_code(argv, announcement_file)
 
 
 @st.composite
@@ -234,10 +229,9 @@ def protocol_argv(draw, subcommand, required, **optional):
             "--max-work": max_work,
         },
     ),
-    env_max_work,
 )
-def test_sample_exit_codes(announcement_file, argv, env):
-    assert_exit_code(argv, env, announcement_file)
+def test_sample_exit_codes(announcement_file, argv):
+    assert_exit_code(argv, announcement_file)
 
 
 @fuzz(20)
@@ -252,13 +246,12 @@ def test_sample_exit_codes(announcement_file, argv, env):
             "--max-work": max_work,
         },
     ),
-    env_max_work,
 )
-def test_analyze_exit_codes(announcement_file, argv, env):
-    assert_exit_code(argv, env, announcement_file)
+def test_analyze_exit_codes(announcement_file, argv):
+    assert_exit_code(argv, announcement_file)
 
 
 @fuzz(20)
 @given(st.lists(st.sampled_from(SUBCOMMANDS) | stray, max_size=4))
 def test_free_argv_exit_codes(announcement_file, argv):
-    assert_exit_code(argv, None, announcement_file)
+    assert_exit_code(argv, announcement_file)

@@ -172,13 +172,11 @@ def test_binary_design_rejects_small_n():
         binary_design(2)
 
 
-def test_binary_design_is_guarded(monkeypatch):
+def test_binary_design_is_guarded():
     # n = 3 costs 14 lines times 8 points.
-    monkeypatch.setenv("CARDEAL_MAX_WORK", "111")
     with pytest.raises(WorkLimitExceeded):
-        binary_design(3)
-    monkeypatch.setenv("CARDEAL_MAX_WORK", "112")
-    assert len(binary_design(3)) == 14
+        binary_design(3, max_work=111)
+    assert len(binary_design(3, max_work=112)) == 14
 
 
 def test_binary3_matches_known_lines(binary3, p431):

@@ -15,6 +15,7 @@ from cardeal import (
     parse_announcement,
     triple_point,
 )
+from cardeal import guard
 from cardeal.axioms import _clash
 from cardeal.enumeration import _good_containing, _ranked_lines, _reference_lines
 from cardeal.model import CardSet, from_mask, to_mask
@@ -143,19 +144,18 @@ def test_enumeration_guard(p331):
 
 def test_enumeration_leaves_obey_the_callers_limit(p331, monkeypatch):
     # The limit is charged once, for the whole candidate space; a per-leaf
-    # axiom check must not re-read the environment and refuse on its own.
+    # axiom check must not fall back to the default limit and refuse on its own.
     _reference_lines.cache_clear()
-    monkeypatch.setenv("CARDEAL_MAX_WORK", "40")
+    monkeypatch.setattr(guard, "DEFAULT_MAX_WORK", 40)
     assert len(enumerate_good_announcements(p331, (0, 1, 2), 5, max_work=10**6)) == 60
     with pytest.raises(WorkLimitExceeded):
         enumerate_good_announcements(p331, (0, 1, 2), 5)
 
 
-def test_enumeration_guard_charges_the_pool(monkeypatch):
+def test_enumeration_guard_charges_the_pool():
     # (4,3,1): 69 filter tests, C(53,2) row tests and C(53,6) leaves for the
     # 53-line pool, about 2.3e7 steps, where C(C(8,4),7) is 1.2e9. (4,4,1)'s
     # 105-line pool needs C(105,6), about 1.6e9, and stays refused.
-    monkeypatch.delenv("CARDEAL_MAX_WORK", raising=False)
     assert len(enumerate_good_announcements(Parameters(4, 3, 1), (0, 1, 2, 3), 7)) == 8064
     with pytest.raises(WorkLimitExceeded):
         enumerate_good_announcements(Parameters(4, 4, 1), (0, 1, 2, 3), 7)
@@ -528,11 +528,10 @@ def test_no_good_six_line_announcement_at_c2(abc):
         ((4, 6, 2), 6, comb(4, 0) * comb(8, 4) + comb(4, 1) * comb(8, 3)),
     ],
 )
-def test_split_keeps_the_direct_searchs_charge(abc, k, n, monkeypatch):
+def test_split_keeps_the_direct_searchs_charge(abc, k, n):
     # The charge still sizes the direct search over the n-line pool, so the
     # split is refused where the direct search was: about 1.6e9 and 1.8e10
     # steps, above the default 1e8, before any search is cached.
-    monkeypatch.delenv("CARDEAL_MAX_WORK", raising=False)
     params = Parameters(*abc)
     charge = comb(params.v, params.a) - 1 + comb(n, 2) + comb(n, k - 1)
     _reference_lines.cache_clear()

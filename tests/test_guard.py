@@ -1,4 +1,4 @@
-"""The work guard: log-sized refusals checked in process against exact binomials, and one limit read per request."""
+"""The work guard: log-sized refusals checked in process against exact binomials, and one default read per request."""
 
 import re
 from math import comb, log10
@@ -7,7 +7,7 @@ import pytest
 
 from cardeal import PAPER_PARAMS, WorkLimitExceeded, binary_design, build_protocol, design_profile, validate_protocol
 from cardeal import axioms, designs, enumeration, guard, protocols
-from cardeal.guard import ENV_VAR, comb_within, resolve_max_work
+from cardeal.guard import comb_within, resolve_max_work
 
 HUGE = 2**4100
 
@@ -51,10 +51,10 @@ def test_a_count_past_a_floats_range_is_refused_as_infinite():
 def calls():
     proto, binary4 = build_protocol("uniform60", PAPER_PARAMS), binary_design(4)
     return {
-        "validate_protocol": lambda: validate_protocol(proto),
-        "build_protocol": lambda: build_protocol("uniform60", PAPER_PARAMS),
-        "design_profile": lambda: design_profile(binary4, 16),
-        "binary_design": lambda: binary_design(4),
+        "validate_protocol": lambda max_work=None: validate_protocol(proto, max_work=max_work),
+        "build_protocol": lambda max_work=None: build_protocol("uniform60", PAPER_PARAMS, max_work=max_work),
+        "design_profile": lambda max_work=None: design_profile(binary4, 16, max_work=max_work),
+        "binary_design": lambda max_work=None: binary_design(4, max_work=max_work),
     }
 
 
@@ -68,10 +68,8 @@ def test_a_request_reads_the_limit_once_and_sees_it_change(name, calls, monkeypa
 
     for module in (guard, axioms, designs, enumeration, protocols):
         monkeypatch.setattr(module, "resolve_max_work", counting)
-    monkeypatch.setenv(ENV_VAR, str(10**8))
     calls[name]()
     assert len(reads) == 1
-    monkeypatch.setenv(ENV_VAR, "40")  # each request charges more than 40 steps
     with pytest.raises(WorkLimitExceeded):
-        calls[name]()
-    assert len(reads) == 2
+        calls[name](max_work=40)  # each request charges more than 40 steps
+    assert len(reads) == 1  # a request given its limit reads no default

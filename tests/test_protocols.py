@@ -84,7 +84,7 @@ def test_fact2_tables(p331_module):
     assert {p for _, p in conditional.table[(0, 1, 2)]} == {Fraction(1, 12)}
     assert {conditional.hand_weight(hand) for hand in enumerate_ksets(7, 3)} == {1}
 
-    literal = build_protocol("fact2-literal", p331_module, 0)
+    literal = build_protocol("fact2_literal", p331_module, 0)
     assert literal.table == conditional.table
     for hand in enumerate_ksets(7, 3):
         assert literal.hand_weight(hand) == (Fraction(4, 7) if 0 in hand else Fraction(3, 7))
@@ -336,6 +336,16 @@ def test_protocol_from_json_applies_the_request_rule(kind, point, edit, p331_mod
     data = protocol_json(build_protocol(kind, p331_module, point))
     with pytest.raises(ValueError):
         protocol_from_json({**data, **edit})
+
+
+def test_a_hyphenated_kind_is_refused_by_build_and_json_alike(p331_module):
+    data = protocol_json(build_protocol("fact2_literal", p331_module, 0))
+    with pytest.raises(ValueError) as built:
+        build_protocol("fact2-literal", p331_module, 0)
+    with pytest.raises(ValueError) as read:
+        protocol_from_json({**data, "kind": "fact2-literal"})
+    assert str(built.value) == str(read.value)
+    assert str(built.value).startswith("unknown protocol kind 'fact2-literal'")
 
 
 @pytest.mark.parametrize(
