@@ -25,7 +25,6 @@ from .designs import (
     covalency,
     covalency_over,
     design_profile,
-    design_strength,
 )
 from .enumeration import (
     classify_by_triple,
@@ -53,7 +52,6 @@ from .protocols import (
     build_protocol,
     protocol_from_json,
     protocol_json,
-    sample,
     sample_many,
     validate_protocol,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "covalency",
     "covalency_over",
     "design_profile",
-    "design_strength",
     "enumerate_good_announcements",
     "enumerate_ksets",
     "format_announcement",
@@ -102,7 +99,6 @@ __all__ = [
     "prior_point_in_hand",
     "protocol_from_json",
     "protocol_json",
-    "sample",
     "sample_many",
     "triple_point",
     "validate_protocol",

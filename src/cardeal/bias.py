@@ -67,10 +67,8 @@ class BiasReport:
     references: dict[str, Fraction]
 
 
-def prior_point_in_hand(params: Parameters, point: int = 0) -> Fraction:
+def prior_point_in_hand(params: Parameters) -> Fraction:
     """Chance that a fixed card lies in the announcer's hand: a of the v cards are dealt to it."""
-    if not 0 <= point < params.v:
-        raise ValueError(f"point {point} out of range for deck size {params.v}")
     return Fraction(params.a, params.v)
 
 

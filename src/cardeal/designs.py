@@ -106,11 +106,6 @@ def covalency(ann: Announcement, v: int, t: int, *, max_work: int | None = None)
     return covalency_over(ann, range(v), t, max_work=max_work)
 
 
-def design_strength(ann: Announcement, v: int, *, max_work: int | None = None) -> int:
-    """Largest t with constant covalency."""
-    return design_profile(ann, v, max_work=max_work).strength
-
-
 def design_profile(ann: Announcement, v: int, *, max_work: int | None = None) -> DesignProfile:
     """Covalency table for every tuple size from 0 to the block size.
 

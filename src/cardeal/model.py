@@ -291,11 +291,10 @@ def _json_lines(text: str, params: Parameters) -> list[CardSet]:
     except RecursionError:
         raise AnnouncementParseError("invalid JSON announcement: nested too deeply") from None
     if isinstance(data, dict):
-        declared = data.get("params")
-        if declared is not None and declared != [params.a, params.b, params.c]:
-            raise AnnouncementParseError(
-                f"JSON declares params {declared}, expected {[params.a, params.b, params.c]}"
-            )
+        declared, expected = data.get("params"), [params.a, params.b, params.c]
+        # Parameters' integer rule: 1.0 == True == 1, so == alone would take a float or a bool.
+        if declared is not None and (declared != expected or any(type(n) is not int for n in declared)):
+            raise AnnouncementParseError(f"JSON declares params {declared}, expected {expected}")
         data = data.get("lines")
     if not isinstance(data, list):
         raise AnnouncementParseError("JSON announcement must carry a list of lines")

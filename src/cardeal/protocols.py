@@ -196,11 +196,6 @@ def build_protocol(
     return Protocol(kind=kind, params=params, table=table, point=point)
 
 
-def sample(proto: Protocol, hand: Iterable[int], seed) -> Announcement:
-    """One announcement drawn from the hand's distribution; fixed seed, fixed draw."""
-    return sample_many(proto, hand, seed, 1)[0]
-
-
 def sample_many(proto: Protocol, hand: Iterable[int], seed, n: int) -> list[Announcement]:
     """n independent draws from one seeded generator, thresholds kept exact.
 
@@ -296,8 +291,12 @@ def _fraction_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
 
 
-def _fraction_from_json(data: dict) -> Fraction:
-    return Fraction(data["num"], data["den"])
+def _fraction_from_json(data, hand_text: str) -> Fraction:
+    """Exactly {"num": int, "den": int >= 1}, no bool for an int; else a ValueError naming the table key."""
+    num, den = (data.get("num"), data.get("den")) if isinstance(data, dict) else (None, None)
+    if not (type(num) is type(den) is int and den >= 1 and len(data) == 2):
+        raise ValueError(f"table key {hand_text!r}: probability {data!r} is not {{num: int, den: int >= 1}}")
+    return Fraction(num, den)
 
 
 def _class_weights_json(kind: str, params: Parameters) -> dict | None:
@@ -353,6 +352,6 @@ def protocol_from_json(data: dict) -> Protocol:
         if key_of.setdefault(hand, hand_text) != hand_text:
             raise ValueError(f"table keys {key_of[hand]!r} and {hand_text!r} both name hand {hand}")
         table[hand] = tuple(
-            (announcement(entry["announcement"]), _fraction_from_json(entry["p"])) for entry in entries
+            (announcement(entry["announcement"]), _fraction_from_json(entry.get("p"), hand_text)) for entry in entries
         )
     return Protocol(kind=data["kind"], params=params, table=table, point=data.get("point"))

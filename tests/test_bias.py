@@ -354,10 +354,12 @@ def test_rejects_bad_observer_size(protocols, p331):
         posterior_lines(protocols["uniform60"], five, (3, 4))
 
 
-def test_prior_point_in_hand_by_counting(p331):
-    for point in range(7):
-        assert prior_point_in_hand(p331, point) == Fraction(3, 7)
-    assert prior_point_in_hand(Parameters(4, 3, 1), 0) == Fraction(1, 2)
+def test_prior_point_in_hand_by_counting():
+    for params in (Parameters(3, 3, 1), Parameters(4, 3, 1)):
+        hands = list(combinations(range(params.v), params.a))
+        for point in range(params.v):
+            share = Fraction(sum(point in hand for hand in hands), len(hands))
+            assert share == prior_point_in_hand(params), (params, point)
 
 
 def test_prior_and_references_list_no_hands(protocols, monkeypatch):
@@ -366,7 +368,7 @@ def test_prior_and_references_list_no_hands(protocols, monkeypatch):
 
     monkeypatch.setattr(cardeal.model, "enumerate_ksets", refuse)
     monkeypatch.setattr(cardeal.bias, "enumerate_ksets", refuse, raising=False)
-    assert prior_point_in_hand(Parameters(30, 30, 30), 89) == Fraction(1, 3)
+    assert prior_point_in_hand(Parameters(30, 30, 30)) == Fraction(1, 3)
     report = bias_report(protocols["fact1"])
     assert report.references["point_in_hand_prior"] == Fraction(3, 7)
     assert report.references["uniform_pick_class_ratio"] == Fraction(3, 5)

@@ -10,9 +10,11 @@ no exception may escape and nothing may print a traceback.
 
 Every size stays small so that no example can start a long run: decks of at
 most 8 cards, ``--size`` at most 5, ``--bits`` at most 5, ``--n`` at most 50,
-and no work limit above the default (the default still admits runs of many
-seconds, and ``sample --n`` is not guarded at all). Noise carries no digits,
-so it cannot smuggle in a large number either.
+and no work limit above the default. The default still admits runs of many
+seconds: ``sample`` charges one unit per draw, so it admits up to 10^8 draws,
+about 70 s at the 1.46·10^6 draws/s of the benchmark's analyze workload; that
+is why ``--n`` stays at most 50. Noise carries no digits, so it cannot smuggle
+in a large number either.
 """
 
 import contextlib

@@ -15,7 +15,6 @@ from cardeal import (
     covalency,
     covalency_over,
     design_profile,
-    design_strength,
     lines_avoiding,
     parse_announcement,
 )
@@ -50,7 +49,6 @@ def test_covalency_scans_are_guarded(five_hand, seven_hand):
         with pytest.raises(WorkLimitExceeded):
             design_profile(ann, 7, max_work=estimate - 1)
         assert design_profile(ann, 7, max_work=estimate).strength == expected
-        assert design_strength(ann, 7, max_work=estimate) == expected
 
 
 def test_covalency_rejects_oversized_tuples(five_hand):
@@ -151,9 +149,9 @@ def test_indivisible_incidence_sum_is_refused_without_a_scan(five_hand, seven_ha
 
 
 def test_design_strength_examples(seven_hand, binary3):
-    assert design_strength(seven_hand, 7) == 2
-    assert design_strength(binary3, 8) == 3
-    assert design_strength(Announcement.of([(0, 1, 2)]), 7) == 0
+    assert design_profile(seven_hand, 7).strength == 2
+    assert design_profile(binary3, 8).strength == 3
+    assert design_profile(Announcement.of([(0, 1, 2)]), 7).strength == 0
 
 
 def test_binary_design_structure():
@@ -232,7 +230,6 @@ def test_constant_covalency_is_downward_closed(ann):
     constant = [t for t, value in enumerate(profile.covalencies) if value is not None]
     assert constant == list(range(len(constant)))
     assert profile.strength == constant[-1]
-    assert design_strength(ann, 7) == profile.strength
     assert profile.covalencies[0] == len(ann)
     # the profile stops at the first uneven size; scanning each size anyway
     # confirms that every later size is uneven too

@@ -10,7 +10,6 @@ from cardeal import (
     enumerate_good_announcements,
     parse_announcement,
 )
-from cardeal.bias import prior_point_in_hand
 from cardeal.model import enumerate_ksets
 from cardeal.protocols import Protocol, sample_many
 
@@ -31,12 +30,11 @@ def _row_summing_to_a_sixtieth():
         (lambda: bob_sets(FIVE, (0, 1), P331), r"expected a card set of size 1, got \(0, 1\)"),
         (lambda: cathy_card_counts(FIVE, (), P331), r"expected a card set of size 1, got \(\)"),
         (lambda: enumerate_good_announcements(P331, (0, 1), 5), r"expected a card set of size 3, got \(0, 1\)"),
-        (lambda: prior_point_in_hand(P331, 7), "point 7 out of range for deck size 7"),
         (lambda: sample_many(build_protocol("uniform60", P331), (0, 1, 2), 0, -1), "draw count must be nonnegative"),
         (_row_summing_to_a_sixtieth, r"distribution for \(0, 1, 2\) sums to 1/60"),
         (lambda: enumerate_ksets(-1, 0), "deck size must be nonnegative, got -1"),
     ],
-    ids=["bob-sets", "cathy-counts", "enumerate-hand", "prior-point", "negative-draws", "row-sum", "deck-size"],
+    ids=["bob-sets", "cathy-counts", "enumerate-hand", "negative-draws", "row-sum", "deck-size"],
 )
 def test_refusal_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):

@@ -94,6 +94,8 @@ def test_parse_canonicalises_order(p331):
         "",
         '{"params": [3, 3, 2], "lines": [[0, 1, 2]]}',  # conflicting params
         '{"params": 3, "lines": [[0, 1, 2]]}',  # params not a list
+        '{"params": [3, 3, true], "lines": [[0, 1, 2]]}',  # params equal to (3, 3, 1), but not integers
+        '{"params": [3.0, 3, 1], "lines": [[0, 1, 2]]}',
         '[[0, 1, "2"]]',  # card not an integer
         "[[0, 1, null]]",
     ],

@@ -21,7 +21,6 @@ from cardeal import (
     parse_announcement,
     protocol_from_json,
     protocol_json,
-    sample,
     sample_many,
     triple_point,
     validate_protocol,
@@ -228,9 +227,9 @@ def test_a_built_table_carries_each_triple_point(kind, point, p331_module):
 
 
 def test_sampling_is_deterministic_and_truthful(fact1):
-    first = sample(fact1, (0, 1, 2), seed=11)
+    first = sample_many(fact1, (0, 1, 2), 11, 1)[0]
     assert (0, 1, 2) in first.lines
-    assert sample(fact1, (0, 1, 2), seed=11) == first
+    assert sample_many(fact1, (0, 1, 2), 11, 1)[0] == first
     assert sample_many(fact1, (0, 1, 2), 11, 50) == sample_many(fact1, (0, 1, 2), 11, 50)
 
 
@@ -277,9 +276,9 @@ def test_sampling_rejects_negative_probability(uniform60, p331_module):
 
 def test_sampling_rejects_unknown_hand(uniform60):
     with pytest.raises(KeyError):
-        sample(uniform60, (0, 1), seed=0)
+        sample_many(uniform60, (0, 1), 0, 1)[0]
     with pytest.raises(ValueError):
-        sample(uniform60, (0, 1, 7), seed=0)
+        sample_many(uniform60, (0, 1, 7), 0, 1)[0]
 
 
 def test_protocol_json_round_trip(p331_module):
@@ -440,4 +439,21 @@ def test_protocol_from_json_refuses_a_key_of_another_size(key, hand, uniform60):
     data = protocol_json(uniform60)
     data["table"][key] = data["table"]["012"]
     with pytest.raises(ValueError, match=re.escape(f"expected a card set of size 3, got {hand}")):
+        protocol_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [{"num": True, "den": 60}, {"num": -1, "den": -60}, {"num": 1, "den": 0}, {"num": 1.5, "den": 60},
+     {"num": "1", "den": 60}, {"num": 1, "den": 60, "of": 1}, 0.5, None],
+    ids=["bool-num", "negative-den", "zero-den", "float-num", "text-num", "extra-key", "float-p", "missing-p"],
+)
+def test_protocol_from_json_reads_a_probability_one_way(p, uniform60):
+    data = protocol_json(uniform60)
+    entry = data["table"]["012"][0]
+    if p is None:
+        del entry["p"]
+    else:
+        entry["p"] = p
+    with pytest.raises(ValueError, match="table key '012': probability"):
         protocol_from_json(data)
