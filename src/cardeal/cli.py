@@ -55,6 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="work limit of the complexity guard (default 10^8)",
     )
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("text", "json"), default="text")
+    deal = argparse.ArgumentParser(add_help=False)
+    deal.add_argument("--params", required=True, help="hand sizes, e.g. 3,3,1")
+    protocol = argparse.ArgumentParser(add_help=False)
+    protocol.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
+    protocol.add_argument("--point", type=int, default=None, help="public point for fact2 protocols")
 
     parser = argparse.ArgumentParser(
         prog="cardeal",
@@ -62,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="check axioms on an announcement")
-    p_verify.add_argument("--params", required=True, help="hand sizes, e.g. 3,3,1")
+    p_verify = sub.add_parser("verify", parents=[common, deal, formats], help="check axioms on an announcement")
     source = p_verify.add_mutually_exclusive_group(required=True)
     source.add_argument("--announcement", help="announcement in compact text or JSON")
     source.add_argument("--stdin", action="store_true", help="read the announcement from stdin")
@@ -73,19 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default="ca1,ca2,ca3,ca4,ca5",
         help="comma-separated subset of ca1..ca5 that must pass (default: all)",
     )
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--profile", action="store_true",
                           help="also report the design profile (covalencies and strength)")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_construct = sub.add_parser("construct", parents=[common], help="build a known announcement family")
+    p_construct = sub.add_parser("construct", parents=[common, formats], help="build a known announcement family")
     p_construct.add_argument("family", choices=("binary",))
     p_construct.add_argument("--bits", type=int, required=True, help="bit count n >= 3")
-    p_construct.add_argument("--format", choices=("text", "json"), default="text")
     p_construct.set_defaults(func=_cmd_construct)
 
-    p_enum = sub.add_parser("enumerate", parents=[common], help="list good announcements for a hand")
-    p_enum.add_argument("--params", required=True)
+    p_enum = sub.add_parser("enumerate", parents=[common, deal], help="list good announcements for a hand")
     p_enum.add_argument("--hand", required=True, help="the hand every announcement must contain")
     p_enum.add_argument("--size", type=int, default=5, help="lines per announcement (default 5)")
     p_enum.add_argument("--count", action="store_true", help="print only how many there are")
@@ -93,22 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="keep only announcements whose triple point is this card")
     p_enum.set_defaults(func=_cmd_enumerate)
 
-    p_sample = sub.add_parser("sample", parents=[common], help="draw announcements from a protocol")
-    p_sample.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
+    p_sample = sub.add_parser("sample", parents=[common, protocol], help="draw announcements from a protocol")
     p_sample.add_argument("--hand", required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--n", type=int, default=1)
-    p_sample.add_argument("--point", type=int, default=None, help="public point for fact2 protocols")
     p_sample.set_defaults(func=_cmd_sample)
 
-    p_analyze = sub.add_parser("analyze", parents=[common], help="exact posterior analysis of a protocol")
-    p_analyze.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
-    p_analyze.add_argument("--point", type=int, default=None)
+    p_analyze = sub.add_parser("analyze", parents=[common, protocol, formats],
+                               help="exact posterior analysis of a protocol")
     p_analyze.add_argument("--announcement", default=None,
                            help="report per-line posteriors for this announcement only")
     p_analyze.add_argument("--observer", default=None,
                            help="observer cards (compact text); needs --announcement")
-    p_analyze.add_argument("--format", choices=("text", "json"), default="text")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     return parser

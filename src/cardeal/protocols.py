@@ -203,8 +203,8 @@ def sample_many(proto: Protocol, hand: Iterable[int], seed, n: int) -> list[Anno
     probabilities, so a single integer draw selects an announcement without
     any floating-point rounding.
     """
-    if n < 0:
-        raise ValueError(f"draw count must be nonnegative, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"draw count must be a nonnegative integer, got {n!r}")
     hand = card_set(hand, proto.params.v)
     if hand not in proto.table:
         raise KeyError(f"unknown hand {hand}")
@@ -327,16 +327,36 @@ def protocol_json(proto: Protocol) -> dict:
     }
 
 
+def _check_document(data) -> None:
+    """Refuse a document not shaped as ``protocol_json`` writes it, naming the field at fault."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a protocol document must be an object, got {type(data).__name__}")
+    params, table = data.get("params"), data.get("table")
+    if not (isinstance(params, list) and len(params) == 3):
+        raise ValueError(f"params must be a list of three counts, got {params!r}")
+    if not isinstance(table, dict):
+        raise ValueError(f"table must be an object keyed by hand, got {type(table).__name__}")
+    for key, entries in table.items():
+        if not isinstance(key, str):
+            raise ValueError(f"table key {key!r} is not text")
+        if not isinstance(entries, list):
+            raise ValueError(f"table key {key!r}: entries must be a list, got {type(entries).__name__}")
+        for entry in entries:
+            if not (isinstance(entry, dict) and "announcement" in entry):
+                raise ValueError(f"table key {key!r}: entry {entry!r} is not an object with an announcement")
+
+
 def protocol_from_json(data: dict) -> Protocol:
     """Inverse of ``protocol_json``; each distinct announcement text is parsed once per call.
 
     Refuses a key that names no a-card hand ("01"), and two keys that name one hand ("012", "210").
     """
-    params = Parameters(*data["params"])
-    _check_request(data["kind"], params, data.get("point"))
-    expected = _class_weights_json(data["kind"], params)
+    _check_document(data)
+    kind, params = data.get("kind"), Parameters(*data["params"])
+    _check_request(kind, params, data.get("point"))
+    expected = _class_weights_json(kind, params)
     if data.get("class_weights") != expected:
-        raise ValueError(f"{data['kind']} protocol at {params} needs class_weights {expected}")
+        raise ValueError(f"{kind} protocol at {params} needs class_weights {expected}")
     parsed: dict[str, Announcement] = {}
 
     def announcement(text) -> Announcement:
@@ -354,4 +374,4 @@ def protocol_from_json(data: dict) -> Protocol:
         table[hand] = tuple(
             (announcement(entry["announcement"]), _fraction_from_json(entry.get("p"), hand_text)) for entry in entries
         )
-    return Protocol(kind=data["kind"], params=params, table=table, point=data.get("point"))
+    return Protocol(kind=kind, params=params, table=table, point=data.get("point"))

@@ -162,6 +162,8 @@ def test_analyze_obeys_callers_limit():
         (["analyze", "--protocol", "uniform60", "--announcement", "012 034 056 135 246", "--observer", ""],
          "empty card set"),
         (["sample", "--protocol", "uniform60", "--hand", "01"], "expected a card set of size 3, got (0, 1)"),
+        (["sample", "--protocol", "uniform60", "--hand", ""], "empty card set"),
+        (["sample", "--protocol", "uniform60", "--hand", "0123"], "expected a card set of size 3, got (0, 1, 2, 3)"),
     ],
 )
 def test_sample_and_analyze_read_arguments_before_building_a_protocol(argv, message, capsys, monkeypatch):
@@ -222,6 +224,24 @@ def test_construct_guard_exit_2():
     assert len(proc.stdout.split()) == 14
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["verify", "--params", "3,3,1", "--announcement", "012 034 056 135 246"], "axiom check"),
+        (["enumerate", "--params", "3,3,1", "--hand", "012", "--size", "5"], "announcement enumeration"),
+        (["sample", "--protocol", "uniform60", "--hand", "012"], "announcement enumeration"),
+        (["analyze", "--protocol", "uniform60"], "announcement enumeration"),
+        (["construct", "binary", "--bits", "30"], "binary construction"),
+    ],
+    ids=["verify", "enumerate", "sample", "analyze", "construct"],
+)
+def test_every_subcommand_takes_max_work(argv, what, capsys):
+    # Each request is charged more than 10 steps; the refusal names the flag that admits it.
+    code, out, err = run(capsys, *argv, "--max-work", "10")
+    assert code == 2 and not out
+    assert what in err and "raise --max-work" in err
+
+
 def test_construct_guard_message_survives_a_huge_estimate():
     # 2(2^n-1)·2^n has about 12,000 digits at n = 20000, past Python's
     # 4,300-digit limit for printing an integer.
@@ -277,6 +297,44 @@ def test_enumerate_count_and_listing(capsys):
     assert len(rows) == 6
     assert rows[0] == "012 034 056 135 246"
     assert all("135" in row.split() for row in rows)
+
+
+@pytest.mark.parametrize(
+    "params, hand, size, count, max_work",
+    [
+        # 0123 is the reference hand, whose relabelling is the identity; 1357 is relabelled.
+        ("4,3,1", "0123", "7", 8064, None),
+        ("4,3,1", "0123", "5", 0, None),
+        ("4,3,1", "0123", "1", 0, None),
+        ("4,3,1", "1357", "7", 8064, None),
+        # 8 and 9 lines at (4,3,1) are leaf-heavy searches above the default work limit
+        # (k=8 is charged about 1.5e8 steps), so they raise it.
+        ("4,3,1", "1357", "8", 23088, "1000000000"),
+        ("4,3,1", "1357", "9", 14040, "1000000000"),
+        # Two lines are answered by proof, with no search, on both a relabelled hand and c = 2.
+        ("4,3,1", "1357", "2", 0, None),
+        ("3,2,2", "012", "2", 0, None),
+        ("4,4,1", "0123", "6", 13680, None),
+        # With no good announcement, these are charged about 1.8e10 steps, the direct
+        # search's leaves, though the orbit split runs each in well under a second.
+        ("4,6,2", "0,1,2,3", "6", 0, "100000000000"),
+        ("5,4,2", "0,1,2,3,4", "6", 0, "100000000000"),
+    ],
+)
+def test_enumerate_count(capsys, params, hand, size, count, max_work):
+    argv = ["enumerate", "--params", params, "--hand", hand, "--size", size, "--count"]
+    if max_work is not None:
+        argv += ["--max-work", max_work]
+    assert run(capsys, *argv) == (0, f"{count}\n", "")
+
+
+@pytest.mark.parametrize(
+    "hand, message", [("", "empty card set"), ("01", "expected a card set of size 3, got (0, 1)")]
+)
+def test_enumerate_refuses_a_hand_of_another_size(capsys, hand, message):
+    code, out, err = run(capsys, "enumerate", "--params", "3,3,1", "--hand", hand, "--size", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,8 @@ def _row_summing_to_a_sixtieth():
         (lambda: bob_sets(FIVE, (0, 1), P331), r"expected a card set of size 1, got \(0, 1\)"),
         (lambda: cathy_card_counts(FIVE, (), P331), r"expected a card set of size 1, got \(\)"),
         (lambda: enumerate_good_announcements(P331, (0, 1), 5), r"expected a card set of size 3, got \(0, 1\)"),
-        (lambda: sample_many(build_protocol("uniform60", P331), (0, 1, 2), 0, -1), "draw count must be nonnegative"),
+        (lambda: sample_many(build_protocol("uniform60", P331), (0, 1, 2), 0, -1),
+         "draw count must be a nonnegative integer, got -1"),
         (_row_summing_to_a_sixtieth, r"distribution for \(0, 1, 2\) sums to 1/60"),
         (lambda: enumerate_ksets(-1, 0), "deck size must be nonnegative, got -1"),
     ],

@@ -281,6 +281,12 @@ def test_sampling_rejects_unknown_hand(uniform60):
         sample_many(uniform60, (0, 1, 7), 0, 1)[0]
 
 
+@pytest.mark.parametrize("n", [True, 2.0, "3"])
+def test_sampling_refuses_a_draw_count_that_is_not_an_int(n, uniform60):
+    with pytest.raises(ValueError, match=f"draw count must be a nonnegative integer, got {re.escape(repr(n))}"):
+        sample_many(uniform60, (0, 1, 2), 0, n)
+
+
 def test_protocol_json_round_trip(p331_module):
     for kind, point in (("uniform60", None), ("fact1", None), ("fact2_conditional", 0), ("fact2_literal", 4)):
         proto = build_protocol(kind, p331_module, point)
@@ -432,6 +438,40 @@ def test_protocol_from_json_refuses_two_keys_for_one_hand(uniform60, fact1):
         protocol_from_json(data)
     del data["table"]["012"]  # one spelling alone is read as before
     assert protocol_from_json(data).table[(0, 1, 2)] == uniform60.table[(0, 1, 2)]
+
+
+def _without(data, field):
+    del data[field]
+    return data
+
+
+def _with_table(data, table):
+    return {**data, "table": table}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: [data], "a protocol document must be an object, got list"),
+        (lambda data: _without(data, "params"), "params must be a list of three counts, got None"),
+        (lambda data: _without(data, "kind"), "unknown protocol kind None"),
+        (lambda data: _without(data, "table"), "table must be an object keyed by hand, got NoneType"),
+        (lambda data: {**data, "params": [3, 3]}, "params must be a list of three counts, got [3, 3]"),
+        (lambda data: {**data, "params": None}, "params must be a list of three counts, got None"),
+        (lambda data: _with_table(data, list(data["table"].items())),
+         "table must be an object keyed by hand, got list"),
+        (lambda data: _with_table(data, {5: data["table"]["012"]}), "table key 5 is not text"),
+        (lambda data: _with_table(data, {"012": data["table"]["012"][0]}), "table key '012': entries must be a list"),
+        (lambda data: _with_table(data, {"012": [5]}), "table key '012': entry 5 is not an object"),
+        (lambda data: _with_table(data, {"012": [{"p": {"num": 1, "den": 1}}]}),
+         "table key '012': entry {'p': {'num': 1, 'den': 1}} is not an object with an announcement"),
+    ],
+    ids=["list-document", "no-params", "no-kind", "no-table", "two-params", "null-params", "list-table",
+         "int-key", "dict-entries", "int-entry", "no-announcement"],
+)
+def test_protocol_from_json_refuses_a_malformed_document(edit, message, uniform60):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        protocol_from_json(edit(protocol_json(uniform60)))
 
 
 @pytest.mark.parametrize("key, hand", [("01", "(0, 1)"), ("0123", "(0, 1, 2, 3)")])

@@ -1,11 +1,20 @@
-"""The README's library example runs and shows what its comments say.
+"""The README's two example blocks run and show what their comments say.
 
 The fenced Python block under ``## Library`` is executed as written, so a
 public name it imports cannot be deleted or renamed without this test
 failing. The posterior tuple is read from the block's own comment lines.
+
+Each line of the fenced block under ``## Command line`` is run through bash,
+with ``cardeal`` defined as ``python -m cardeal.cli`` on ``PYTHONPATH=src``.
+It must exit as its ``# exit N`` comment says, 0 where there is none, and
+print no traceback.
 """
 
+import os
 import re
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,3 +34,25 @@ def test_library_example_shows_its_comments():
     shown = block.split("posterior_lines(proto, ann).posteriors\n", 1)[1]
     expected = eval("".join(line.lstrip("# ") for line in shown.splitlines()), {"Fraction": Fraction})
     assert scope["posterior_lines"](scope["proto"], scope["ann"]).posteriors == expected
+
+
+def test_command_line_examples_exit_as_their_comments_say():
+    match = re.search(r"^## Command line\n+```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert match, "README has no sh block under ## Command line"
+    lines = [line for line in match.group(1).splitlines() if line.strip()]
+    assert lines, "README's command-line block is empty"
+    define = f'cardeal() {{ {shlex.quote(sys.executable)} -m cardeal.cli "$@"; }}\n'
+    for line in lines:
+        assert line.startswith("cardeal "), f"README command line is not a cardeal command: {line}"
+        exit_comment = re.search(r"# exit (\d+)$", line)  # bash itself skips the comment
+        expected = int(exit_comment[1]) if exit_comment else 0
+        proc = subprocess.run(
+            ["bash", "-c", define + line],
+            cwd=README.parent,
+            env={**os.environ, "PYTHONPATH": "src"},
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == expected, f"exited {proc.returncode}, expected {expected}: {line}\n{proc.stderr}"
+        assert "Traceback" not in proc.stderr, f"printed a traceback: {line}\n{proc.stderr}"
