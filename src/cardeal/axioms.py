@@ -61,23 +61,24 @@ every avoiding line (CA2) or by none (CA3), skipping X's own cards by index.
 Both are charged C(k, 2) + C(v, c)·(v - c), a count for every outside card
 of every c-set, before any mask is built. Enumeration clears CA1 during its
 search and picks its last line by the same CA2-CA3 conditions, read line by
-line.
+line. The report, its verdicts and the witnesses are named tuples; a
+``CountVerdict``, which compares counts it builds on demand, is not.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import combinations
 from math import comb
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .guard import comb_within, require_work, resolve_max_work
 from .model import (
     Announcement,
     CardSet,
+    Frozen,
     Parameters,
     build_masks,
     card_set,
@@ -100,32 +101,28 @@ class AmbiguousLineError(InferenceError):
     """Two or more lines avoid the hand (a CA1 violation for this hand)."""
 
 
-@dataclass(frozen=True)
-class AmbiguityWitness:
+class AmbiguityWitness(NamedTuple):
     """A b-set avoided by two or more lines (CA1 failure)."""
 
     x: CardSet
     lines: tuple[CardSet, ...]
 
 
-@dataclass(frozen=True)
-class CommonCardWitness:
+class CommonCardWitness(NamedTuple):
     """A c-set whose avoiding lines share at least one card (CA2 failure)."""
 
     x: CardSet
     common: CardSet
 
 
-@dataclass(frozen=True)
-class UncoveredCardWitness:
+class UncoveredCardWitness(NamedTuple):
     """A c-set whose avoiding lines miss at least one outside card (CA3 failure)."""
 
     x: CardSet
     missing: CardSet
 
 
-@dataclass(frozen=True)
-class UnevenCountWitness:
+class UnevenCountWitness(NamedTuple):
     """A c-set with unequal per-card counts (CA4/CA5 failure)."""
 
     x: CardSet
@@ -135,14 +132,12 @@ class UnevenCountWitness:
         return dict(self.counts)[card]
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(NamedTuple):
     passed: bool
     witness: object | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class CountVerdict:
+class CountVerdict(Frozen):
     """Constancy verdict for CA4 or CA5 across every c-set.
 
     ``constants`` maps each c-set with a constant count to that count; every
@@ -154,9 +149,13 @@ class CountVerdict:
     such c-set's counts are; the counts are compared one c-set at a time.
     """
 
-    constants: dict[CardSet, int]
-    violating: tuple[CardSet, ...]
-    counts_outside: Callable[[CardSet], tuple[tuple[int, int], ...]] = field(repr=False)
+    _fields = ("constants", "violating")
+
+    def __init__(self, constants: dict[CardSet, int], violating: tuple[CardSet, ...],
+                 counts_outside: Callable[[CardSet], tuple[tuple[int, int], ...]]) -> None:
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "violating", violating)
+        object.__setattr__(self, "counts_outside", counts_outside)
 
     @property
     def passed(self) -> bool:
@@ -186,8 +185,7 @@ AXIOM_NAMES = ("ca1", "ca2", "ca3", "ca4", "ca5")
 _PASS = AxiomVerdict(True)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     params: Parameters
     ca1: AxiomVerdict
     ca2: AxiomVerdict

@@ -21,14 +21,13 @@ entries included. The index also memoises every exact ratio
 ``Fraction(w, total)`` it is asked for, so a posterior builds a ``Fraction``
 only for a ratio no earlier call on that protocol met, and the bias report
 takes its triple posteriors from the same memo. No floating point enters any
-probability.
+probability. ``PosteriorTable`` and ``BiasReport`` are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .enumeration import classify_by_triple, enumerate_good_announcements
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
@@ -37,8 +36,7 @@ from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json, comm
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class PosteriorTable:
+class PosteriorTable(NamedTuple):
     """Per-line posteriors for one announcement and one observer."""
 
     announcement: Announcement
@@ -46,8 +44,7 @@ class PosteriorTable:
     posteriors: tuple[tuple[CardSet, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class BiasReport:
+class BiasReport(NamedTuple):
     """Protocol-level summary of what an outside observer can read off.
 
     ``triple_in_hand`` gives, per producible announcement, the posterior

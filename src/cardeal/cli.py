@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .axioms import AXIOM_NAMES, axiom_report_json, check_axioms
@@ -47,6 +48,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+@cache  # one tree per process: parse_args leaves the parsers as they were
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(

@@ -13,22 +13,21 @@ points, not the largest label. One scanner, ``_scan``, charges C(v, t) *
 max(t, 1) to the work guard and applies the kernel's CA4 rule: the k lines
 hold k·C(size, t) t-subsets, so an indivisible sum over C(v, t) refuses a
 constant unread; otherwise each count (the popcount of the AND of its t
-points' masks) is compared with the quotient until one differs.
+points' masks) is compared with the quotient until one differs. A
+``DesignProfile`` is a named tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, log10
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .guard import comb_within, require_log10_work, require_work, resolve_max_work
 from .model import Announcement, CardSet, build_masks, card_set, check_lines
 
 
-@dataclass(frozen=True)
-class DesignProfile:
+class DesignProfile(NamedTuple):
     """Covalency at every tuple size up to the block size, plus the strength.
 
     ``covalencies[t]`` is the constant count for t-subsets, or None when the

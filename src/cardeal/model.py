@@ -3,9 +3,10 @@
 A deck of ``v`` cards is the set ``{0, ..., v-1}``. Card sets (hands, lines)
 are sorted tuples of card labels; announcements are sorted tuples of lines.
 All values are immutable and hashable, so they can be shared freely and used
-as dictionary keys. ``card_set``, which ``parse_card_set`` wraps, is the one
-gate for a caller's hand or c-set: sorted, distinct, in range and, given a
-size, of that size. The ``Announcement`` constructor enforces the
+as dictionary keys; ``Parameters`` and ``Announcement`` refuse assignment
+through their base, ``Frozen``. ``card_set``, which ``parse_card_set``
+wraps, is the one gate for a caller's hand or c-set: sorted, distinct, in
+range and, given a size, of that size. The ``Announcement`` constructor enforces the
 announcement invariant. One private builder, ``Announcement._trusted``,
 skips those checks for lines canonical by construction (parsed, or
 relabelled by enumeration) and alone sets a triple point it is given; only
@@ -33,7 +34,6 @@ identity on canonical announcements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -47,18 +47,46 @@ class AnnouncementParseError(ValueError):
     """Announcement text or JSON that does not describe a valid announcement."""
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Frozen:
+    """Base of the classes that check, cache or customise equality: ``__init__`` alone sets fields.
+
+    It sets them through ``object.__setattr__``; assigning or deleting one later raises AttributeError.
+    ``==`` and ``repr`` read the fields that ``_fields`` names, in order, and no other (a cache, say).
+    An instance is unhashable unless its class defines ``__hash__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Parameters(Frozen):
     """Hand sizes (a, b, c) of the three players; the deck size v is a+b+c."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        for name, count in (("a", self.a), ("b", self.b), ("c", self.c)):
+    def __init__(self, a: int, b: int, c: int) -> None:
+        for name, count in (("a", a), ("b", b), ("c", c)):
             if type(count) is not int or count < 1:
                 raise ValueError(f"{name} must be a positive integer, got {count!r}")
+            object.__setattr__(self, name, count)
+
+    def __hash__(self) -> int:  # keys enumeration's search cache
+        return hash((self.a, self.b, self.c))
 
     @property
     def v(self) -> int:
@@ -108,18 +136,16 @@ def from_mask(mask: int) -> CardSet:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Announcement:
+class Announcement(Frozen):
     """One or more distinct, equally sized, nonempty lines in canonical order.
 
     The constructor rejects anything else with ValueError; equality,
     hashing and repr use ``lines`` alone. Masks come from ``build_masks``.
     """
 
-    lines: tuple[CardSet, ...]
+    _fields = ("lines",)
 
-    def __post_init__(self) -> None:
-        lines = self.lines
+    def __init__(self, lines: tuple[CardSet, ...]) -> None:
         if not isinstance(lines, tuple) or not lines:
             raise ValueError("an announcement needs a nonempty tuple of lines")
         size = len(lines[0])
@@ -137,6 +163,14 @@ class Announcement:
             if prev is not None and line <= prev:
                 raise ValueError(f"line {line} after {prev}: lines must be distinct and sorted")
             prev = line
+        object.__setattr__(self, "lines", lines)
+
+    # Announcements key the protocol tables and posteriors: compare and hash ``lines`` directly.
+    def __eq__(self, other: object) -> bool:
+        return self.lines == other.lines if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.lines)
 
     @classmethod
     def of(cls, lines: Iterable[Iterable[int]]) -> "Announcement":
@@ -146,19 +180,21 @@ class Announcement:
     def _trusted(cls, lines: tuple[CardSet, ...], point: int | None | object = _UNCOUNTED) -> "Announcement":
         """The announcement of ``lines``, which the caller built to pass the constructor's checks.
 
-        ``point``, if given, is the lines' triple point, which ``triple_point``
-        reads without counting. One caller gives it:
-        ``enumerate_good_announcements``, which hands out every relabelled
-        announcement, the protocol tables' included, with its relabelled
-        point. The parser and enumeration's reference list leave it to be
-        counted. A sentinel default, unlike ``*point``, costs nothing per
-        build. Reading ``__dict__`` would materialise the instance dict,
-        slowing later reads on CPython 3.11.
+        It skips ``__init__`` and sets ``lines`` as ``__init__`` does, through
+        ``object.__setattr__``. ``point``, if given, is the lines' triple
+        point, set the same way, so ``triple_point`` reads it without
+        counting. One caller gives it: ``enumerate_good_announcements``,
+        which hands out every relabelled announcement, the protocol tables'
+        included, with its relabelled point. The parser and enumeration's
+        reference list leave it to be counted. A sentinel default, unlike
+        ``*point``, costs nothing per build. Writing the point into
+        ``__dict__`` instead would materialise the instance dict, slowing
+        later reads on CPython 3.11.
         """
         ann = object.__new__(cls)
         object.__setattr__(ann, "lines", lines)
         if point is not _UNCOUNTED:
-            object.__setattr__(ann, "triple_point", point)  # fills the cached_property; the class is frozen
+            object.__setattr__(ann, "triple_point", point)  # fills the cached_property past Frozen.__setattr__
         return ann
 
     @property

@@ -30,6 +30,8 @@ point along (see ``enumeration``), so a build counts no cards. It makes one
 ``Fraction`` per class and keeps one ``Announcement`` per distinct
 announcement, shared by every hand that lists it: 420 objects in the tables
 at the paper's deal, of the 2,100 that the 35 enumerations hand out.
+A validation's report and issues are named tuples; a ``Protocol`` and its
+``Likelihoods``, which hold dicts and caches, are unhashable plain classes.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import accumulate
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .axioms import is_good
 from .enumeration import enumerate_good_announcements
@@ -50,6 +51,7 @@ from .guard import comb_within, require_work, resolve_max_work
 from .model import (
     Announcement,
     CardSet,
+    Frozen,
     Parameters,
     card_set,
     enumerate_ksets,
@@ -62,6 +64,7 @@ from .model import (
 PAPER_PARAMS = Parameters(3, 3, 1)
 PAPER_LINES = 5
 PROTOCOL_KINDS = ("uniform60", "fact1", "fact2_conditional", "fact2_literal")
+Table = dict[CardSet, tuple[tuple[Announcement, Fraction], ...]]  # each hand's (announcement, probability) list
 
 
 def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -70,8 +73,7 @@ def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denominator, [value.numerator * (denominator // value.denominator) for value in values]
 
 
-@dataclass(frozen=True)
-class Likelihoods:
+class Likelihoods(Frozen):
     """A protocol's table indexed by announcement, in integers over one denominator.
 
     ``columns[ann][hand] / denominator`` is the hand's probability of
@@ -84,14 +86,17 @@ class Likelihoods:
     and takes no part in ``==`` or ``repr``.
     """
 
-    denominator: int
-    columns: dict[Announcement, dict[CardSet, int]]
-    rows: dict[Announcement, tuple[int, ...]]
-    ratios: dict[int, dict[int, Fraction]] = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("denominator", "columns", "rows")
+
+    def __init__(self, denominator: int, columns: dict[Announcement, dict[CardSet, int]],
+                 rows: dict[Announcement, tuple[int, ...]]) -> None:
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ratios", {})
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(Frozen):
     """A named protocol: each hand's announcement distribution; its kind fixes the hand weights.
 
     ``likelihoods`` indexes the table by announcement. It is derived at first
@@ -99,10 +104,13 @@ class Protocol:
     construction: to change one, build a new ``Protocol`` from a copied dict.
     """
 
-    kind: str
-    params: Parameters
-    table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]]
-    point: int | None = None
+    _fields = ("kind", "params", "table", "point")
+
+    def __init__(self, kind: str, params: Parameters, table: Table, point: int | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "point", point)
 
     def hand_weight(self, hand: CardSet) -> Fraction:
         """Hand-level weight: 1 unless the literal reading applies (see ``_literal_weight``)."""
@@ -183,7 +191,7 @@ def build_protocol(
     _check_request(kind, params, point)
     max_work = resolve_max_work(max_work)  # once, for all the hands' enumerations
     shared: dict[tuple[CardSet, ...], Announcement] = {}  # one object per announcement, whatever its hands
-    table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
+    table: Table = {}
     for hand in enumerate_ksets(params.v, params.a):
         anns = enumerate_good_announcements(params, hand, PAPER_LINES, max_work=max_work)
         if kind.startswith("fact2"):
@@ -221,15 +229,13 @@ def sample_many(proto: Protocol, hand: Iterable[int], seed, n: int) -> list[Anno
     return [dist[bisect_right(thresholds, rng.randrange(denom)) - 1][0] for _ in range(n)]
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     kind: str  # coverage | normalization | positivity | duplicate | truthfulness | safety
     hand: CardSet | None
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     issues: tuple[ValidationIssue, ...]
 
@@ -365,7 +371,7 @@ def protocol_from_json(data: dict) -> Protocol:
             parsed[text] = parse_announcement(text, params)
         return parsed[text]
 
-    table: dict[CardSet, tuple[tuple[Announcement, Fraction], ...]] = {}
+    table: Table = {}
     key_of: dict[CardSet, str] = {}
     for hand_text, entries in data["table"].items():
         hand = parse_card_set(hand_text, params.v, params.a)
