@@ -28,7 +28,12 @@ else. The JSON form is
 ``{"params": [a, b, c], "lines": [[0, 1, 2], ...]}``; a bare array of arrays
 is accepted as well. Parsing always canonicalises (cards sorted within a
 line, lines sorted lexicographically), so ``parse`` after ``format`` is the
-identity on canonical announcements.
+identity on canonical announcements. For decks of at most ten cards, a
+private table maps each line parsed so far, keyed by its canonical digit text
+("012"), to its line tuple; keys are strictly increasing digit strings, so it
+holds at most 1,023 entries. A text token of up to ten characters is looked
+up by its sorted characters, and a hit is re-checked only for line size and
+card range; a miss, or a failed re-check, reads the token in full.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 CardSet = tuple[int, ...]
 _UNCOUNTED = object()  # ``Announcement._trusted`` without a triple point
+_LINES: dict[str, CardSet] = {}  # a parsed line's canonical digit text -> the line, for v <= 10
 
 
 class AnnouncementParseError(ValueError):
@@ -293,8 +299,16 @@ def parse_announcement(text: str, params: Parameters) -> Announcement:
         lines = _json_lines(stripped, params)
     else:
         a, v = params.a, params.v
+        table = _LINES if v <= 10 else None
         lines = []
         for index, token in enumerate(stripped.split()):
+            # A key is strictly increasing ASCII digits, so a token whose
+            # sorted characters match one reads as that line's distinct cards.
+            if table is not None and len(token) <= 10:
+                line = table.get("".join(sorted(token)))
+                if line is not None and len(line) == a and line[-1] < v:
+                    lines.append(line)
+                    continue
             cards = _token_cards(token, v)
             line = tuple(sorted(cards))
             # Text cards are nonnegative integers, so one test covers size,
@@ -302,6 +316,8 @@ def parse_announcement(text: str, params: Parameters) -> Announcement:
             # error that names the fault.
             if len(line) != a or line[-1] >= v or len(set(line)) != a:
                 _checked_line(cards, params, index, token)
+            if table is not None:
+                table["".join(map(str, line))] = line
             lines.append(line)
     return _canonical(lines, params)
 

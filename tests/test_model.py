@@ -1,11 +1,13 @@
 import json
+import random
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cardeal import (
@@ -24,6 +26,7 @@ from cardeal import (
     parse_announcement,
     posterior_lines,
 )
+from cardeal import model
 from cardeal.model import announcement_json, build_masks, format_card_set, from_mask, parse_card_set, to_mask
 
 
@@ -116,8 +119,49 @@ def test_parse_refuses_json_nested_too_deeply(p331):
 PARSE_ERRORS = json.loads((Path(__file__).parent / "data" / "parse_errors_golden.json").read_text("utf-8"))
 
 
-@pytest.mark.parametrize("case", PARSE_ERRORS, ids=lambda case: f"{case['parse']}:{case['text'][:24]}")
-def test_parse_error_messages_are_unchanged(case):
+# Every strictly increasing digit string, keyed to its line: the parser's line
+# table at its bound of 1,023 entries.
+FULL_LINE_TABLE = {
+    "".join(map(str, cards)): cards for size in range(1, 11) for cards in combinations(range(10), size)
+}
+FULL = pytest.mark.full_line_table
+
+
+@contextmanager
+def line_table(entries=()):
+    """Run the block with the parser's line table holding ``entries`` alone; yield that table."""
+    saved = model._LINES
+    model._LINES = table = dict(entries)
+    try:
+        yield table
+    finally:
+        model._LINES = saved
+
+
+@pytest.fixture
+def table(request):
+    """The parser's line table for one test: full if the test is marked ``full_line_table``, else empty."""
+    with line_table(FULL_LINE_TABLE if request.node.get_closest_marker("full_line_table") else ()) as entries:
+        yield entries
+
+
+def _case_id(case):
+    return f"{case['parse']}:{case['text'][:24]}"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *PARSE_ERRORS,
+        *(
+            pytest.param(case, marks=FULL, id="full-table:" + _case_id(case))
+            for case in PARSE_ERRORS
+            if case["parse"] == "announcement"
+        ),
+    ],
+    ids=_case_id,
+)
+def test_parse_error_messages_are_unchanged(case, table):
     params = Parameters(*case["params"])
     with pytest.raises(ValueError) as exc:
         if case["parse"] == "announcement":
@@ -139,11 +183,59 @@ NOT_ASCII_DECIMAL = [
 ]
 
 
-@pytest.mark.parametrize("params, text, token", NOT_ASCII_DECIMAL)
-def test_card_text_takes_ascii_decimal_digits_only(params, text, token):
+@pytest.mark.parametrize(
+    "params, text, token", [*NOT_ASCII_DECIMAL, *(pytest.param(*case, marks=FULL) for case in NOT_ASCII_DECIMAL)]
+)
+def test_card_text_takes_ascii_decimal_digits_only(params, text, token, table):
     with pytest.raises(AnnouncementParseError) as exc:
         parse_announcement(text, Parameters(*params))
     assert str(exc.value) == f"cannot read cards from {token!r}"
+
+
+def test_the_line_table_reads_every_digit_set_as_the_token_reader_does(table):
+    rng = random.Random(0)
+    admitted = 0
+    for key, cards in FULL_LINE_TABLE.items():
+        # Nine or ten cards fit no deck of at most ten: b and c are at least 1.
+        v = max(cards[-1] + 1, len(cards) + 2)
+        if v > 10:
+            continue
+        params = Parameters(len(cards), v - len(cards) - 1, 1)
+        token = "".join(rng.sample(key, len(key)))
+        table.clear()
+        cold = parse_announcement(token, params)
+        assert cold.lines == (cards,) and table == {key: cards}
+        table.update(FULL_LINE_TABLE)
+        assert parse_announcement(token, params).lines[0] is cards  # read off the table
+        admitted += 1
+    assert admitted == 1023 - 11
+
+
+def _outcome(text, params):
+    try:
+        return parse_announcement(text, params).lines
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Arbitrary characters, half of them ASCII digits, or card lists in digit or comma form.
+card_token = st.text(
+    st.sampled_from("0123456789") | st.sampled_from(",+-_x\u0663\uff13"), min_size=1, max_size=14
+) | st.builds(str.join, st.sampled_from(["", ","]), st.lists(st.integers(0, 11).map(str), min_size=1, max_size=11))
+small_decks = st.sampled_from([(1, 1, 1), (2, 2, 3), (3, 3, 1), (4, 3, 1), (5, 4, 1), (8, 1, 1), (3, 8, 1)])
+
+
+@given(st.lists(card_token, min_size=1, max_size=6), small_decks.map(lambda abc: Parameters(*abc)))
+@example(["019"], Parameters(3, 3, 1))
+def test_the_line_table_changes_no_parse_and_keys_only_digit_sets(tokens, params):
+    text = " ".join(tokens)
+    with line_table() as cold:
+        expected = _outcome(text, params)
+    # FULL_LINE_TABLE holds every strictly increasing ASCII-digit key with its line.
+    assert cold.items() <= FULL_LINE_TABLE.items()
+    with line_table(FULL_LINE_TABLE) as full:
+        assert _outcome(text, params) == expected
+    assert full == FULL_LINE_TABLE
 
 
 @pytest.mark.parametrize("text, v", [("\u0663", 7), ("0, 1", 12), ("1_1", 12), ("0,-1", 7), ("0,+1", 12)])
