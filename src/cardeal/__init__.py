@@ -6,18 +6,7 @@ exhaustively enumerates good announcements at small parameters, and performs
 exact rational Bayesian bias analysis of announcement-producing protocols.
 """
 
-from .axioms import (
-    AxiomReport,
-    AmbiguousLineError,
-    InferenceError,
-    NoLineError,
-    bob_infer,
-    bob_sets,
-    cathy_card_counts,
-    check_axioms,
-    is_good,
-    lines_avoiding,
-)
+from .axioms import AxiomReport, check_axioms, is_good
 from .bias import BiasReport, PosteriorTable, bias_report, posterior_lines, prior_point_in_hand
 from .designs import (
     DesignProfile,
@@ -59,15 +48,12 @@ from .protocols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousLineError",
     "Announcement",
     "AnnouncementParseError",
     "AxiomReport",
     "BiasReport",
     "CardSet",
     "DesignProfile",
-    "InferenceError",
-    "NoLineError",
     "PAPER_LINES",
     "PAPER_PARAMS",
     "PROTOCOL_KINDS",
@@ -77,11 +63,8 @@ __all__ = [
     "WorkLimitExceeded",
     "bias_report",
     "binary_design",
-    "bob_infer",
-    "bob_sets",
     "build_protocol",
     "card_set",
-    "cathy_card_counts",
     "check_axioms",
     "classify_by_triple",
     "covalency",
@@ -92,7 +75,6 @@ __all__ = [
     "format_announcement",
     "format_card_set",
     "is_good",
-    "lines_avoiding",
     "parse_announcement",
     "parse_card_set",
     "posterior_lines",

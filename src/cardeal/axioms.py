@@ -1,4 +1,4 @@
-"""The five combinatorial safety checks and the elimination machinery.
+"""The five combinatorial safety checks and the one kernel that decides them.
 
 An announcement is examined from the receivers' points of view. For a set X
 of cards held by someone else, the lines *avoiding* X (disjoint from it) are
@@ -53,8 +53,7 @@ cards skipped by index, only until one differs from n. The sweep records, per
 c-set, its constant or, where the counts differ, the c-set alone; the CA4 and
 CA5 verdicts share that list of violating c-sets, so a report takes
 O(C(v, c)) small entries. A ``CountVerdict`` builds a witness's (card, count)
-pairs from the per-card masks only when it is read. ``cathy_card_counts``
-takes the same popcounts for one c-set.
+pairs from the per-card masks only when it is read.
 ``is_good`` is the early exit of the same pair pass and sweep: it stops at the
 first clashing pair, then at the first c-set with an outside card held by
 every avoiding line (CA2) or by none (CA3), skipping X's own cards by index.
@@ -81,24 +80,11 @@ from .model import (
     Frozen,
     Parameters,
     build_masks,
-    card_set,
     check_lines,
     format_card_set,
     from_mask,
     to_mask,
 )
-
-
-class InferenceError(LookupError):
-    """The announcement does not determine a unique line for this hand."""
-
-
-class NoLineError(InferenceError):
-    """No line avoids the hand; the deal is inconsistent with a truthful announcement."""
-
-
-class AmbiguousLineError(InferenceError):
-    """Two or more lines avoid the hand (a CA1 violation for this hand)."""
 
 
 class AmbiguityWitness(NamedTuple):
@@ -208,61 +194,12 @@ class AxiomReport(NamedTuple):
         return getattr(self, axiom).passed
 
 
-def lines_avoiding(ann: Announcement, x: Iterable[int]) -> list[CardSet]:
-    """The lines disjoint from x, in canonical order."""
-    xs = set(card_set(x))
-    return [line for line in ann.lines if xs.isdisjoint(line)]
-
-
-def bob_sets(ann: Announcement, x: Iterable[int], params: Parameters) -> list[CardSet]:
-    """The receiver hands the eavesdropper holding x considers possible.
-
-    One candidate per avoiding line: the rest of the deck once x and that
-    line are removed, distinct as the lines are. The result is sorted.
-    """
-    check_lines(ann, params.a, params.v)
-    xs = card_set(x, params.v, params.c)
-    rest = ((1 << params.v) - 1) & ~to_mask(xs)
-    return sorted(from_mask(rest & ~to_mask(line)) for line in lines_avoiding(ann, xs))
-
-
-def bob_infer(ann: Announcement, bob_hand: Iterable[int]) -> CardSet:
-    """The unique line avoiding the receiver's hand.
-
-    Raises NoLineError when elimination leaves nothing and
-    AmbiguousLineError when it leaves two or more lines.
-    """
-    hand = card_set(bob_hand)
-    hits = lines_avoiding(ann, hand)
-    if not hits:
-        raise NoLineError(f"no line avoids {hand}")
-    if len(hits) > 1:
-        raise AmbiguousLineError(f"{len(hits)} lines avoid {hand}: {hits}")
-    return hits[0]
-
-
-def cathy_card_counts(ann: Announcement, x: Iterable[int], params: Parameters) -> dict[int, int]:
-    """Occurrences of every deck card among the lines avoiding x; cards of x map to 0.
-
-    The popcounts of the per-card masks that ``check_axioms`` reads."""
-    check_lines(ann, params.a, params.v)
-    xs = card_set(x, params.v, params.c)
-    cards = build_masks(ann.lines, params.v)[1]
-    return dict(enumerate(_card_counts(cards, (1 << len(ann)) - 1, xs)[1]))
-
-
-def _card_counts(cards: Sequence[int], every: int, xs: CardSet) -> tuple[int, list[int]]:
-    """The number of lines avoiding xs, and how many of them hold each deck card."""
-    avoid = every
-    for x in xs:
-        avoid &= ~cards[x]
-    return avoid.bit_count(), [(lines & avoid).bit_count() for lines in cards]
-
-
 def _uneven_counts(cards: Sequence[int], every: int, ca5: bool, xs: CardSet) -> tuple[tuple[int, int], ...]:
     """(card, count) for each card outside xs: n_X for CA4, or m_X = |avoid_X| - n_X for CA5."""
-    total, ns = _card_counts(cards, every, xs)
-    return tuple((y, total - n if ca5 else n) for y, n in enumerate(ns) if y not in xs)
+    avoid = reduce(and_, (every ^ cards[x] for x in xs), every)
+    total = avoid.bit_count()
+    counts = ((y, (lines & avoid).bit_count()) for y, lines in enumerate(cards) if y not in xs)
+    return tuple((y, total - n if ca5 else n) for y, n in counts)
 
 
 def _prepare(ann: Announcement, params: Parameters, max_work: int | None) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -8,72 +8,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import avoiding
 
 import cardeal
-from cardeal import (
-    AmbiguousLineError,
-    Announcement,
-    NoLineError,
-    Parameters,
-    WorkLimitExceeded,
-    bob_infer,
-    bob_sets,
-    cathy_card_counts,
-    check_axioms,
-    is_good,
-    lines_avoiding,
-)
+from cardeal import Announcement, Parameters, WorkLimitExceeded, check_axioms, is_good
 from cardeal import axioms, model
 from cardeal.axioms import AXIOM_NAMES, CountVerdict, axiom_report_json
 from cardeal.cli import _verify_text
 from cardeal.designs import binary_design
 from cardeal.guard import resolve_max_work
 from cardeal.model import check_lines
-
-
-def test_lines_avoiding_five_hand(five_hand):
-    assert lines_avoiding(five_hand, (5,)) == [(0, 1, 2), (0, 3, 4), (2, 4, 6)]
-    assert lines_avoiding(five_hand, ()) == list(five_hand.lines)
-
-
-def test_lines_avoiding_seven_hand(seven_hand):
-    assert lines_avoiding(seven_hand, (0,)) == [(1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
-
-
-def test_bob_sets_five_hand(five_hand, p331):
-    assert bob_sets(five_hand, (5,), p331) == [(0, 1, 3), (1, 2, 6), (3, 4, 6)]
-
-
-def test_bob_sets_seven_hand(seven_hand, p331):
-    candidates = bob_sets(seven_hand, (0,), p331)
-    assert len(candidates) == 4
-    assert all(len(c) == 3 for c in candidates)
-    # independently: each candidate is the deck minus the observer card minus one avoiding line
-    rest = set(range(7)) - {0}
-    expected = sorted(tuple(sorted(rest - set(line))) for line in lines_avoiding(seven_hand, (0,)))
-    assert candidates == expected
-
-
-def test_bob_sets_empty_when_nothing_avoids(p331):
-    ann = Announcement.of([(0, 1, 2)])
-    assert bob_sets(ann, (0,), p331) == []
-
-
-def test_bob_sets_match_the_mask_construction(p331):
-    # The oracle builds each candidate from the line masks, complementing x and
-    # an avoiding line's mask within the deck, and drops duplicates. Every
-    # observer card of every good (3,3,1) announcement of 5, 6 and 7 lines.
-    omega = (1 << p331.v) - 1
-    for k in (5, 6, 7):
-        hands = combinations(range(7), 3)
-        anns = {ann for hand in hands for ann in cardeal.enumerate_good_announcements(p331, hand, k)}
-        assert len(anns) == {5: 420, 6: 210, 7: 30}[k]
-        for ann in anns:
-            masks = model.build_masks(ann.lines, p331.v)[0]
-            for x in combinations(range(p331.v), p331.c):
-                xm = model.to_mask(x)
-                candidates = {omega & ~(xm | m) for m in masks if not m & xm}
-                assert bob_sets(ann, x, p331) == sorted(map(model.from_mask, candidates)), (ann.lines, x)
 
 
 def test_five_hand_verdicts(five_hand, p331):
@@ -152,22 +96,6 @@ def test_empty_avoiding_family_semantics(p331):
     assert report.ca5.constants[(0,)] == 0
 
 
-def test_bob_infer(five_hand):
-    assert bob_infer(five_hand, (1, 2, 6)) == (0, 3, 4)
-    with pytest.raises(NoLineError):
-        bob_infer(five_hand, (0, 3, 4))
-    with pytest.raises(AmbiguousLineError):
-        bob_infer(Announcement.of([(0, 1, 2), (0, 1, 3)]), (4, 5, 6))
-
-
-def test_cathy_card_counts(five_hand, seven_hand, p331):
-    counts = cathy_card_counts(five_hand, (3,), p331)
-    assert counts[2] == 2 and counts[1] == 1 and counts[3] == 0
-    assert cathy_card_counts(seven_hand, (0,), p331) == {0: 0, 1: 2, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2}
-    counts5 = cathy_card_counts(five_hand, (5,), p331)
-    assert counts5[2] == 2 and counts5[1] == 1
-
-
 def test_size_mismatch_rejected(five_hand):
     with pytest.raises(ValueError):
         check_axioms(five_hand, Parameters(4, 3, 1))
@@ -219,16 +147,6 @@ def test_absurd_label_is_refused_before_the_masks_are_built(kernel, p331, monkey
     with pytest.raises(ValueError, match="out of range"):
         kernel(Announcement(((0, 1, 10**9),)), p331)
     assert built == []
-
-
-@pytest.mark.parametrize("x", [(0, 1), (9,)])
-def test_cathy_card_counts_refuses_a_bad_set_before_the_masks_are_built(x, five_hand, p331, monkeypatch):
-    def unbuilt(*args):
-        raise AssertionError("masks were built before x was checked")
-
-    monkeypatch.setattr(axioms, "build_masks", unbuilt)
-    with pytest.raises(ValueError):
-        cathy_card_counts(five_hand, x, p331)
 
 
 def test_single_line_sweep_is_charged_per_outside_card():
@@ -302,9 +220,11 @@ def test_comparing_two_reports_at_2_60_3_peaks_under_60_mib():
     assert int(proc.stdout) < 60 * 1024
 
 
-def test_cathy_card_counts_agree_with_the_report():
-    # Both read the per-card masks: over the outside cards, cathy_card_counts
-    # gives the c-set's CA4 constant or its violation's counts.
+def test_witness_counts_agree_with_set_counts_over_the_avoiding_lines():
+    # The oracle counts with sets: n_X(y) is the number of lines avoiding X
+    # that hold y, m_X(y) the number of the receiver's candidates, the deck
+    # less X and one avoiding line, that hold y. Over the outside cards these
+    # are a c-set's CA4 and CA5 constants or its violations' counts.
     rng = random.Random(4913)
     checked = 0
     for params in (Parameters(3, 3, 1), Parameters(4, 3, 1), Parameters(3, 2, 2), Parameters(2, 2, 3)):
@@ -313,14 +233,17 @@ def test_cathy_card_counts_agree_with_the_report():
             ann = Announcement.of(rng.sample(all_lines, rng.randint(1, 12)))
             report = check_axioms(ann, params)
             for xs in combinations(range(params.v), params.c):
-                counts = cathy_card_counts(ann, xs, params)
-                outside = tuple((y, counts[y]) for y in range(params.v) if y not in xs)
-                assert all(counts[x] == 0 for x in xs)
-                witness = report.ca4.violation_for(xs)
-                if witness is None:
-                    assert {n for _, n in outside} == {report.ca4.constants[xs]}
-                else:
-                    assert witness.counts == outside
+                avoid = avoiding(ann, xs)
+                rest = set(range(params.v)) - set(xs)
+                candidates = [rest - set(line) for line in avoid]
+                n = tuple((y, sum(y in line for line in avoid)) for y in sorted(rest))
+                m = tuple((y, sum(y in hand for hand in candidates)) for y in sorted(rest))
+                for verdict, counts in ((report.ca4, n), (report.ca5, m)):
+                    witness = verdict.violation_for(xs)
+                    if witness is None:
+                        assert {count for _, count in counts} == {verdict.constants[xs]}
+                    else:
+                        assert witness.counts == counts
             checked += 1
     assert checked == 300
 
@@ -346,7 +269,7 @@ def test_ca4_iff_ca5_with_count_relation(case):
     assert report.ca4.passed == report.ca5.passed
     if report.ca4.passed:
         for x, n in report.ca4.constants.items():
-            size = len(lines_avoiding(ann, x))
+            size = len(avoiding(ann, x))
             assert report.ca5.constants[x] == size - n
             assert n * (params.a + params.b) == params.a * size
 
@@ -362,11 +285,16 @@ def _announcements(abc):
 def test_outside_counts_sum_to_a_per_avoiding_line(case):
     # Each line avoiding X holds a cards, all outside X, so the outside counts
     # sum to a * |avoid_X|: the identity that fixes CA4's only possible constant.
+    # The kernel's counts, a constant or a witness's, are the set counts.
     params, ann = case
+    report = check_axioms(ann, params)
     for x in combinations(range(params.v), params.c):
-        counts = cathy_card_counts(ann, x, params)
-        outside = sum(n for y, n in counts.items() if y not in x)
-        assert outside == params.a * len(lines_avoiding(ann, x)), (ann, x)
+        avoid = avoiding(ann, x)
+        counts = [sum(y in line for line in avoid) for y in range(params.v) if y not in x]
+        assert sum(counts) == params.a * len(avoid), (ann, x)
+        witness = report.ca4.violation_for(x)
+        kernel = [n for _, n in witness.counts] if witness else [report.ca4.constants[x]] * len(counts)
+        assert kernel == counts, (ann, x)
 
 
 @settings(deadline=None)
@@ -376,7 +304,7 @@ def test_constant_count_independent_of_single_observer_card(ann):
     report = check_axioms(ann, params)
     if report.ca4.passed:
         assert len(set(report.ca4.constants.values())) == 1
-        sizes = {len(lines_avoiding(ann, x)) for x in report.ca4.constants}
+        sizes = {len(avoiding(ann, x)) for x in report.ca4.constants}
         assert len(sizes) == 1
 
 
@@ -426,34 +354,35 @@ def test_failure_witnesses_reproduce_violations(ann):
         assert all(not set(w.x) & set(line) for line in w.lines)
     if not report.ca2.passed:
         w = report.ca2.witness
-        avoid = lines_avoiding(ann, w.x)
+        avoid = avoiding(ann, w.x)
         assert avoid and set(w.common) == set.intersection(*(set(l) for l in avoid))
         assert w.common
     if not report.ca3.passed:
         w = report.ca3.witness
-        avoid = lines_avoiding(ann, w.x)
+        avoid = avoiding(ann, w.x)
         covered = set().union(*(set(l) for l in avoid)) if avoid else set()
         assert set(w.missing) == set(range(7)) - set(w.x) - covered
         assert w.missing
     for witness in map(report.ca4.violation_for, report.ca4.violating):
         counts = dict(witness.counts)
-        recomputed = cathy_card_counts(ann, witness.x, params)
-        assert all(recomputed[card] == n for card, n in counts.items())
+        avoid = avoiding(ann, witness.x)
+        assert all(sum(card in line for line in avoid) == n for card, n in counts.items())
         assert len(set(counts.values())) > 1
     for witness in map(report.ca5.violation_for, report.ca5.violating):
         counts = dict(witness.counts)
-        candidates = bob_sets(ann, witness.x, params)
-        for card, n in counts.items():
-            assert sum(1 for c in candidates if card in c) == n
+        rest = set(range(7)) - set(witness.x)
+        candidates = [rest - set(line) for line in avoiding(ann, witness.x)]
+        assert all(sum(card in c for c in candidates) == n for card, n in counts.items())
         assert len(set(counts.values())) > 1
 
 
 def test_soundness_of_goodness(five_hand, seven_hand, p331):
+    # Bob's hand leaves exactly one line that avoids it: Alice's.
     for ann in (five_hand, seven_hand):
         for alice in ann.lines:
             free = [c for c in range(7) if c not in alice]
             for bob in combinations(free, 3):
-                assert bob_infer(ann, bob) == alice
+                assert avoiding(ann, bob) == [alice]
 
 
 def test_report_json_schema(five_hand, p331):

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import avoiding
 
 from cardeal import (
     Announcement,
@@ -15,7 +16,6 @@ from cardeal import (
     covalency,
     covalency_over,
     design_profile,
-    lines_avoiding,
     parse_announcement,
 )
 from cardeal.designs import profile_json
@@ -201,7 +201,7 @@ def test_binary4_larger_profile():
 
 def test_residuals_of_binary_designs_are_2_designs(binary3):
     for x in range(8):
-        residual = lines_avoiding(binary3, (x,))
+        residual = avoiding(binary3, (x,))
         points = [p for p in range(8) if p != x]
         assert covalency_over(residual, points, 2) is not None
 
@@ -254,7 +254,7 @@ def test_strength3_iff_all_residuals_strength2(ann):
     is_3design = covalency(ann, 7, 3) is not None
     is_1design = covalency(ann, 7, 1) is not None
     residuals_ok = all(
-        covalency_over(lines_avoiding(ann, (x,)), [p for p in range(7) if p != x], 2) is not None
+        covalency_over(avoiding(ann, (x,)), [p for p in range(7) if p != x], 2) is not None
         for x in range(7)
     )
     assert is_3design == (is_1design and residuals_ok)

@@ -15,6 +15,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from oracles import avoiding
 from test_acceptance import _theorem_corpus
 
 from cardeal import (
@@ -25,7 +26,6 @@ from cardeal import (
     covalency_over,
     design_profile,
     is_good,
-    lines_avoiding,
 )
 from cardeal.designs import binary_design
 from cardeal.guard import DEFAULT_MAX_WORK
@@ -267,7 +267,7 @@ def _sweep_after_ca2_and_ca3(params, ann, report):
     last = max(report.ca2.witness.x, report.ca3.witness.x)
     for x in combinations(range(params.v), params.c):
         if x > last:
-            if params.a * len(lines_avoiding(ann, x)) % (params.v - params.c):
+            if params.a * len(avoiding(ann, x)) % (params.v - params.c):
                 yield "indivisible"
             else:
                 yield "constant" if x in report.ca4.constants else "refuted"
@@ -343,7 +343,7 @@ def _assert_scanner_matches_oracle(ann, v):
             continue
         assert covalency(ann, v, t) == oracle_covalency_over(ann.lines, range(v), t), (ann, t)
         for x in range(v):
-            residual, points = lines_avoiding(ann, (x,)), [p for p in range(v) if p != x]
+            residual, points = avoiding(ann, (x,)), [p for p in range(v) if p != x]
             expected = oracle_covalency_over(residual, points, t)
             assert covalency_over(residual, points, t) == expected, (ann, x, t)
 

@@ -14,15 +14,11 @@ from cardeal import (
     Announcement,
     AnnouncementParseError,
     Parameters,
-    bob_infer,
-    bob_sets,
     build_protocol,
-    cathy_card_counts,
     check_axioms,
     enumerate_ksets,
     format_announcement,
     is_good,
-    lines_avoiding,
     parse_announcement,
     posterior_lines,
 )
@@ -393,8 +389,6 @@ def _traced(call):
         "format_announcement",
         "announcement_json",
         "posterior_lines",
-        "bob_sets",
-        "cathy_card_counts",
     ],
 )
 def test_absurd_card_label_is_refused_before_any_mask(call, p331, uniform60):
@@ -404,8 +398,6 @@ def test_absurd_card_label_is_refused_before_any_mask(call, p331, uniform60):
         "format_announcement": lambda ann: format_announcement(ann, p331),
         "announcement_json": lambda ann: announcement_json(ann, p331),
         "posterior_lines": lambda ann: posterior_lines(uniform60, ann),
-        "bob_sets": lambda ann: bob_sets(ann, (3,), p331),
-        "cathy_card_counts": lambda ann: cathy_card_counts(ann, (3,), p331),
     }
     ann = Announcement.of([ABSURD_LINE])
 
@@ -414,22 +406,3 @@ def test_absurd_card_label_is_refused_before_any_mask(call, p331, uniform60):
             calls[call](ann)
 
     assert _traced(refused)[1] < 1 << 20
-
-
-@pytest.mark.parametrize("call", ["lines_avoiding", "bob_infer"])
-def test_avoiding_an_absurd_card_label_builds_no_mask(call):
-    # Neither takes parameters, so nothing refuses the line; it is read as cards.
-    calls = {
-        "lines_avoiding": (lambda ann: lines_avoiding(ann, (3,)), [ABSURD_LINE]),
-        "bob_infer": (lambda ann: bob_infer(ann, (3, 4, 5)), ABSURD_LINE),
-    }
-    ann = Announcement.of([ABSURD_LINE])
-    fn, expected = calls[call]
-    result, peak = _traced(lambda: fn(ann))
-    assert peak < 1 << 20
-    assert result == expected
-
-
-def test_lines_avoiding_refuses_a_negative_card():
-    with pytest.raises(ValueError):
-        lines_avoiding(Announcement.of([(0, 1, 2)]), (-1,))
