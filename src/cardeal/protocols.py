@@ -23,13 +23,13 @@ hand's good announcements, and every class gets equal mass, spread uniformly.
   paper's deal). A fixed hand determines its class, so the bias analyzer
   applies this weight, ``Protocol.hand_weight``, outside any distribution.
 
-Every class is read off the triple point. A build takes each hand's good
-announcements from ``enumerate_good_announcements``, the reference hand's
-list relabelled, and the relabelling carries each reference announcement's
-point along (see ``enumeration``), so a build counts no cards. It makes one
-``Fraction`` per class and keeps one ``Announcement`` per distinct
-announcement, shared by every hand that lists it: 420 objects in the tables
-at the paper's deal, of the 2,100 that the 35 enumerations hand out.
+Every class is read off the triple point. Each hand's good announcements
+come from ``enumerate_good_announcements``, the reference hand's list
+relabelled with each announcement's point carried along (see
+``enumeration``), so a build counts no cards. The 35 lists are built once
+per process, one ``Announcement`` per distinct announcement, shared by every
+hand and build that lists it: 420 objects, of the 2,100 the enumerations
+hand out. A build then filters them by class and makes one ``Fraction`` each.
 A validation's report and issues are named tuples; a ``Protocol`` and its
 ``Likelihoods``, which hold dicts and caches, are unhashable plain classes.
 """
@@ -41,9 +41,9 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from math import comb, gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .axioms import is_good
 from .enumeration import enumerate_good_announcements
@@ -65,6 +65,8 @@ PAPER_PARAMS = Parameters(3, 3, 1)
 PAPER_LINES = 5
 PROTOCOL_KINDS = ("uniform60", "fact1", "fact2_conditional", "fact2_literal")
 Table = dict[CardSet, tuple[tuple[Announcement, Fraction], ...]]  # each hand's (announcement, probability) list
+# The paper deal's hands and their good PAPER_LINES-line announcements, shared by every build in the process.
+_HAND_LISTS: dict[CardSet, tuple[Announcement, ...]] = {}
 
 
 def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -187,20 +189,24 @@ def build_protocol(
     *,
     max_work: int | None = None,
 ) -> Protocol:
-    """Materialise one of the named protocols for the paper's deal."""
+    """Materialise one of the named protocols for the paper's deal, charged alike before and after the first fill."""
     _check_request(kind, params, point)
-    max_work = resolve_max_work(max_work)  # once, for all the hands' enumerations
-    shared: dict[tuple[CardSet, ...], Announcement] = {}  # one object per announcement, whatever its hands
+    max_work = resolve_max_work(max_work)  # once, for the charge and the first fill alike
+    good = partial(enumerate_good_announcements, params, k=PAPER_LINES, max_work=max_work)
+    good(hand=range(params.a))  # the charge: the reference hand's enumeration, filled or not
+    if not _HAND_LISTS:  # one update fills them, so no build reads a part
+        shared: dict[tuple[CardSet, ...], Announcement] = {}  # one object per announcement, whatever its hands
+        _HAND_LISTS.update({hand: tuple(shared.setdefault(ann.lines, ann) for ann in good(hand=hand))
+                            for hand in enumerate_ksets(params.v, params.a)})
     table: Table = {}
-    for hand in enumerate_ksets(params.v, params.a):
-        anns = enumerate_good_announcements(params, hand, PAPER_LINES, max_work=max_work)
+    for hand, anns in _HAND_LISTS.items():
         if kind.startswith("fact2"):
             anns = [ann for ann in anns if ann.triple_point == point]
         # fact1 splits by whether the triple point is held; the other kinds have one class.
         classes = [ann.triple_point in hand for ann in anns] if kind == "fact1" else [True] * len(anns)
         sizes = Counter(classes)
         share = {cls: Fraction(1, len(sizes) * size) for cls, size in sizes.items()}
-        table[hand] = tuple((shared.setdefault(ann.lines, ann), share[cls]) for ann, cls in zip(anns, classes))
+        table[hand] = tuple(zip(anns, map(share.__getitem__, classes)))
     return Protocol(kind=kind, params=params, table=table, point=point)
 
 
@@ -225,8 +231,12 @@ def sample_many(proto: Protocol, hand: Iterable[int], seed, n: int) -> list[Anno
     thresholds = list(accumulate(masses, initial=0))
     if thresholds[-1] != denom:
         raise ValueError(f"distribution for {hand} sums to {Fraction(thresholds[-1], denom)}")
-    rng = random.Random(seed)
-    return [dist[bisect_right(thresholds, rng.randrange(denom)) - 1][0] for _ in range(n)]
+    return [dist[bisect_right(thresholds, ticket) - 1][0] for ticket in islice(_tickets(seed, denom), n)]
+
+
+def _tickets(seed, denom: int) -> Iterator[int]:
+    """The tickets of ``Random(seed).randrange(denom)`` by its rule, in C: draw denom's bit length, reject >= denom."""
+    return filter(denom.__gt__, map(random.Random(seed).getrandbits, repeat(denom.bit_length())))
 
 
 class ValidationIssue(NamedTuple):

@@ -7,6 +7,7 @@ import pytest
 
 from cardeal import PAPER_PARAMS, WorkLimitExceeded, binary_design, build_protocol, design_profile, validate_protocol
 from cardeal import axioms, designs, enumeration, guard, protocols
+from cardeal.cli import main
 from cardeal.guard import comb_within, resolve_max_work
 
 HUGE = 2**4100
@@ -58,8 +59,9 @@ def calls():
     }
 
 
-@pytest.mark.parametrize("name", ["validate_protocol", "build_protocol", "design_profile", "binary_design"])
-def test_a_request_reads_the_limit_once_and_sees_it_change(name, calls, monkeypatch):
+@pytest.fixture
+def default_reads(monkeypatch):
+    """One entry per default limit that a guarded module resolves during the test."""
     reads = []
 
     def counting(value=None):
@@ -68,8 +70,34 @@ def test_a_request_reads_the_limit_once_and_sees_it_change(name, calls, monkeypa
 
     for module in (guard, axioms, designs, enumeration, protocols):
         monkeypatch.setattr(module, "resolve_max_work", counting)
+    return reads
+
+
+@pytest.mark.parametrize("name", ["validate_protocol", "build_protocol", "design_profile", "binary_design"])
+def test_a_request_reads_the_limit_once_and_sees_it_change(name, calls, default_reads):
     calls[name]()
-    assert len(reads) == 1
+    assert len(default_reads) == 1
     with pytest.raises(WorkLimitExceeded):
         calls[name](max_work=40)  # each request charges more than 40 steps
-    assert len(reads) == 1  # a request given its limit reads no default
+    assert len(default_reads) == 1  # a request given its limit reads no default
+
+
+def test_a_build_that_fills_the_hand_lists_reads_the_limit_once(cold_hand_lists, default_reads):
+    build_protocol("fact1", PAPER_PARAMS)
+    assert len(protocols._HAND_LISTS) == 35
+    assert len(default_reads) == 1  # the fill's 35 enumerations take the build's limit
+
+
+def test_a_build_under_its_charge_is_refused_whether_or_not_the_lists_are_filled(hand_lists):
+    with pytest.raises(WorkLimitExceeded, match="announcement enumeration"):
+        build_protocol("fact1", PAPER_PARAMS, max_work=40)
+    assert len(protocols._HAND_LISTS) == (35 if hand_lists == "warm" else 0)  # a refused build fills nothing
+
+
+@pytest.mark.parametrize(
+    "argv", [["sample", "--protocol", "uniform60", "--hand", "012"], ["analyze", "--protocol", "fact1"]],
+    ids=["sample", "analyze"],
+)
+def test_the_cli_refuses_a_build_at_max_work_10_whether_or_not_the_lists_are_filled(argv, hand_lists, capsys):
+    assert main([*argv, "--max-work", "10"]) == 2
+    assert "announcement enumeration" in capsys.readouterr().err

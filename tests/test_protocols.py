@@ -2,6 +2,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 
 import pytest
@@ -25,10 +26,14 @@ from cardeal import (
     triple_point,
     validate_protocol,
 )
+from cardeal import protocols
 from cardeal.enumeration import _reference_lines
-from cardeal.protocols import Protocol
+from cardeal.protocols import Protocol, _tickets
 
 KINDS_AT_A_POINT = [("uniform60", None), ("fact1", None), ("fact2_conditional", 3), ("fact2_literal", 3)]
+KINDS_AT_EVERY_POINT = [("uniform60", None), ("fact1", None)] + [
+    (kind, point) for kind in ("fact2_conditional", "fact2_literal") for point in range(7)
+]
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +125,47 @@ def three_branch_table(kind, params, point=None):
     return table
 
 
-@pytest.mark.parametrize(
-    "kind, point",
-    [("uniform60", None), ("fact1", None)]
-    + [(kind, point) for kind in ("fact2_conditional", "fact2_literal") for point in range(7)],
-)
+@pytest.mark.parametrize("kind, point", KINDS_AT_EVERY_POINT)
 def test_class_rule_matches_three_branch_oracle(kind, point, p331_module):
     assert build_protocol(kind, p331_module, point).table == three_branch_table(kind, p331_module, point)
+
+
+def per_hand_build_table(kind, params, point=None):
+    """Oracle: the build loop that enumerated every hand afresh in every build, sharing objects within the build."""
+    shared = {}
+    table = {}
+    for hand in enumerate_ksets(params.v, params.a):
+        anns = enumerate_good_announcements(params, hand, PAPER_LINES)
+        if kind.startswith("fact2"):
+            anns = [ann for ann in anns if ann.triple_point == point]
+        classes = [ann.triple_point in hand for ann in anns] if kind == "fact1" else [True] * len(anns)
+        sizes = Counter(classes)
+        share = {cls: Fraction(1, len(sizes) * size) for cls, size in sizes.items()}
+        table[hand] = tuple((shared.setdefault(ann.lines, ann), share[cls]) for ann, cls in zip(anns, classes))
+    return table
+
+
+@pytest.mark.parametrize("kind, point", KINDS_AT_EVERY_POINT)
+def test_a_build_equals_the_per_hand_build_loop(kind, point, hand_lists, p331_module):
+    table = build_protocol(kind, p331_module, point).table
+    assert all(type(dist) is tuple for dist in table.values())
+    assert table == per_hand_build_table(kind, p331_module, point)
+
+
+def test_the_four_kinds_share_420_announcement_objects(cold_hand_lists, p331_module):
+    built = [build_protocol(kind, p331_module, point) for kind, point in KINDS_AT_A_POINT]
+    assert len({id(ann) for proto in built for dist in proto.table.values() for ann, _ in dist}) == 420
+    assert len({id(ann) for anns in protocols._HAND_LISTS.values() for ann in anns}) == 420
+
+
+def test_editing_a_built_table_leaves_later_builds_unchanged(p331_module):
+    edited = build_protocol("fact1", p331_module)
+    edited.table[(0, 1, 2)] = edited.table[(0, 1, 2)][:1]
+    edited.table[(4, 5, 6)] = ()
+    del edited.table[(0, 1, 3)]
+    assert all(type(anns) is tuple and len(anns) == 60 for anns in protocols._HAND_LISTS.values())
+    for kind, point in KINDS_AT_A_POINT:
+        assert build_protocol(kind, p331_module, point).table == per_hand_build_table(kind, p331_module, point)
 
 
 def test_every_hand_distribution_sums_to_one(uniform60, fact1, p331_module):
@@ -202,7 +241,7 @@ PER_HAND_ENUMERATION = comb(7, 3) - 1 + comb(22, 2) + comb(22, 4)
 
 
 @pytest.mark.parametrize("kind, point", KINDS_AT_A_POINT)
-def test_build_is_charged_as_one_hands_enumeration(kind, point, p331_module):
+def test_build_is_charged_as_one_hands_enumeration(kind, point, p331_module, cold_hand_lists):
     _reference_lines.cache_clear()
     with pytest.raises(WorkLimitExceeded, match="announcement enumeration"):
         build_protocol(kind, p331_module, point, max_work=PER_HAND_ENUMERATION - 1)
@@ -265,6 +304,27 @@ def test_sampling_matches_linear_scan_oracle(fact1, p331_module):
                 assert sample_many(proto, hand, seed, 200) == expected, (proto.kind, hand, seed)
 
 
+TICKET_SEEDS = [0, 7, 2**32 - 1, 2**70 + 3, "cardeal"]
+POWERS_OF_TWO_AND_NEIGHBOURS = [2**e + d for e in range(1, 130) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("seed", TICKET_SEEDS)
+def test_tickets_are_the_draws_of_randrange(seed):
+    # sample_many draws its tickets by randrange's rule; a CPython that changed the rule fails here.
+    for denom in [*range(1, 2001), *POWERS_OF_TWO_AND_NEIGHBOURS]:
+        reference = random.Random(seed)
+        assert list(islice(_tickets(seed, denom), 20)) == [reference.randrange(denom) for _ in range(20)], denom
+
+
+@pytest.mark.parametrize("denom", [1, 2, 3, 7, 60, 63, 64, 65, 144, 1023, 1024, 1025, 2000])
+def test_a_uniform_table_samples_the_tickets_of_randrange(denom, p331_module):
+    share = Fraction(1, denom)
+    proto = Protocol("uniform60", p331_module, {(0, 1, 2): tuple((i, share) for i in range(denom))})
+    for seed in TICKET_SEEDS:
+        reference = random.Random(seed)
+        assert sample_many(proto, (0, 1, 2), seed, 50) == [reference.randrange(denom) for _ in range(50)]
+
+
 def test_sampling_rejects_negative_probability(uniform60, p331_module):
     hand = (0, 1, 2)
     (a1, p), (a2, _), *rest = uniform60.table[hand]
@@ -302,11 +362,7 @@ def test_protocol_json_round_trip(p331_module):
 LITERAL_WEIGHTS_JSON = {"point_in_hand": {"num": 4, "den": 7}, "point_not_in_hand": {"num": 3, "den": 7}}
 
 
-@pytest.mark.parametrize(
-    "kind, point",
-    [("uniform60", None), ("fact1", None)]
-    + [(kind, point) for kind in ("fact2_conditional", "fact2_literal") for point in range(7)],
-)
+@pytest.mark.parametrize("kind, point", KINDS_AT_EVERY_POINT)
 def test_protocol_json_class_weights_block(kind, point, p331_module):
     expected = LITERAL_WEIGHTS_JSON if kind == "fact2_literal" else None
     assert protocol_json(build_protocol(kind, p331_module, point))["class_weights"] == expected
