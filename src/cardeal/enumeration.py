@@ -6,11 +6,11 @@ them): the hand plus a (k-1)-clique of the compatibility graph on the pool
 of lines that do not clash with the hand, or, given a second fixed line, the
 two plus a (k-2)-clique of the pool clashing with neither. The search
 intersects candidate sets with each chosen line's bitset of compatible later
-lines, built the first time a branch needs a line after it, so k = 3, whose
-orbit searches below fix two lines, tests no pair of pool lines. The last
-line is picked without testing each leaf: for each c-set the first k - 1
-lines fail under CA2-CA3, it must avoid the c-set and the cards its avoiding
-lines share, and hold the outside cards they miss. With one bitset per card
+lines, built the first time a branch needs a line after it, so a search that
+picks only its last line tests no pair of pool lines. The last line is
+picked without testing each leaf: for each c-set the first k - 1 lines fail
+under CA2-CA3, it must avoid the c-set and the cards its avoiding lines
+share, and hold the outside cards they miss. With one bitset per card
 over the pool these are ANDs on the candidate set, which leave exactly the
 good completions, in pool order. This filter is the library's only
 line-major reading of CA2-CA3: the chosen lines change at every node, so it
@@ -22,26 +22,29 @@ good announcement as the sorted ranks of its lines in the lex order of the
 a-sets, and builds none. Through the hand alone, it is the test oracle of
 the orbit split below.
 
-No announcement of k <= 2 lines is good, so those need no search. Take a
-line L and a c-set X avoiding L: a card of the other line outside L, if any,
-and c - 1 of the b + c - 1 other cards outside L. Then L, X's only avoiding
-line, holds a < a + b = v - c of X's outside cards, so CA3 fails.
+Good announcements have a line count in ``_spectrum``; any other k is
+answered with no search. Lines clash iff they share a - c or more cards, so
+each (a - c)-set lies in at most one line: k <= C(v, a - c) / C(a, a - c),
+and k <= 1 once c >= a. A c-set X's avoiding lines lie in its v - c outside
+cards, each missing b and holding a; CA2 needs each card missed by one and
+CA3 held by one, so X has m = ceil((v - c) / min(a, b)) >= 2 of them. Each
+line avoids C(b + c, c) < C(v, c) c-sets, so counting (line, X) pairs gives
+k·C(b + c, c) >= m·C(v, c), and k >= 3. The range is empty where c = a - 1.
 
-The work guard charges the search, not the raw candidate space. A line
-clashes with the hand iff it shares a - c or more cards with it, so the pool
+The work guard charges the search, not the raw candidate space. The pool
 holds the n = sum over i < a - c of C(a, i)·C(b + c, a - i) lines sharing i
-cards, known before any work. A search makes C(v, a) - 1 clash tests to
-filter the pool, at most C(n, 2) to build rows (only when k >= 3) and is
-charged C(n, k - 1) for the leaves. It visits no leaf, so the charge
+cards with the hand, known before any work. A search makes C(v, a) - 1 clash
+tests to filter the pool, at most C(n, 2) to build rows (only when k >= 3)
+and is charged C(n, k - 1) for the leaves. It visits no leaf, so the charge
 over-counts its work; the guard admits and refuses what a leaf-by-leaf
 search would. The orbit split below does less work than the direct search it
-is charged for (about a fiftieth of its time at (4,6,2) k=6), so the charge
-over-counts by more; it is kept so that no request is admitted or refused
-differently. The guard is charged on every call, so a request is admitted or
-refused alike whether or not its search is cached.
+is charged for, and a k outside the spectrum none, so the charge over-counts
+by more; it is kept so that no request is admitted or refused differently.
+The guard is charged on every call, so a request is admitted or refused
+alike whether or not its search is cached.
 
-Only the reference hand H = 0..a-1 is searched, once per (params, k) with
-k >= 3, by one search per orbit of pool lines rather than one over the whole
+Only the reference hand H = 0..a-1 is searched, once per (params, k) in the
+spectrum, by one search per orbit of pool lines rather than one over the whole
 pool. The stabiliser of H, Sym(H) x Sym(deck - H), maps good announcements
 through H onto good announcements through H, and it is transitive on the
 pool lines sharing i cards with H, for each i from max(0, 2a - v) to
@@ -129,6 +132,13 @@ def _shared_counts(params: Parameters) -> range:
     return range(max(0, 2 * params.a - params.v), params.a - params.c)
 
 
+def _spectrum(params: Parameters) -> range:
+    """The line counts a good announcement can have: the count bound to the packing bound (module docstring)."""
+    a, b, c, v = params.a, params.b, params.c, params.v
+    pairs = -(-(v - c) // min(a, b)) * comb(v, c)  # (line, avoided c-set) pairs needed
+    return range(-(-pairs // comb(b + c, c)), comb(v, a - c) // comb(a, a - c) + 1 if c < a else 2)
+
+
 def _rank_map(image: Sequence[int], a: int) -> list[int]:
     """perm[r] is the rank of line r's image under y -> image[y]: the a-subsets of bits sum to its mask, in order r."""
     bits = [1 << card for card in image]
@@ -151,9 +161,9 @@ def _ranked_lines(v: int, a: int) -> tuple[tuple[CardSet, ...], dict[int, int]]:
 def _reference_lines(params: Parameters, k: int) -> tuple[Entry, ...]:
     """The line ranks and triple point of every good k-line announcement containing the hand 0..a-1.
 
-    Canonically ordered: none for k <= 2, by proof, else one search per orbit carried onto its lines (module docstring).
+    Canonically ordered: none for k outside ``_spectrum``, by proof, else one search per orbit carried onto its lines.
     """
-    if k <= 2:
+    if k not in _spectrum(params):
         return ()
     a, v = params.a, params.v
     lines, rank = _ranked_lines(v, a)
@@ -191,7 +201,7 @@ def _good_containing(
     """
     a, v, b = params.a, params.v, params.b
     if k == 1:
-        return ()  # no one-line announcement is good (see the module docstring)
+        return ()  # no one-line announcement is good: k >= 3 (module docstring)
     lines, rank = _ranked_lines(v, a)
     fixed = [to_mask(line) for line in (hand, second) if line is not None]
     omega = (1 << v) - 1

@@ -311,12 +311,16 @@ def test_enumerate_count_and_listing(capsys):
         # (k=8 is charged about 1.5e8 steps), so they raise it.
         ("4,3,1", "1357", "8", 23088, "1000000000"),
         ("4,3,1", "1357", "9", 14040, "1000000000"),
-        # Two lines are answered by proof, with no search, on both a relabelled hand and c = 2.
+        # Line counts outside the spectrum are answered by proof, with no search, on a
+        # relabelled hand, at c = 2, and on (5,3,2), whose spectrum is empty.
         ("4,3,1", "1357", "2", 0, None),
         ("3,2,2", "012", "2", 0, None),
+        ("5,3,2", "01234", "3", 0, None),
         ("4,4,1", "0123", "6", 13680, None),
-        # With no good announcement, these are charged about 1.8e10 steps, the direct
-        # search's leaves, though the orbit split runs each in well under a second.
+        # Each is answered by a bound with no search, but still charged the direct
+        # search's leaves: about 2.4e12 steps above the packing bound at (4,3,1) k=15,
+        # and 1.8e10 and 1.4e10 below the count bound at (4,6,2) and (5,4,2) k=6.
+        ("4,3,1", "0123", "15", 0, "10000000000000"),
         ("4,6,2", "0,1,2,3", "6", 0, "100000000000"),
         ("5,4,2", "0,1,2,3,4", "6", 0, "100000000000"),
     ],

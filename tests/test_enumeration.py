@@ -17,7 +17,7 @@ from cardeal import (
 )
 from cardeal import guard
 from cardeal.axioms import _clash
-from cardeal.enumeration import _good_containing, _ranked_lines, _reference_lines
+from cardeal.enumeration import _good_containing, _ranked_lines, _reference_lines, _spectrum
 from cardeal.model import CardSet, from_mask, to_mask
 
 # The twelve five-line announcements containing 012 whose most frequent card
@@ -167,9 +167,10 @@ def test_no_good_five_line_announcement_at_431(hand):
 
 
 def test_pool_pairs_are_tested_only_for_lines_the_search_extends(monkeypatch):
-    # (6,5,1): 923 lines besides the hand. One- and two-line announcements
-    # need no compatibility row, so they cost only the pool filter's 923
-    # clash tests; three lines cost at most one test per pool pair on top.
+    # (6,5,1): 923 lines besides the hand. A search that picks only its last
+    # line needs no compatibility row, so it costs only the pool filter's
+    # clash tests: none for one line, 923 for the direct search of two, and
+    # 923 against each fixed line for an orbit search of three.
     calls = 0
 
     def counting_clash(*args):
@@ -180,12 +181,10 @@ def test_pool_pairs_are_tested_only_for_lines_the_search_extends(monkeypatch):
     monkeypatch.setattr("cardeal.enumeration._clash", counting_clash)
     params, hand = Parameters(6, 5, 1), tuple(range(6))
     lines = comb(12, 6)
-    for k, limit in [(1, lines - 1), (2, lines - 1), (3, lines - 1 + comb(lines - 1, 2))]:
-        _reference_lines.cache_clear()
+    for k, second, limit in [(1, None, 0), (2, None, lines - 1), (3, (0, 6, 7, 8, 9, 10), 2 * (lines - 1))]:
         calls = 0
-        enumerate_good_announcements(params, hand, k, max_work=comb(lines, k))
+        assert _good_containing(params, hand, k, second) == ()
         assert calls <= limit, (k, calls)
-    _reference_lines.cache_clear()
 
 
 def _searched(params: Parameters, hand: CardSet, k: int) -> list[Announcement]:
@@ -317,8 +316,8 @@ SMALL_DEALS = [Parameters(a, b, c) for a in range(1, 8) for b in range(1, 8) for
 
 
 def test_no_announcement_of_one_or_two_lines_through_the_hand_is_good():
-    # The proof that answers k <= 2 without a search: some c-set avoids one
-    # line and meets the other, and that line alone misses its outside cards.
+    # The count bound puts k >= 3 on every deal, so k <= 2 is answered
+    # without a search; the guarded axiom check is the oracle here.
     for params in SMALL_DEALS:
         hand = tuple(range(params.a))
         assert is_good(Announcement((hand,)), params) is False, params
@@ -327,20 +326,84 @@ def test_no_announcement_of_one_or_two_lines_through_the_hand_is_good():
                 assert is_good(Announcement((hand, line)), params) is False, (params, line)
 
 
-def test_one_and_two_lines_are_answered_without_a_search(monkeypatch):
+# The line-count range k_min..k_max of each deal in the tests, by the count and packing bounds.
+SPECTRA = {
+    (3, 3, 1): (4, 7),
+    (4, 3, 1): (6, 14),
+    (4, 2, 1): (7, 8),
+    (3, 4, 1): (5, 9),
+    (3, 5, 1): (5, 12),
+    (4, 4, 2): (6, 7),
+    (4, 5, 2): (8, 9),
+    (4, 6, 2): (8, 11),
+    (5, 4, 2): (11, 16),
+    (5, 5, 2): (7, 22),
+}
+EMPTY_SPECTRA = [(5, 3, 2), (3, 2, 2), (2, 3, 2), (3, 3, 2), (4, 3, 2), (3, 2, 1), (2, 3, 1), (2, 2, 1)]
+
+
+def test_spectrum_is_the_count_bound_to_the_packing_bound():
+    for abc, (low, high) in SPECTRA.items():
+        assert _spectrum(Parameters(*abc)) == range(low, high + 1), abc
+    for abc in EMPTY_SPECTRA:
+        assert not _spectrum(Parameters(*abc)), abc
+
+
+def test_spectrum_is_empty_wherever_c_is_a_minus_1():
+    # At c = a - 1 lines sharing a card clash, so a good announcement's lines
+    # are disjoint, and the c-set of a line's other a - 1 cards leaves its last
+    # card in no avoiding line: CA3 fails. The count bound alone closes these.
+    for a in range(2, 30):
+        for b in range(1, 40):
+            assert not _spectrum(Parameters(a, b, a - 1)), (a, b)
+
+
+# Deals whose direct searches outside the range take well under a second in all;
+# (3,5,1) and (4,5,2) take about 2 s and 1 s, (4,4,1) and (5,3,1) minutes.
+DIRECT_ORACLE_DEALS = [
+    Parameters(*abc)
+    for abc in [(3, 3, 1), (4, 2, 1), (4, 3, 1), (3, 4, 1), (5, 2, 1), (4, 4, 2), (3, 4, 2), *EMPTY_SPECTRA]
+]
+
+
+@pytest.mark.parametrize("params", DIRECT_ORACLE_DEALS)
+def test_direct_search_finds_nothing_outside_the_spectrum(params):
+    hand, spectrum = tuple(range(params.a)), _spectrum(params)
+    for k in range(1, min(comb(params.v, params.a), 16) + 1):
+        if k not in spectrum:
+            assert _good_containing(params, hand, k) == (), k
+
+
+@pytest.mark.parametrize(
+    "abc, k, count", [((3, 3, 1), 7, 6), ((4, 3, 1), 14, 6), ((4, 2, 1), 7, 6), ((3, 5, 1), 12, 120)]
+)
+def test_tight_ends_of_the_spectrum(abc, k, count):
+    # k_max = 7 at (3,3,1) and 14 at (4,3,1) are the Fano plane and SQS(8)'s
+    # Steiner systems; k_min = 7 at (4,2,1) and k_max = 12 at (3,5,1) are tight too.
+    params = Parameters(*abc)
+    _reference_lines.cache_clear()
+    assert len(_reference_lines(params, k)) == count
+    assert k in (_spectrum(params).start, _spectrum(params).stop - 1)
+
+
+def test_line_counts_outside_the_spectrum_are_answered_without_a_search(monkeypatch):
     def no_search(*args):
         raise AssertionError(f"searched {args}")
 
     monkeypatch.setattr("cardeal.enumeration._good_containing", no_search)
     _reference_lines.cache_clear()
-    for params in SMALL_DEALS:
-        for k in (1, 2):
-            assert enumerate_good_announcements(params, range(params.a), k) == [], (params, k)
+    requests = [(params, k) for params in SMALL_DEALS for k in range(1, 17) if k not in _spectrum(params)]
+    requests += [(Parameters(4, 6, 2), 6), (Parameters(5, 4, 2), 6)]
+    requests += [(Parameters(5, 3, 2), k) for k in range(1, comb(10, 5) + 1)]
+    assert (Parameters(4, 3, 1), 5) in requests and (Parameters(4, 3, 1), 15) in requests
+    for params, k in requests:
+        # The charge is unchanged, so the work limit admits every request.
+        assert enumerate_good_announcements(params, range(params.a), k, max_work=10**80) == [], (params, k)
     _reference_lines.cache_clear()
 
 
 @pytest.mark.parametrize(
-    "params, ks, orbits", [(Parameters(3, 3, 1), range(3, 8), 2), (Parameters(4, 3, 1), range(5, 8), 3)]
+    "params, ks, orbits", [(Parameters(3, 3, 1), range(4, 8), 2), (Parameters(4, 3, 1), range(6, 8), 3)]
 )
 def test_production_searches_only_through_a_second_line(params, ks, orbits, monkeypatch):
     # One search per orbit of pool lines, each through the hand and the
@@ -484,6 +547,9 @@ SPLIT_GRID = [
     (Parameters(4, 2, 1), range(2, 8)),
     (Parameters(3, 2, 2), range(2, 7)),
     (Parameters(2, 3, 2), range(2, 7)),
+    # Every c = 2 row above is empty by proof; these ranges run the orbit search.
+    (Parameters(4, 4, 2), range(6, 8)),
+    (Parameters(4, 5, 2), range(8, 10)),
 ]
 
 
@@ -516,9 +582,25 @@ def test_orbit_counts_satisfy_orbit_stabiliser_at_431_k7():
 
 @pytest.mark.parametrize("abc", [(4, 6, 2), (5, 4, 2)])
 def test_no_good_six_line_announcement_at_c2(abc):
-    # The direct searches took several seconds each; the orbit split a tenth of one.
+    # Six lines are below the count bound at both deals, so no search runs;
+    # the charge still sizes the direct search, so the limit is raised.
     params = Parameters(*abc)
     assert enumerate_good_announcements(params, range(params.a), 6, max_work=10**11) == []
+
+
+def test_eleven_line_announcements_at_542():
+    # The labelled 11-point biplanes through a 5-set: every two lines share
+    # two cards, so all are found through the orbit of lines sharing two.
+    params = Parameters(5, 4, 2)
+    _reference_lines.cache_clear()
+    reference = _reference_lines(params, 11)
+    _reference_lines.cache_clear()
+    assert len(reference) == 1440
+    lines = _ranked_lines(params.v, params.a)[0]
+    for ranks, point in reference[::97]:
+        ann = Announcement(tuple(lines[r] for r in ranks))
+        # Each card of a biplane lies in five of its lines, so none is a triple point.
+        assert ranks[0] == 0 and is_good(ann, params) and point is ann.triple_point is None
 
 
 @pytest.mark.parametrize(
