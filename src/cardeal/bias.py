@@ -13,27 +13,28 @@ where weight is ``Protocol.hand_weight``: equal mass for the two hand
 classes under the literal fact2 reading, 1 otherwise. The protocol's
 ``likelihoods`` index holds exactly these products, built once per protocol
 as integer numerators over one protocol-wide denominator, and gives each
-announcement one row: the numerators aligned with its lines.
-``_line_weights`` alone reads the rows: it takes one, zeroes the lines that
-meet the observer and sums. Only the report's class balance reads the
-per-hand columns instead, as it counts every listed hand, untruthful
-entries included. The index also memoises every exact ratio
-``Fraction(w, total)`` it is asked for, so a posterior builds a ``Fraction``
-only for a ratio no earlier call on that protocol met, and the bias report
-takes its triple posteriors from the same memo. No floating point enters any
-probability. ``PosteriorTable`` and ``BiasReport`` are named tuples.
+announcement one row: the numerators aligned with its lines. A posterior
+depends on the row and on its meet, the lines the observer's cards block,
+alone (one column of the channel): ``posterior_lines`` ORs the observer's
+per-card masks into the meet and reads the index's (row, meet) memo; a miss
+zeroes the met lines, sums and normalises, and memoises no refusal. The
+report reads whole rows, and its class balance the per-hand columns, which
+count untruthful entries too. Each ratio ``Fraction(w, total)`` is memoised
+once per protocol. No floating point enters any probability.
+``PosteriorTable`` and ``BiasReport`` are named tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .enumeration import classify_by_triple, enumerate_good_announcements
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
 from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json, common_denominator
 
 _ZERO = Fraction(0)
+_UNPRODUCED = "announcement is not produced by any hand consistent with the observer"
 
 
 class PosteriorTable(NamedTuple):
@@ -78,31 +79,27 @@ def posterior_lines(
 
     The observer set must be empty (outside observer) or a full c-set. Lines
     meeting the observer's cards get posterior exactly 0; the rest are the
-    normalised table weights of the hands they correspond to. Each value is
-    the protocol's memoised ratio, so equal posteriors are one ``Fraction``
-    and every zero is one shared ``Fraction(0)``.
+    normalised table weights of their hands, memoised by row and meet. Each
+    value is the protocol's memoised ratio, so equal posteriors are one
+    ``Fraction`` and every zero is one shared ``Fraction(0)``.
     """
     params = proto.params
     obs = card_set(observer, params.v)
     if len(obs) not in (0, params.c):
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
-    weights, total = _line_weights(proto, ann, obs)
-    ratio = _ratios(proto, total, weights)
-    return PosteriorTable(ann, obs, tuple(zip(ann.lines, map(ratio.__getitem__, weights))))
-
-
-def _line_weights(proto: Protocol, ann: Announcement, observer: CardSet) -> tuple[Sequence[int], int]:
-    """``ann``'s row of likelihood numerators, 0 where a line meets ``observer``, and its sum, which must be positive."""
-    weights = proto.likelihoods.rows.get(ann, ())
-    if observer:
-        seen = set(observer)
-        weights = [w if seen.isdisjoint(line) else 0 for line, w in zip(ann.lines, weights)]
-    total = sum(weights)
-    if total == 0:
-        raise ValueError(
-            "announcement is not produced by any hand consistent with the observer"
-        )
-    return weights, total
+    index = proto.likelihoods
+    row, meet = index.rows.get(ann, ()), 0
+    for card in obs if row else ():  # no row, no masks: refused below
+        meet |= index.card_masks[ann][card]
+    shares = index.posteriors.get((row, meet))
+    if shares is None:
+        weights = [0 if meet >> i & 1 else w for i, w in enumerate(row)]
+        total = sum(weights)
+        if total == 0:
+            raise ValueError(_UNPRODUCED)
+        ratio = _ratios(proto, total, weights)
+        shares = index.posteriors[row, meet] = tuple(map(ratio.__getitem__, weights))
+    return PosteriorTable(ann, obs, tuple(zip(ann.lines, shares)))
 
 
 def _ratios(proto: Protocol, total: int, weights: Iterable[int]) -> dict[int, Fraction]:
@@ -133,9 +130,12 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
     # card is actually held; the uniform hand prior cancels out of the ratio.
     # in_mass counts over the index's denominator.
     in_mass = 0
-    columns = proto.likelihoods.columns
+    rows, columns = proto.likelihoods.rows, proto.likelihoods.columns
     for ann in proto.support():
-        weights, total = _line_weights(proto, ann, ())
+        weights = rows[ann]
+        total = sum(weights)
+        if total == 0:
+            raise ValueError(_UNPRODUCED)
         k = len(ann.lines)
         # |w/total - 1/k| = |k*w - total| / (k*total)
         deviation = Fraction(max(abs(k * w - total) for w in weights), k * total)

@@ -120,10 +120,12 @@ def enumerate_good_announcements(
     n = sum(comb(a, i) * comb(v - a, a - i) for i in _shared_counts(params))
     work = filter_tests + (comb(n, 2) if k >= 3 else 0) + comb_within(n, k - 1, limit, what)
     require_work(work, limit, what)
+    if not (reference := _reference_lines(params, k)):
+        return []
     lines = _ranked_lines(v, a)[0]
     image = (*hand, *(card for card in range(v) if card not in hand))
     # The ranks of distinct announcements differ, so the sort never compares two points.
-    relabelled = sorted(_carried(_reference_lines(params, k), _rank_map(image, a), image))
+    relabelled = sorted(_carried(reference, _rank_map(image, a), image))
     return [Announcement._trusted(tuple([lines[r] for r in ranks]), point) for ranks, point in relabelled]
 
 

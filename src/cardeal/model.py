@@ -15,10 +15,11 @@ walk: it steps by the lowest set bit, one step per set bit, and reads both
 cards off card masks and pool indices off the enumeration search's bitsets.
 ``check_lines`` checks an announcement's line size and card range. One
 function alone turns lines into masks, ``build_masks``: it takes a sequence
-of lines, an announcement's (checked first, so an absurd card label never
-reaches a mask) or the enumeration search's pool, and one loop builds both
-the line masks (bit y set iff the line holds card y) and their transpose,
-the per-card masks (bit i set iff line i holds the card).
+of lines, an announcement's (checked first, or cut to the deal's cards by
+the protocol index, so an absurd card label never reaches a mask) or the
+enumeration search's pool, and one loop builds both the line masks (bit y
+set iff the line holds card y) and their transpose, the per-card masks (bit
+i set iff line i holds the card).
 
 Two interchange formats exist for announcements. Compact text separates
 lines with whitespace; within a line, cards are concatenated digits when the
@@ -243,8 +244,8 @@ def build_masks(lines: Sequence[CardSet], v: int) -> tuple[tuple[int, ...], tupl
     Line mask i has bit y set iff line i holds card y; per-card mask y has
     bit i set iff line i holds y, so a count of lines holding a card set is
     the popcount of an AND of its entries. The one builder of both, for an
-    announcement's lines, after ``check_lines`` so an absurd card label never
-    reaches a mask, and for the enumeration search's pool.
+    announcement's lines, checked or cut to the deal's cards first so an
+    absurd card label never reaches a mask, and for the enumeration's pool.
     """
     line_masks = []
     cards = [0] * v

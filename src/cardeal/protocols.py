@@ -53,6 +53,7 @@ from .model import (
     CardSet,
     Frozen,
     Parameters,
+    build_masks,
     card_set,
     enumerate_ksets,
     format_announcement,
@@ -82,19 +83,22 @@ class Likelihoods(Frozen):
     producing ``ann`` times its hand weight, for every hand that lists
     ``ann``, truthful or not. ``rows[ann]`` holds the same numerators along
     ``ann.lines``: entry i is ``columns[ann].get(ann.lines[i], 0)``.
-    ``ratios`` memoises the exact ratios posteriors and reports normalise:
-    ``ratios[total][w]`` is ``Fraction(w, total)``, built at first use, with
-    w = 0 the one shared ``Fraction(0)``. It lives and dies with the index
-    and takes no part in ``==`` or ``repr``.
+    ``card_masks[ann]`` holds ``ann``'s per-card masks over the deal's cards;
+    ``posteriors[(row, meet)]`` memoises a row's shares with its met lines
+    zeroed, answers only; ``ratios[total][w]`` is ``Fraction(w, total)``, w = 0
+    the one shared ``Fraction(0)``. These derived slots live and die with the
+    index and take no part in ``==`` or ``repr``.
     """
 
     _fields = ("denominator", "columns", "rows")
 
     def __init__(self, denominator: int, columns: dict[Announcement, dict[CardSet, int]],
-                 rows: dict[Announcement, tuple[int, ...]]) -> None:
+                 rows: dict[Announcement, tuple[int, ...]], card_masks: dict[Announcement, tuple[int, ...]]) -> None:
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "card_masks", card_masks)
+        object.__setattr__(self, "posteriors", {})
         object.__setattr__(self, "ratios", {})
 
 
@@ -129,9 +133,10 @@ class Protocol(Frozen):
         protocol-wide denominator, the lcm of the sums' own denominators, so
         equal sums give equal indexes. Each announcement's column, keyed by
         hand, is then read along its lines into its row, so a posterior reads
-        one integer tuple and hashes no line. The ratio memo starts empty and
-        fills as posteriors and reports run. A negative probability is
-        refused with ValueError naming its hand and announcement.
+        one integer tuple and hashes no line. Its per-card masks leave out the
+        cards beyond the deal, which no observer holds; the memos start empty.
+        A negative probability is refused with ValueError naming its hand and
+        announcement.
         """
         entries = [(hand, ann, p) for hand, dist in self.table.items() for ann, p in dist]
         prob_den, masses = common_denominator([p for _, _, p in entries])
@@ -153,7 +158,10 @@ class Protocol(Frozen):
                 for hand in column:
                     column[hand] //= shared
         rows = {ann: tuple(column.get(line, 0) for line in ann.lines) for ann, column in columns.items()}
-        return Likelihoods(denominator, columns, rows)
+        v = self.params.v
+        masks = {ann: build_masks([line if line[-1] < v else [y for y in line if y < v] for line in ann.lines], v)[1]
+                 for ann in rows}
+        return Likelihoods(denominator, columns, rows, masks)
 
     def support(self) -> list[Announcement]:
         """Every announcement some hand can produce, canonically ordered."""

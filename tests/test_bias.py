@@ -20,6 +20,7 @@ import cardeal.bias
 import cardeal.model
 from cardeal import (
     PAPER_LINES,
+    Announcement,
     Parameters,
     bias_report,
     build_protocol,
@@ -275,6 +276,69 @@ def test_a_filled_ratio_memo_leaves_the_index_equal(protocols):
         assert swept.likelihoods.ratios and not fresh(proto).likelihoods.ratios, name
         assert swept.likelihoods == fresh(proto).likelihoods, name
         assert repr(swept.likelihoods) == repr(fresh(proto).likelihoods), name
+
+
+def assert_cold_and_warm_match_oracle(proto, observers):
+    """Every support announcement under every observer, on an empty memo and then a filled one."""
+    proto = fresh(proto)
+    cases = [(ann, observer) for ann in proto.support() for observer in observers]
+    want = [outcome(table_posterior_lines, proto, ann, observer) for ann, observer in cases]
+    memo = proto.likelihoods.posteriors
+    sizes = []
+    for _ in ("cold", "warm"):
+        assert [outcome(posterior_lines, proto, ann, observer) for ann, observer in cases] == want
+        sizes.append(len(memo))
+    assert 0 < sizes[0] == sizes[1]  # the warm sweep adds no entry
+
+
+def test_memoised_posteriors_match_the_oracle_for_two_card_observers(protocols):
+    # At (3,2,2) Cathy holds two cards, so a meet is the OR of two card masks.
+    p322 = Parameters(3, 2, 2)
+    proto = Protocol("fact1", p322, protocols["fact1"].table)
+    observers = [()] + list(combinations(range(p322.v), 2))
+    assert_cold_and_warm_match_oracle(proto, observers)
+
+
+def test_memoised_posteriors_match_the_oracle_on_a_table_that_does_not_fit_the_deal(p331):
+    # Card 7 is beyond a 7-card deck: the index still builds, and validation still reports it.
+    misfit = Announcement(((0, 1, 2), (0, 3, 7), (1, 4, 5), (2, 6, 7), (3, 4, 6)))
+    five = parse_announcement("012 034 056 135 246", p331)
+    table = {(0, 1, 2): ((misfit, Fraction(1, 2)), (five, Fraction(1, 2))), (1, 4, 5): ((misfit, Fraction(1)),),
+             (3, 4, 6): ((misfit, Fraction(1, 3)),)}
+    proto = Protocol("uniform60", p331, table)
+    assert len(proto.likelihoods.card_masks[misfit]) == p331.v
+    assert_cold_and_warm_match_oracle(proto, OBSERVERS)
+    unsafe = [issue.message for issue in validate_protocol(proto).issues if issue.kind == "safety"]
+    assert unsafe and all(f"announcement {misfit.lines} does not fit" in message for message in unsafe)
+
+
+def test_a_refused_posterior_leaves_no_memo_entry(protocols, p331):
+    five = parse_announcement("012 034 056 135 246", p331)
+    lone = Protocol("uniform60", p331, {(0, 1, 2): ((five, Fraction(1)),)})
+    not_good = parse_announcement("012 013 024 034 056", p331)
+    for proto, ann, observer in [(lone, five, (0,)), (fresh(protocols["uniform60"]), not_good, (3,))]:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                posterior_lines(proto, ann, observer)
+            messages.append(str(exc.value))
+            assert not proto.likelihoods.posteriors, (ann, observer)
+        assert messages == [cardeal.bias._UNPRODUCED] * 2
+
+
+def test_equal_rows_and_meets_share_one_memo_entry(protocols, monkeypatch):
+    # uniform60 gives every support announcement the same row, so what tells
+    # two posteriors apart is the meet alone.
+    proto = fresh(protocols["uniform60"])
+    first, second = proto.support()[:2]
+    tables = [posterior_lines(proto, first)]
+    with monkeypatch.context() as patched:
+        patched.setattr(cardeal.bias, "_ratios", None)  # a hit normalises nothing
+        tables.append(posterior_lines(proto, second))
+    memo = proto.likelihoods.posteriors
+    (shares,) = memo.values()
+    assert all(p is q for table in tables for (_, p), q in zip(table.posteriors, shares))
+    assert len(sweep(proto)) == 3360 and len(memo) == 18
 
 
 def test_uniform60_posterior_is_flat(protocols, p331):

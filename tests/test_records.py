@@ -27,7 +27,7 @@ from cardeal import (
     protocol_from_json,
     protocol_json,
 )
-from cardeal.protocols import validate_protocol
+from cardeal.protocols import Likelihoods, validate_protocol
 
 P331 = Parameters(3, 3, 1)
 FIVE = "012 034 056 135 246"
@@ -151,7 +151,12 @@ def test_counts_outside_and_the_ratio_memo_stay_out_of_equality():
     proto, again = small_protocol(), small_protocol()
     posterior_lines(proto, proto.support()[0])
     assert proto.likelihoods.ratios != again.likelihoods.ratios
+    assert proto.likelihoods.posteriors != again.likelihoods.posteriors
     assert proto.likelihoods == again.likelihoods and proto == again
+    index = proto.likelihoods
+    assert Likelihoods(index.denominator, index.columns, index.rows, {}) == index  # nor do the card masks
+    assert repr(index) == repr(again.likelihoods)
+    assert "card_masks" not in repr(index) and "posteriors" not in repr(index)
 
 
 def test_result_records_are_named_tuples():
