@@ -19,8 +19,7 @@ alone (one column of the channel): ``posterior_lines`` ORs the observer's
 per-card masks into the meet and reads the index's (row, meet) memo; a miss
 zeroes the met lines, sums and normalises, and memoises no refusal. The
 report reads whole rows, and its class balance the per-hand columns, which
-count untruthful entries too. Each ratio ``Fraction(w, total)`` is memoised
-once per protocol. No floating point enters any probability.
+count untruthful entries too. No floating point enters any probability.
 ``PosteriorTable`` and ``BiasReport`` are named tuples.
 """
 
@@ -33,7 +32,6 @@ from .enumeration import classify_by_triple, enumerate_good_announcements
 from .model import Announcement, CardSet, Parameters, card_set, format_announcement, format_card_set
 from .protocols import PAPER_LINES, PAPER_PARAMS, Protocol, _fraction_json, common_denominator
 
-_ZERO = Fraction(0)
 _UNPRODUCED = "announcement is not produced by any hand consistent with the observer"
 
 
@@ -79,9 +77,8 @@ def posterior_lines(
 
     The observer set must be empty (outside observer) or a full c-set. Lines
     meeting the observer's cards get posterior exactly 0; the rest are the
-    normalised table weights of their hands, memoised by row and meet. Each
-    value is the protocol's memoised ratio, so equal posteriors are one
-    ``Fraction`` and every zero is one shared ``Fraction(0)``.
+    normalised table weights of their hands, memoised by row and meet, so a
+    repeated (row, meet) returns the stored tuple and builds no ``Fraction``.
     """
     params = proto.params
     obs = card_set(observer, params.v)
@@ -97,21 +94,8 @@ def posterior_lines(
         total = sum(weights)
         if total == 0:
             raise ValueError(_UNPRODUCED)
-        ratio = _ratios(proto, total, weights)
-        shares = index.posteriors[row, meet] = tuple(map(ratio.__getitem__, weights))
+        shares = index.posteriors[row, meet] = tuple(Fraction(w, total) for w in weights)
     return PosteriorTable(ann, obs, tuple(zip(ann.lines, shares)))
-
-
-def _ratios(proto: Protocol, total: int, weights: Iterable[int]) -> dict[int, Fraction]:
-    """The protocol's memo of ``Fraction(w, total)`` by w, holding every w in ``weights``."""
-    memo = proto.likelihoods.ratios
-    ratio = memo.get(total)
-    if ratio is None:
-        ratio = memo[total] = {0: _ZERO}
-    for w in weights:
-        if w not in ratio:
-            ratio[w] = Fraction(w, total)
-    return ratio
 
 
 def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
@@ -143,7 +127,7 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
         top = ann.triple_point
         if top is not None:
             held = sum(w for line, w in zip(ann.lines, weights) if top in line)
-            triple_in_hand[ann] = _ratios(proto, total, (held,))[held]
+            triple_in_hand[ann] = Fraction(held, total)
             in_mass += sum(w for hand, w in columns[ann].items() if top in hand)
     weight_den, hand_weights = common_denominator([proto.hand_weight(hand) for hand in proto.table])
     class_balance = Fraction(in_mass * weight_den, proto.likelihoods.denominator * sum(hand_weights))

@@ -85,9 +85,8 @@ class Likelihoods(Frozen):
     ``ann.lines``: entry i is ``columns[ann].get(ann.lines[i], 0)``.
     ``card_masks[ann]`` holds ``ann``'s per-card masks over the deal's cards;
     ``posteriors[(row, meet)]`` memoises a row's shares with its met lines
-    zeroed, answers only; ``ratios[total][w]`` is ``Fraction(w, total)``, w = 0
-    the one shared ``Fraction(0)``. These derived slots live and die with the
-    index and take no part in ``==`` or ``repr``.
+    zeroed, answers only. These derived slots live and die with the index and
+    take no part in ``==`` or ``repr``.
     """
 
     _fields = ("denominator", "columns", "rows")
@@ -99,7 +98,6 @@ class Likelihoods(Frozen):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "card_masks", card_masks)
         object.__setattr__(self, "posteriors", {})
-        object.__setattr__(self, "ratios", {})
 
 
 class Protocol(Frozen):
@@ -134,9 +132,9 @@ class Protocol(Frozen):
         equal sums give equal indexes. Each announcement's column, keyed by
         hand, is then read along its lines into its row, so a posterior reads
         one integer tuple and hashes no line. Its per-card masks leave out the
-        cards beyond the deal, which no observer holds; the memos start empty.
-        A negative probability is refused with ValueError naming its hand and
-        announcement.
+        cards beyond the deal, which no observer holds; the posterior memo
+        starts empty. A negative probability is refused with ValueError naming
+        its hand and announcement.
         """
         entries = [(hand, ann, p) for hand, dist in self.table.items() for ann, p in dist]
         prob_den, masses = common_denominator([p for _, _, p in entries])

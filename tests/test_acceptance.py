@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from oracles import avoiding
+from oracles import avoiding, deal_space_posterior
 
 from cardeal import (
     Announcement,
@@ -186,24 +186,6 @@ def test_criterion_5_enumeration_counts():
         )
 
 
-def _joint_space_posterior(proto, ann):
-    """Independent oracle: walk every deal, accumulate exact joint weights."""
-    deck = set(range(proto.params.v))
-    joint = {line: Fraction(0) for line in ann.lines}
-    total = Fraction(0)
-    for alice in combinations(range(proto.params.v), proto.params.a):
-        produced = dict(proto.table.get(alice, ()))
-        if ann not in produced:
-            continue
-        for _bob in combinations(sorted(deck - set(alice)), proto.params.b):
-            weight = produced[ann] * proto.hand_weight(alice)
-            total += weight
-            if alice in joint:
-                joint[alice] += weight
-    assert total > 0
-    return {line: weight / total for line, weight in joint.items()}
-
-
 def test_criterion_6_exact_bias_analysis():
     with criterion("6 exact bias analysis vs joint-space oracle"):
         uniform = build_protocol("uniform60", P331)
@@ -232,7 +214,7 @@ def test_criterion_6_exact_bias_analysis():
         for proto in (uniform, fact1, fact2, fact2_lit):
             for ann in proto.support():
                 computed = dict(posterior_lines(proto, ann).posteriors)
-                assert computed == _joint_space_posterior(proto, ann)
+                assert computed == deal_space_posterior(proto, ann, observer=())
 
 
 def test_criterion_7_sampling_consistency():

@@ -15,6 +15,7 @@ from itertools import combinations
 from math import lcm
 
 import pytest
+from oracles import deal_space_posterior
 
 import cardeal.bias
 import cardeal.model
@@ -53,27 +54,6 @@ def protocols(p331):
         "fact2_conditional": build_protocol("fact2_conditional", p331, 0),
         "fact2_literal": build_protocol("fact2_literal", p331, 0),
     }
-
-
-def deal_space_posterior(proto, ann, observer):
-    """Joint-space oracle: accumulate weights deal by deal, then normalise."""
-    deck = set(range(proto.params.v))
-    observer = tuple(sorted(observer))
-    joint = {line: Fraction(0) for line in ann.lines}
-    for alice in combinations(range(proto.params.v), proto.params.a):
-        produced = dict(proto.table.get(alice, ()))
-        if ann not in produced:
-            continue
-        for bob in combinations(sorted(deck - set(alice)), proto.params.b):
-            cathy = tuple(sorted(deck - set(alice) - set(bob)))
-            if observer and cathy != observer:
-                continue
-            weight = produced[ann] * proto.hand_weight(alice)
-            if alice in joint:
-                joint[alice] += weight
-    total = sum(joint.values(), Fraction(0))
-    assert total > 0
-    return {line: weight / total for line, weight in joint.items()}
 
 
 def table_posterior_lines(proto, ann, observer=()):
@@ -141,7 +121,7 @@ POSTERIOR_JSON_DIGESTS = {
 
 
 def fresh(proto):
-    """The same protocol with its index, and so its ratio memo, not yet built."""
+    """The same protocol with its index, and so its posterior memo, not yet built."""
     return Protocol(proto.kind, proto.params, proto.table, proto.point)
 
 
@@ -150,7 +130,7 @@ def sweep(proto):
     return [outcome(posterior_lines, proto, ann, observer) for ann in proto.support() for observer in OBSERVERS]
 
 
-def test_posteriors_build_each_distinct_ratio_once_per_protocol(protocols, monkeypatch):
+def test_a_cold_sweep_builds_fractions_only_on_memo_misses_and_a_warm_one_none(protocols, monkeypatch):
     built = 0
 
     def counting_fraction(*args):
@@ -161,29 +141,26 @@ def test_posteriors_build_each_distinct_ratio_once_per_protocol(protocols, monke
     monkeypatch.setattr(cardeal.bias, "Fraction", counting_fraction)
     for name, proto in protocols.items():
         proto, oracle = fresh(proto), table_likelihoods(proto)
-        # The (w, total) pairs the sweep meets, read off the Fraction oracle:
-        # over one common denominator, distinct Fraction pairs are distinct
-        # integer pairs.
-        ratios = set()
+        # The producible (row, meet) pairs the sweep meets, read off the
+        # Fraction oracle: a row as its weights, a meet as the met positions.
+        keys = set()
         for ann in proto.support():
             for observer in OBSERVERS:
-                weights = [
-                    oracle[ann].get(line, 0) if set(line).isdisjoint(observer) else 0 for line in ann.lines
-                ]
-                total = sum(weights)
-                ratios.update((w, total) for w in weights if w and total)
-        built = 0
-        first = sweep(proto)
-        assert built == len(ratios), name
+                row = tuple(oracle[ann].get(line, 0) for line in ann.lines)
+                meet = tuple(not set(line).isdisjoint(observer) for line in ann.lines)
+                if any(w for w, met in zip(row, meet) if not met):
+                    keys.add((row, meet))
+        memo, first = proto.likelihoods.posteriors, []
+        for ann in proto.support():
+            for observer in OBSERVERS:
+                size, built = len(memo), 0
+                first.append(outcome(posterior_lines, proto, ann, observer))
+                assert built == (len(memo) - size) * len(ann.lines), (name, ann, observer)
+        assert len(memo) == len(keys), name
         built = 0
         assert sweep(proto) == first and built == 0, name
-        for table in first:
-            if isinstance(table, PosteriorTable):
-                values = [p for _, p in table.posteriors]
-                assert all(p is q for p in values for q in values if p == q), (name, table)
-                assert all(p is cardeal.bias._ZERO for p in values if not p), (name, table)
         if name == "uniform60":
-            assert len(ratios) < len(first)
+            assert len(keys) < len(first)
 
 
 def test_posteriors_are_fractions_with_unchanged_json(protocols, p331):
@@ -268,12 +245,12 @@ def test_rows_sum_an_announcement_listed_twice(protocols, p331):
     assert_rows_match_oracles(twice)
 
 
-def test_a_filled_ratio_memo_leaves_the_index_equal(protocols):
+def test_a_filled_posterior_memo_leaves_the_index_equal(protocols):
     for name, proto in protocols.items():
         swept = fresh(proto)
         sweep(swept)
         bias_report(swept)
-        assert swept.likelihoods.ratios and not fresh(proto).likelihoods.ratios, name
+        assert swept.likelihoods.posteriors and not fresh(proto).likelihoods.posteriors, name
         assert swept.likelihoods == fresh(proto).likelihoods, name
         assert repr(swept.likelihoods) == repr(fresh(proto).likelihoods), name
 
@@ -332,8 +309,12 @@ def test_equal_rows_and_meets_share_one_memo_entry(protocols, monkeypatch):
     proto = fresh(protocols["uniform60"])
     first, second = proto.support()[:2]
     tables = [posterior_lines(proto, first)]
+
+    def no_fraction(*args):
+        raise AssertionError("a memo hit built a Fraction")
+
     with monkeypatch.context() as patched:
-        patched.setattr(cardeal.bias, "_ratios", None)  # a hit normalises nothing
+        patched.setattr(cardeal.bias, "Fraction", no_fraction)
         tables.append(posterior_lines(proto, second))
     memo = proto.likelihoods.posteriors
     (shares,) = memo.values()

@@ -1,5 +1,6 @@
 """The package's public surface, and the pytest settings in ``pyproject.toml``."""
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,34 @@ AXIOMS_DEFINES = {
     "is_good",
 }
 
+# The parameter names of every public function, in order; a bare * opens the
+# keyword-only ones. A parameter added, removed or renamed shows up here.
+SIGNATURES = {
+    "bias_report": "proto, *, max_work",
+    "binary_design": "n, *, max_work",
+    "build_protocol": "kind, params, point, *, max_work",
+    "card_set": "cards, v, size",
+    "check_axioms": "ann, params, *, max_work",
+    "classify_by_triple": "anns, hand",
+    "covalency": "ann, v, t, *, max_work",
+    "covalency_over": "lines, points, t, *, max_work",
+    "design_profile": "ann, v, *, max_work",
+    "enumerate_good_announcements": "params, hand, k, *, max_work",
+    "enumerate_ksets": "v, k",
+    "format_announcement": "ann, params",
+    "format_card_set": "cards, v",
+    "is_good": "ann, params, *, max_work",
+    "parse_announcement": "text, params",
+    "parse_card_set": "text, v, size",
+    "posterior_lines": "proto, ann, observer",
+    "prior_point_in_hand": "params",
+    "protocol_from_json": "data",
+    "protocol_json": "proto",
+    "sample_many": "proto, hand, seed, n",
+    "triple_point": "ann",
+    "validate_protocol": "proto, *, max_work",
+}
+
 
 def _defined_in(module):
     """The public names a module defines itself; a value without ``__module__`` counts as its own."""
@@ -46,6 +75,21 @@ def test_the_public_surface_is_sorted_resolved_and_pinned():
     assert _defined_in(axioms) == AXIOMS_DEFINES
     from_axioms = {n for n in names if getattr(getattr(cardeal, n), "__module__", None) == axioms.__name__}
     assert from_axioms == {"AxiomReport", "check_axioms", "is_good"}
+
+
+def _parameter_names(function):
+    """A function's parameter names joined in order, with ``*`` before the first keyword-only one."""
+    names = []
+    for parameter in inspect.signature(function).parameters.values():
+        if parameter.kind is parameter.KEYWORD_ONLY and "*" not in names:
+            names.append("*")
+        names.append(parameter.name)
+    return ", ".join(names)
+
+
+def test_public_function_signatures_are_pinned():
+    functions = {name: getattr(cardeal, name) for name in cardeal.__all__ if inspect.isfunction(getattr(cardeal, name))}
+    assert {name: _parameter_names(function) for name, function in functions.items()} == SIGNATURES
 
 
 TWO_TESTS = """

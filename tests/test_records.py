@@ -46,8 +46,8 @@ def triples():
     proto = build_protocol("uniform60", P331)
     proto_again = protocol_from_json(protocol_json(proto))
     ann = proto.support()[0]
-    posterior_lines(proto, ann)  # fills one entry of proto's ratio memo, none of proto_again's
-    assert proto.likelihoods.ratios and not proto_again.likelihoods.ratios
+    posterior_lines(proto, ann)  # fills one entry of proto's posterior memo, none of proto_again's
+    assert proto.likelihoods.posteriors and not proto_again.likelihoods.posteriors
     literal = build_protocol("fact2_literal", P331, 0)
     bad = small_protocol(Fraction(1, 2))
     return {
@@ -132,8 +132,8 @@ def test_reprs_are_pinned():
         "table={(0, 1, 2): ((Announcement(lines=((0, 1, 2), (3, 4, 5))), Fraction(1, 1)),)}, point=None)"
     )
     likelihoods = proto.likelihoods
-    posterior_lines(proto, proto.support()[0])  # the ratio memo stays out of repr
-    assert likelihoods.ratios
+    posterior_lines(proto, proto.support()[0])  # the posterior memo stays out of repr
+    assert likelihoods.posteriors
     assert repr(likelihoods) == (
         "Likelihoods(denominator=1, columns={Announcement(lines=((0, 1, 2), (3, 4, 5))): {(0, 1, 2): 1}}, "
         "rows={Announcement(lines=((0, 1, 2), (3, 4, 5))): (1, 0)})"
@@ -144,13 +144,12 @@ def test_reprs_are_pinned():
     )
 
 
-def test_counts_outside_and_the_ratio_memo_stay_out_of_equality():
+def test_counts_outside_and_the_posterior_memo_stay_out_of_equality():
     five = parse_announcement(FIVE, P331)
     ca4 = check_axioms(five, P331).ca4
     assert ca4.counts_outside is not check_axioms(five, P331).ca4.counts_outside
     proto, again = small_protocol(), small_protocol()
     posterior_lines(proto, proto.support()[0])
-    assert proto.likelihoods.ratios != again.likelihoods.ratios
     assert proto.likelihoods.posteriors != again.likelihoods.posteriors
     assert proto.likelihoods == again.likelihoods and proto == again
     index = proto.likelihoods
