@@ -12,14 +12,15 @@ announcer's actual hand:
 where weight is ``Protocol.hand_weight``: equal mass for the two hand
 classes under the literal fact2 reading, 1 otherwise. The protocol's
 ``likelihoods`` index holds exactly these products, built once per protocol
-as integer numerators over one protocol-wide denominator, and gives each
-announcement one row: the numerators aligned with its lines. A posterior
-depends on the row and on its meet, the lines the observer's cards block,
-alone (one column of the channel): ``posterior_lines`` ORs the observer's
-per-card masks into the meet and reads the index's (row, meet) memo; a miss
-zeroes the met lines, sums and normalises, and memoises no refusal. The
-report reads whole rows, and its class balance the per-hand columns, which
-count untruthful entries too. No floating point enters any probability.
+as integer numerators over one protocol-wide denominator: one entry per
+announcement, with its per-hand column and its row, the numerators aligned
+with its lines. A posterior depends on the row and on its meet, the lines
+the observer's cards block, alone (one column of the channel):
+``posterior_lines`` ORs the entry's masks of the observer's cards into the
+meet and reads the index's (row, meet) memo; a miss zeroes the met lines,
+sums and normalises, and memoises no refusal. The report walks the entries'
+rows, and its class balance their columns, which count untruthful entries
+too. No floating point enters any probability.
 ``PosteriorTable`` and ``BiasReport`` are named tuples.
 """
 
@@ -85,9 +86,9 @@ def posterior_lines(
     if len(obs) not in (0, params.c):
         raise ValueError(f"observer must hold nothing or a {params.c}-set, got {obs}")
     index = proto.likelihoods
-    row, meet = index.rows.get(ann, ()), 0
-    for card in obs if row else ():  # no row, no masks: refused below
-        meet |= index.card_masks[ann][card]
+    (_, row, masks), meet = index.entries.get(ann, (None, (), ())), 0
+    for card in obs if row else ():  # no entry, no row: refused below
+        meet |= masks[card]
     shares = index.posteriors.get((row, meet))
     if shares is None:
         weights = [0 if meet >> i & 1 else w for i, w in enumerate(row)]
@@ -114,9 +115,7 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
     # card is actually held; the uniform hand prior cancels out of the ratio.
     # in_mass counts over the index's denominator.
     in_mass = 0
-    rows, columns = proto.likelihoods.rows, proto.likelihoods.columns
-    for ann in proto.support():
-        weights = rows[ann]
+    for ann, (column, weights, _) in proto.likelihoods.entries.items():
         total = sum(weights)
         if total == 0:
             raise ValueError(_UNPRODUCED)
@@ -128,7 +127,7 @@ def bias_report(proto: Protocol, *, max_work: int | None = None) -> BiasReport:
         if top is not None:
             held = sum(w for line, w in zip(ann.lines, weights) if top in line)
             triple_in_hand[ann] = Fraction(held, total)
-            in_mass += sum(w for hand, w in columns[ann].items() if top in hand)
+            in_mass += sum(w for hand, w in column.items() if top in hand)
     weight_den, hand_weights = common_denominator([proto.hand_weight(hand) for hand in proto.table])
     class_balance = Fraction(in_mass * weight_den, proto.likelihoods.denominator * sum(hand_weights))
 

@@ -30,24 +30,24 @@ else. The JSON form is
 is accepted as well. Parsing always canonicalises (cards sorted within a
 line, lines sorted lexicographically), so ``parse`` after ``format`` is the
 identity on canonical announcements. For decks of at most ten cards, a
-private table maps each line parsed so far, keyed by its canonical digit text
-("012"), to its line tuple; keys are strictly increasing digit strings, so it
-holds at most 1,023 entries. A text token of up to ten characters is looked
-up by its sorted characters, and a hit is re-checked only for line size and
-card range; a miss, or a failed re-check, reads the token in full.
+private table, built whole for each (v, a) at first use and cached, maps
+every line of a cards below v, keyed by its digit text ("012"), to its line
+tuple: at most C(10, 5) = 252 entries. A text token of a characters is
+looked up by its sorted characters, and a hit is that line, unchecked; a
+miss reads the token in full. A larger deck gets one shared empty table.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 CardSet = tuple[int, ...]
 _UNCOUNTED = object()  # ``Announcement._trusted`` without a triple point
-_LINES: dict[str, CardSet] = {}  # a parsed line's canonical digit text -> the line, for v <= 10
+_NO_LINES: dict[str, CardSet] = {}  # the line table of every deck of more than ten cards
 
 
 class AnnouncementParseError(ValueError):
@@ -300,27 +300,28 @@ def parse_announcement(text: str, params: Parameters) -> Announcement:
         lines = _json_lines(stripped, params)
     else:
         a, v = params.a, params.v
-        table = _LINES if v <= 10 else None
+        table = _line_table(v, a) if v <= 10 else _NO_LINES
         lines = []
         for index, token in enumerate(stripped.split()):
-            # A key is strictly increasing ASCII digits, so a token whose
-            # sorted characters match one reads as that line's distinct cards.
-            if table is not None and len(token) <= 10:
-                line = table.get("".join(sorted(token)))
-                if line is not None and len(line) == a and line[-1] < v:
-                    lines.append(line)
-                    continue
-            cards = _token_cards(token, v)
-            line = tuple(sorted(cards))
-            # Text cards are nonnegative integers, so one test covers size,
-            # range and duplicates; where it fails, _checked_line raises the
-            # error that names the fault.
-            if len(line) != a or line[-1] >= v or len(set(line)) != a:
-                _checked_line(cards, params, index, token)
-            if table is not None:
-                table["".join(map(str, line))] = line
+            # A key is a line's cards as strictly increasing ASCII digits, so a
+            # token whose sorted characters match one reads as that line.
+            line = table.get("".join(sorted(token))) if len(token) == a else None
+            if line is None:
+                cards = _token_cards(token, v)
+                line = tuple(sorted(cards))
+                # Text cards are nonnegative integers, so one test covers size,
+                # range and duplicates; where it fails, _checked_line raises the
+                # error that names the fault.
+                if len(line) != a or line[-1] >= v or len(set(line)) != a:
+                    _checked_line(cards, params, index, token)
             lines.append(line)
     return _canonical(lines, params)
+
+
+@cache
+def _line_table(v: int, a: int) -> dict[str, CardSet]:
+    """Every line of ``a`` cards below ``v``, keyed by its digit text: the parser's table for a deck of v <= 10."""
+    return {"".join(map(str, line)): line for line in combinations(range(v), a)}
 
 
 def _checked_line(cards: list, params: Parameters, index: int, raw: str | list) -> CardSet:

@@ -76,27 +76,29 @@ def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return denominator, [value.numerator * (denominator // value.denominator) for value in values]
 
 
+class IndexEntry(NamedTuple):  # one announcement's entry in a ``Likelihoods`` index, described there
+    column: dict[CardSet, int]
+    row: tuple[int, ...]
+    card_masks: tuple[int, ...]
+
+
 class Likelihoods(Frozen):
     """A protocol's table indexed by announcement, in integers over one denominator.
 
-    ``columns[ann][hand] / denominator`` is the hand's probability of
-    producing ``ann`` times its hand weight, for every hand that lists
-    ``ann``, truthful or not. ``rows[ann]`` holds the same numerators along
-    ``ann.lines``: entry i is ``columns[ann].get(ann.lines[i], 0)``.
-    ``card_masks[ann]`` holds ``ann``'s per-card masks over the deal's cards;
-    ``posteriors[(row, meet)]`` memoises a row's shares with its met lines
-    zeroed, answers only. These derived slots live and die with the index and
-    take no part in ``==`` or ``repr``.
+    ``entries`` maps each producible announcement ``ann``, in canonical order,
+    to its ``IndexEntry``: ``column[hand] / denominator`` is the hand's
+    probability of producing ``ann`` times its hand weight, for every hand
+    that lists ``ann``, truthful or not; ``row[i]`` is
+    ``column.get(ann.lines[i], 0)``; ``card_masks`` are ``ann``'s per-card
+    masks over the deal's cards. ``posteriors[(row, meet)]`` memoises a row's
+    shares with its met lines zeroed, answers only, outside ``==`` and ``repr``.
     """
 
-    _fields = ("denominator", "columns", "rows")
+    _fields = ("denominator", "entries")
 
-    def __init__(self, denominator: int, columns: dict[Announcement, dict[CardSet, int]],
-                 rows: dict[Announcement, tuple[int, ...]], card_masks: dict[Announcement, tuple[int, ...]]) -> None:
+    def __init__(self, denominator: int, entries: dict[Announcement, IndexEntry]) -> None:
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "card_masks", card_masks)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "posteriors", {})
 
 
@@ -129,19 +131,19 @@ class Protocol(Frozen):
         Repeated entries for one hand and announcement are summed, as sampling
         counts them. Every sum is kept as an integer numerator over one
         protocol-wide denominator, the lcm of the sums' own denominators, so
-        equal sums give equal indexes. Each announcement's column, keyed by
-        hand, is then read along its lines into its row, so a posterior reads
-        one integer tuple and hashes no line. Its per-card masks leave out the
-        cards beyond the deal, which no observer holds; the posterior memo
-        starts empty. A negative probability is refused with ValueError naming
-        its hand and announcement.
+        equal sums give equal indexes. Sorted once, each announcement gets one
+        entry: its column, keyed by hand; that column read along its lines into
+        its row, so a posterior reads one integer tuple and hashes no line; and
+        its per-card masks, without the cards beyond the deal, which no
+        observer holds. A negative probability is refused with ValueError
+        naming its hand and announcement.
         """
-        entries = [(hand, ann, p) for hand, dist in self.table.items() for ann, p in dist]
-        prob_den, masses = common_denominator([p for _, _, p in entries])
+        listed = [(hand, ann, p) for hand, dist in self.table.items() for ann, p in dist]
+        prob_den, masses = common_denominator([p for _, _, p in listed])
         weight_den, weights = common_denominator([self.hand_weight(hand) for hand in self.table])
         weight = dict(zip(self.table, weights))
         columns: dict[Announcement, dict[CardSet, int]] = {}
-        for (hand, ann, p), mass in zip(entries, masses):
+        for (hand, ann, p), mass in zip(listed, masses):
             if mass < 0:
                 raise ValueError(
                     f"hand {hand} gives announcement {ann.lines} the negative probability {p}"
@@ -150,20 +152,17 @@ class Protocol(Frozen):
             column[hand] = column.get(hand, 0) + mass * weight[hand]
         denominator = prob_den * weight_den
         shared = gcd(denominator, *(n for column in columns.values() for n in column.values()))
-        if shared > 1:
-            denominator //= shared
-            for column in columns.values():
-                for hand in column:
-                    column[hand] //= shared
-        rows = {ann: tuple(column.get(line, 0) for line in ann.lines) for ann, column in columns.items()}
         v = self.params.v
-        masks = {ann: build_masks([line if line[-1] < v else [y for y in line if y < v] for line in ann.lines], v)[1]
-                 for ann in rows}
-        return Likelihoods(denominator, columns, rows, masks)
+        entries = {}
+        for ann, column in sorted(columns.items(), key=lambda item: item[0].lines):
+            column = {hand: n // shared for hand, n in column.items()}
+            cut = [line if line[-1] < v else [y for y in line if y < v] for line in ann.lines]
+            entries[ann] = IndexEntry(column, tuple(column.get(line, 0) for line in ann.lines), build_masks(cut, v)[1])
+        return Likelihoods(denominator // shared, entries)
 
     def support(self) -> list[Announcement]:
         """Every announcement some hand can produce, canonically ordered."""
-        return sorted(self.likelihoods.columns, key=lambda ann: ann.lines)
+        return list(self.likelihoods.entries)
 
 
 def _literal_weight(params: Parameters, holds_point: bool) -> Fraction:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -227,7 +228,7 @@ def test_rows_skip_an_untruthful_entry_that_the_class_balance_counts(protocols, 
     data["table"]["012"][-1] = untruthful
     proto = protocol_from_json(data)
     ann = parse_announcement(untruthful["announcement"], p331)
-    assert (0, 1, 2) in proto.likelihoods.columns[ann]
+    assert (0, 1, 2) in proto.likelihoods.entries[ann].column
     assert_rows_match_oracles(proto)
     assert bias_report(proto).class_balance != Fraction(3, 5)
 
@@ -283,7 +284,8 @@ def test_memoised_posteriors_match_the_oracle_on_a_table_that_does_not_fit_the_d
     table = {(0, 1, 2): ((misfit, Fraction(1, 2)), (five, Fraction(1, 2))), (1, 4, 5): ((misfit, Fraction(1)),),
              (3, 4, 6): ((misfit, Fraction(1, 3)),)}
     proto = Protocol("uniform60", p331, table)
-    assert len(proto.likelihoods.card_masks[misfit]) == p331.v
+    _, _, card_masks = proto.likelihoods.entries[misfit]
+    assert len(card_masks) == p331.v
     assert_cold_and_warm_match_oracle(proto, OBSERVERS)
     unsafe = [issue.message for issue in validate_protocol(proto).issues if issue.kind == "safety"]
     assert unsafe and all(f"announcement {misfit.lines} does not fit" in message for message in unsafe)
@@ -320,6 +322,36 @@ def test_equal_rows_and_meets_share_one_memo_entry(protocols, monkeypatch):
     (shares,) = memo.values()
     assert all(p is q for table in tables for (_, p), q in zip(table.posteriors, shares))
     assert len(sweep(proto)) == 3360 and len(memo) == 18
+
+
+def test_a_posterior_hashes_its_announcement_once_and_a_report_each_at_most_once(protocols, monkeypatch):
+    # One index entry per announcement: a posterior looks its announcement up
+    # once, whatever the observer holds, and the report walks the entries.
+    p322 = Parameters(3, 2, 2)
+    wide = Protocol("fact1", p322, protocols["fact1"].table)
+    cases = [(protocols["fact1"], ()), (protocols["fact1"], (3,)), (wide, ()), (wide, (3, 5))]
+    for proto, _ in cases:
+        proto.likelihoods  # built before counting
+    hashed = []
+    unwrapped = Announcement.__hash__
+
+    def counting_hash(ann):
+        hashed.append(ann)
+        return unwrapped(ann)
+
+    monkeypatch.setattr(Announcement, "__hash__", counting_hash)
+    for proto, observer in cases:
+        ann = proto.support()[0]
+        hashed.clear()
+        posterior_lines(proto, ann, observer)
+        assert hashed == [ann], observer
+    for name, proto in protocols.items():
+        support = proto.support()
+        hashed.clear()
+        bias_report(proto)
+        counts = Counter(map(id, hashed))
+        assert all(counts[id(ann)] <= 1 for ann in support), name
+        assert sum(counts[id(ann)] for ann in support) == sum(triple_point(ann) is not None for ann in support), name
 
 
 def test_uniform60_posterior_is_flat(protocols, p331):
@@ -564,13 +596,17 @@ def test_integer_index_matches_fraction_oracle_on_random_tables(seed, p331):
     index = proto.likelihoods
     expected = table_likelihoods(proto)
     assert {
-        ann: {hand: Fraction(n, index.denominator) for hand, n in column.items()}
-        for ann, column in index.columns.items()
+        ann: {hand: Fraction(n, index.denominator) for hand, n in entry.column.items()}
+        for ann, entry in index.entries.items()
     } == expected
     denominators = [w.denominator for column in expected.values() for w in column.values()]
     assert index.denominator == lcm(*denominators)
     support = proto.support()
-    assert support == sorted(expected, key=lambda ann: ann.lines)
+    assert support == list(index.entries) == sorted(expected, key=lambda ann: ann.lines)  # canonical order
+    for ann, (column, row, card_masks) in index.entries.items():
+        assert row == tuple(column.get(line, 0) for line in ann.lines), ann
+        holding = [[i for i, line in enumerate(ann.lines) if y in line] for y in range(p331.v)]
+        assert card_masks == tuple(sum(1 << i for i in lines) for lines in holding), ann
     for ann in support:
         for observer in OBSERVERS:
             want = outcome(table_posterior_lines, proto, ann, observer)

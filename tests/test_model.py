@@ -1,10 +1,11 @@
 import json
 import random
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import nullcontext
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -115,51 +116,31 @@ def test_parse_refuses_json_nested_too_deeply(p331):
 PARSE_ERRORS = json.loads((Path(__file__).parent / "data" / "parse_errors_golden.json").read_text("utf-8"))
 
 
-# Every strictly increasing digit string, keyed to its line: the parser's line
-# table at its bound of 1,023 entries.
-FULL_LINE_TABLE = {
-    "".join(map(str, cards)): cards for size in range(1, 11) for cards in combinations(range(10), size)
-}
-FULL = pytest.mark.full_line_table
-
-
-@contextmanager
-def line_table(entries=()):
-    """Run the block with the parser's line table holding ``entries`` alone; yield that table."""
-    saved = model._LINES
-    model._LINES = table = dict(entries)
-    try:
-        yield table
-    finally:
-        model._LINES = saved
-
-
-@pytest.fixture
-def table(request):
-    """The parser's line table for one test: full if the test is marked ``full_line_table``, else empty."""
-    with line_table(FULL_LINE_TABLE if request.node.get_closest_marker("full_line_table") else ()) as entries:
-        yield entries
+def without_line_table():
+    """Patch the parser's line table out for a ``with`` block, so that every token is read in full."""
+    return mock.patch.object(model, "_line_table", lambda v, a: {})
 
 
 def _case_id(case):
     return f"{case['parse']}:{case['text'][:24]}"
 
 
+# Each case with the line table patched out, then each announcement case
+# again, "full-table:", with the parser's own table.
 @pytest.mark.parametrize(
-    "case",
+    "case, table",
     [
-        *PARSE_ERRORS,
+        *(pytest.param(case, False, id=_case_id(case)) for case in PARSE_ERRORS),
         *(
-            pytest.param(case, marks=FULL, id="full-table:" + _case_id(case))
+            pytest.param(case, True, id="full-table:" + _case_id(case))
             for case in PARSE_ERRORS
             if case["parse"] == "announcement"
         ),
     ],
-    ids=_case_id,
 )
 def test_parse_error_messages_are_unchanged(case, table):
     params = Parameters(*case["params"])
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ValueError) as exc, nullcontext() if table else without_line_table():
         if case["parse"] == "announcement":
             parse_announcement(case["text"], params)
         else:
@@ -179,32 +160,37 @@ NOT_ASCII_DECIMAL = [
 ]
 
 
+# Each case with the line table patched out, then each with the parser's own table.
 @pytest.mark.parametrize(
-    "params, text, token", [*NOT_ASCII_DECIMAL, *(pytest.param(*case, marks=FULL) for case in NOT_ASCII_DECIMAL)]
+    "params, text, token, table",
+    [(*case, table) for table in (False, True) for case in NOT_ASCII_DECIMAL],
+    ids=[f"params{i}-{text}-{token}" for i, (_, text, token) in enumerate(NOT_ASCII_DECIMAL * 2)],
 )
 def test_card_text_takes_ascii_decimal_digits_only(params, text, token, table):
-    with pytest.raises(AnnouncementParseError) as exc:
+    with pytest.raises(AnnouncementParseError) as exc, nullcontext() if table else without_line_table():
         parse_announcement(text, Parameters(*params))
     assert str(exc.value) == f"cannot read cards from {token!r}"
 
 
-def test_the_line_table_reads_every_digit_set_as_the_token_reader_does(table):
+def test_the_line_table_reads_every_digit_set_as_the_token_reader_does():
     rng = random.Random(0)
-    admitted = 0
-    for key, cards in FULL_LINE_TABLE.items():
-        # Nine or ten cards fit no deck of at most ten: b and c are at least 1.
-        v = max(cards[-1] + 1, len(cards) + 2)
-        if v > 10:
-            continue
-        params = Parameters(len(cards), v - len(cards) - 1, 1)
-        token = "".join(rng.sample(key, len(key)))
-        table.clear()
-        cold = parse_announcement(token, params)
-        assert cold.lines == (cards,) and table == {key: cards}
-        table.update(FULL_LINE_TABLE)
-        assert parse_announcement(token, params).lines[0] is cards  # read off the table
-        admitted += 1
-    assert admitted == 1023 - 11
+    spellings = []
+    for v in range(3, 11):
+        for a in range(1, v - 1):  # b and c are at least 1
+            table = model._line_table(v, a)
+            assert list(table.values()) == enumerate_ksets(v, a)  # built whole
+            params = Parameters(a, v - a - 1, 1)
+            spellings += [("".join(rng.sample(key, a)), params, line) for key, line in table.items()]
+    for token, params, line in spellings:
+        assert parse_announcement(token, params).lines[0] is line  # read off the table
+    with without_line_table():
+        for token, params, line in spellings:
+            assert parse_announcement(token, params).lines == (line,)
+    assert len(spellings) == sum(comb(v, a) for v in range(3, 11) for a in range(1, v - 1))
+    # A deck of more than ten cards reads every token in full, and caches no table.
+    tables = model._line_table.cache_info()
+    assert parse_announcement("0,1,2 3,4,5", Parameters(3, 8, 1)).lines == ((0, 1, 2), (3, 4, 5))
+    assert model._line_table.cache_info() == tables
 
 
 def _outcome(text, params):
@@ -225,13 +211,13 @@ small_decks = st.sampled_from([(1, 1, 1), (2, 2, 3), (3, 3, 1), (4, 3, 1), (5, 4
 @example(["019"], Parameters(3, 3, 1))
 def test_the_line_table_changes_no_parse_and_keys_only_digit_sets(tokens, params):
     text = " ".join(tokens)
-    with line_table() as cold:
+    with without_line_table():
         expected = _outcome(text, params)
-    # FULL_LINE_TABLE holds every strictly increasing ASCII-digit key with its line.
-    assert cold.items() <= FULL_LINE_TABLE.items()
-    with line_table(FULL_LINE_TABLE) as full:
-        assert _outcome(text, params) == expected
-    assert full == FULL_LINE_TABLE
+    assert _outcome(text, params) == expected
+    if params.v <= 10:
+        table = model._line_table(params.v, params.a)
+        assert all(key == format_card_set(line, params.v) and len(line) == params.a and line[-1] < params.v
+                   for key, line in table.items())
 
 
 @pytest.mark.parametrize("text, v", [("\u0663", 7), ("0, 1", 12), ("1_1", 12), ("0,-1", 7), ("0,+1", 12)])

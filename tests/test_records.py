@@ -135,8 +135,8 @@ def test_reprs_are_pinned():
     posterior_lines(proto, proto.support()[0])  # the posterior memo stays out of repr
     assert likelihoods.posteriors
     assert repr(likelihoods) == (
-        "Likelihoods(denominator=1, columns={Announcement(lines=((0, 1, 2), (3, 4, 5))): {(0, 1, 2): 1}}, "
-        "rows={Announcement(lines=((0, 1, 2), (3, 4, 5))): (1, 0)})"
+        "Likelihoods(denominator=1, entries={Announcement(lines=((0, 1, 2), (3, 4, 5))): "
+        "IndexEntry(column={(0, 1, 2): 1}, row=(1, 0), card_masks=(1, 1, 1, 2, 2, 2, 0))})"
     )
     report = check_axioms(Announcement(((0, 1, 2), (3, 4, 5))), P331)
     assert repr(report.ca4) == (  # counts_outside stays out of repr
@@ -153,9 +153,8 @@ def test_counts_outside_and_the_posterior_memo_stay_out_of_equality():
     assert proto.likelihoods.posteriors != again.likelihoods.posteriors
     assert proto.likelihoods == again.likelihoods and proto == again
     index = proto.likelihoods
-    assert Likelihoods(index.denominator, index.columns, index.rows, {}) == index  # nor do the card masks
-    assert repr(index) == repr(again.likelihoods)
-    assert "card_masks" not in repr(index) and "posteriors" not in repr(index)
+    assert Likelihoods(index.denominator, index.entries) == index  # built with an empty memo
+    assert repr(index) == repr(again.likelihoods) and "posteriors" not in repr(index)
 
 
 def test_result_records_are_named_tuples():
